@@ -7,6 +7,13 @@ returns a :class:`VerificationReport` that records the dimension parameters,
 the key monomial whose coefficient carries the statement, and the witness
 monomials found.  The reports feed both the test suite and the command line.
 
+The series behind the theorem, corollary and sharpness checks are computed
+in a bit-packed row form instead of through the generic set engine: one
+Python int per row, bit ``i`` standing for ``t^i``, so that ``(1+t)^-1`` is
+a prefix XOR and a coefficient is one bit test.  The set engine remains the
+route of the prelude and the oracles, and the reference the tests hold the
+rows to.
+
 All binomial coefficients are taken mod 2.  The closed form (Lucas):
 ``C(n, k)`` is odd iff every binary digit of ``k`` is at most the matching
 digit of ``n``; for negative upper index, ``C(-a, k) = (-1)^k C(a+k-1, k)``,
@@ -227,33 +234,105 @@ def _coeff_raw(p: RingElement, mono: Monomial) -> int:
     return int(mono.exps in p.terms)
 
 
-def _witnesses(part: RingElement, limit: int = 6) -> str:
-    monos = [str(mo) for mo in part.support()]
-    if not monos:
+def _witnesses(ring: RingPresentation, part: list, limit: int = 6) -> str:
+    """The first ``limit`` exponent tuples of a graded part, printed."""
+    if not part:
         return "none"
-    if len(monos) > limit:
-        monos = monos[:limit] + [f"... ({len(part.terms)} total)"]
+    monos = [str(Monomial(ring, exps)) for exps in part[:limit]]
+    if len(part) > limit:
+        monos.append(f"... ({len(part)} total)")
     return ", ".join(monos)
 
 
-@lru_cache(maxsize=None)
-def _series_data(m: int):
-    """Shared series in the t,y,x ring: (ring, S, w, inv_ty) where
-    inv_ty = (1+t+y)^-1, w = (1+t)^-1 inv_ty and S = w (1+x).  Also
-    cross-checks the two product routes for S, which must coincide by
-    x^2 = y + t*x.
+def _prefix_xor(a: int, width: int) -> int:
+    """(1+t)^-1 * a in GF(2)[t]/(t^width), bit i of ``a`` standing for t^i.
+
+    Bit i of the result is the XOR of bits 0..i; doubling shifts build it
+    in about log2(width) steps.
     """
-    ring = ring_yhat(m)
-    t, y, x = ring.gens()
-    one = ring.one()
-    inv_ty = invert(one + t + y)
-    w = invert(one + t) * inv_ty
-    s = w * (one + x)
-    if (one + t + y) != (one + t + x) * (one + x):
-        raise RingError("presentation violates (1+t+y) = (1+t+x)(1+x)")
-    if inv_ty * (one + x) * (one + t + x) != one:
+    shift = 1
+    while shift < width:
+        a ^= a << shift
+        shift <<= 1
+    return a & ((1 << width) - 1)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """An element of the t,y,x ring of ``ring_yhat(m)`` in row form.
+
+    ``rows[e][j]`` is the polynomial in t multiplying y^j x^e, bit i
+    standing for t^i, for 0 <= i, j <= m and e in {0, 1}.
+    """
+
+    m: int
+    rows: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def _mask(self) -> int:
+        return (1 << (self.m + 1)) - 1
+
+    def times_t(self) -> "_Rows":
+        mask = self._mask()
+        return _Rows(self.m, tuple(tuple((a << 1) & mask for a in r) for r in self.rows))
+
+    def times_one_plus_x(self) -> "_Rows":
+        # (a0 + a1 x)(1 + x) = (a0 + y a1) + (a0 + a1 + t a1) x, by x^2 = y + t x.
+        a0, a1 = self.rows
+        mask = self._mask()
+        return _Rows(self.m, (
+            tuple(p ^ q for p, q in zip(a0, (0,) + a1[:-1])),
+            tuple(p ^ q ^ ((q << 1) & mask) for p, q in zip(a0, a1)),
+        ))
+
+    def times_one_plus_t_plus_x(self) -> "_Rows":
+        # (a0 + a1 x)(1 + t + x) = (a0 + t a0 + y a1) + (a0 + a1) x.
+        a0, a1 = self.rows
+        mask = self._mask()
+        return _Rows(self.m, (
+            tuple(p ^ ((p << 1) & mask) ^ q for p, q in zip(a0, (0,) + a1[:-1])),
+            tuple(p ^ q for p, q in zip(a0, a1)),
+        ))
+
+    def coefficient(self, i: int, j: int, e: int) -> int:
+        """The coefficient of t^i y^j x^e; 0 off the basis (i or j > m)."""
+        return self.rows[e][j] >> i & 1 if j <= self.m else 0
+
+    def part(self, d: int) -> list[tuple[int, int, int]]:
+        """The exponents (i, j, e) present in degree d = i + 2j + e, in the
+        (degree, exponents) order of ``RingElement.support``."""
+        out = []
+        for i in range(max(0, d - 2 * self.m - 1), min(self.m, d) + 1):
+            j, e = divmod(d - i, 2)
+            if self.rows[e][j] >> i & 1:
+                out.append((i, j, e))
+        return out
+
+
+# A sweep touches each m once; the small bound keeps long sweeps flat in memory.
+@lru_cache(maxsize=4)
+def _series_data(m: int) -> tuple[RingPresentation, _Rows, _Rows, _Rows]:
+    """Shared series in the t,y,x ring: (ring, S, w, inv_ty) where
+    inv_ty = (1+t+y)^-1, w = (1+t)^-1 inv_ty and S = w (1+x), in the row
+    form of ``ring = ring_yhat(m)``, which names their monomials.
+
+    inv_ty follows the row recurrence u_j = (1+t)^-1 (delta_j0 + u_(j-1)),
+    and is cross-checked by inv_ty (1+x) (1+t+x) = 1, which holds because
+    (1+x)(1+t+x) = 1+t+y by x^2 = y + t*x.
+    """
+    width = m + 1
+    u = [_prefix_xor(1, width)]
+    for _ in range(m):
+        u.append(_prefix_xor(u[-1], width))
+    zero = (0,) * width
+    inv_ty = _Rows(m, (tuple(u), zero))
+    # Row j of w is (1+t)^-1 u_j, which the recurrence already made u_(j+1).
+    w = _Rows(m, (tuple(u[1:]) + (_prefix_xor(u[m], width),), zero))
+    s = w.times_one_plus_x()
+    if inv_ty.times_one_plus_x().times_one_plus_t_plus_x() != _Rows(
+        m, ((1,) + zero[1:], zero)
+    ):
         raise RingError("series routes for the inverse class disagree")
-    return ring, s, w, inv_ty
+    return ring_yhat(m), s, w, inv_ty
 
 
 def check_prelude(m: int, n: int) -> VerificationReport:
@@ -279,7 +358,8 @@ def check_prelude(m: int, n: int) -> VerificationReport:
         key_monomial=str(key),
         key_coefficient=_coeff_raw(w, key),
         passed=bool(part),
-        detail=f"expected nonzero iff n <= m (here {expected}); witnesses: {_witnesses(part)}",
+        detail=f"expected nonzero iff n <= m (here {expected}); "
+        f"witnesses: {_witnesses(ring, [mo.exps for mo in part.support()])}",
     )
 
 
@@ -296,8 +376,8 @@ def check_theorem_b(m: int) -> VerificationReport:
     if not 0 <= e <= m:
         raise RingError("key exponent out of basis range; r is inconsistent")
     key = ring.monomial(t=e, y=m, x=1)
-    part = s.homogeneous_part(p.n)
-    coeff = _coeff_raw(s, key)
+    part = s.part(p.n)
+    coeff = s.coefficient(*key.exps)
     return VerificationReport(
         check="theorem_b",
         m=m,
@@ -307,7 +387,7 @@ def check_theorem_b(m: int) -> VerificationReport:
         key_monomial=str(key),
         key_coefficient=coeff,
         passed=bool(part) and coeff == 1,
-        detail=f"witnesses in degree {p.n}: {_witnesses(part)}",
+        detail=f"witnesses in degree {p.n}: {_witnesses(ring, part)}",
     )
 
 
@@ -320,9 +400,8 @@ def check_theorem_a(m: int) -> VerificationReport:
     """
     p = DimensionParams.for_m(m)
     ring, s, _, _ = _series_data(m)
-    t = ring.gen("t")
-    ts = t * s
-    part = ts.homogeneous_part(p.n + 1)
+    ts = s.times_t()
+    part = ts.part(p.n + 1)
     e1 = (1 << p.r) - m - 1
     key = ring.monomial(t=e1, y=m, x=1)
     expected = (m + 1) != (1 << (p.r - 1))
@@ -334,10 +413,10 @@ def check_theorem_a(m: int) -> VerificationReport:
         q=p.q,
         n=p.n,
         key_monomial=str(key),
-        key_coefficient=_coeff_raw(ts, key),
+        key_coefficient=ts.coefficient(*key.exps),
         passed=bool(part),
         detail=f"expected iff m+1 != 2^(r-1) (here {expected}); "
-        f"witnesses in degree {p.n + 1}: {_witnesses(part)}{note}",
+        f"witnesses in degree {p.n + 1}: {_witnesses(ring, part)}{note}",
     )
 
 
@@ -351,11 +430,11 @@ def check_theorem_a_v2(m: int) -> VerificationReport:
     p = DimensionParams.for_m(m)
     if (m + 1) == (1 << (p.r - 1)):
         raise ValueError("not applicable: m+1 = 2^(r-1)")
-    ring, _, _, w = _series_data(m)
+    ring, _, _, inv_ty = _series_data(m)
     e1 = (1 << p.r) - m - 1
     key = ring.monomial(t=e1, y=m)
-    part = w.homogeneous_part(p.n)
-    coeff = _coeff_raw(w, key)
+    part = inv_ty.part(p.n)
+    coeff = inv_ty.coefficient(*key.exps)
     return VerificationReport(
         check="theorem_a_v2",
         m=m,
@@ -365,7 +444,7 @@ def check_theorem_a_v2(m: int) -> VerificationReport:
         key_monomial=str(key),
         key_coefficient=coeff,
         passed=coeff == 1 and bool(part),
-        detail=f"witnesses in degree {p.n}: {_witnesses(part)}",
+        detail=f"witnesses in degree {p.n}: {_witnesses(ring, part)}",
     )
 
 
@@ -379,8 +458,8 @@ def check_corollary(m: int) -> VerificationReport:
     ring, _, w, _ = _series_data(m)
     e = (1 << p.r) - m - 2
     key = ring.monomial(t=e, y=m)
-    part = w.homogeneous_part(p.n - 1)
-    coeff = _coeff_raw(w, key)
+    part = w.part(p.n - 1)
+    coeff = w.coefficient(*key.exps)
     return VerificationReport(
         check="corollary",
         m=m,
@@ -390,18 +469,25 @@ def check_corollary(m: int) -> VerificationReport:
         key_monomial=str(key),
         key_coefficient=coeff,
         passed=coeff == 1,
-        detail=f"witnesses in degree {p.n - 1}: {_witnesses(part)}",
+        detail=f"witnesses in degree {p.n - 1}: {_witnesses(ring, part)}",
     )
 
 
-def _prop_q_series(m: int) -> tuple[RingPresentation, RingElement]:
+@lru_cache(maxsize=4)
+def _prop_q_series(m: int) -> tuple[RingPresentation, tuple[int, ...]]:
+    """(ring, w) with w = (1+t0)^-1 (1+t0+x0)^-1 in ``ring = ring_y0(q, m)``,
+    in row form: row a is the polynomial in s multiplying t0^a (a < 2^q),
+    bit b standing for s^b.
+
+    There t0 + x0 = s, so w = (1+t0)^-1 (1+s)^-1.  (1+s)^-1 is one row of
+    2m+2 bits, and (1+t0)^-1 = sum_a t0^a copies it into every row.
+    """
     q = q_of(m)
-    ring = ring_y0(q, m)
-    t0, s = ring.gens()
-    one = ring.one()
-    x0 = t0 + s
-    w = invert(one + t0) * invert(one + t0 + x0)
-    return ring, w
+    return ring_y0(q, m), (_prefix_xor(1, 2 * m + 2),) * (1 << q)
+
+
+def _top_degree(rows: tuple[int, ...]) -> int:
+    return max((a + row.bit_length() - 1 for a, row in enumerate(rows) if row), default=-1)
 
 
 def check_prop_q(m: int, n: int) -> VerificationReport:
@@ -416,11 +502,12 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
     if m < 1 or n < 0:
         raise ValueError("m must be >= 1 and n >= 0")
     q = q_of(m)
-    ring, w = _prop_q_series(m)
+    ring, rows = _prop_q_series(m)
     bound = 2 * m + (1 << q)
-    top = w.max_nonzero_degree()
-    part = w.homogeneous_part(n)
-    first = next(iter(part.support()), None)
+    top = _top_degree(rows)
+    first = next(
+        ((a, n - a) for a, row in enumerate(rows[: n + 1]) if row >> (n - a) & 1), None
+    )
     hc = hurwitz_comparison(m)
     return VerificationReport(
         check="prop_q",
@@ -428,9 +515,9 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
         r=r_of(m),
         q=q,
         n=n,
-        key_monomial=str(first) if first is not None else "",
+        key_monomial=str(Monomial(ring, first)) if first is not None else "",
         key_coefficient=1 if first is not None else 0,
-        passed=bool(part) and top == bound,
+        passed=first is not None and top == bound,
         detail=f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {top}; "
         f"alpha = {hc['alpha']} <= q = {q}: exponent bound 2^alpha-1 = "
         f"{hc['remark_exponent']} vs sharp 2^q-1 = {hc['sharp_exponent']}",
@@ -441,8 +528,7 @@ def prop_q_max_degree(m: int) -> int:
     """The top nonzero degree of the q-reduced inverse class (= 2m + 2^q)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _, w = _prop_q_series(m)
-    return w.max_nonzero_degree()
+    return _top_degree(_prop_q_series(m)[1])
 
 
 def hurwitz_radon(n: int) -> int:

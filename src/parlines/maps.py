@@ -82,11 +82,29 @@ class MapDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MapDescriptor":
+        """Parse either JSON form.  The builtin form takes its parameters flat,
+        as :meth:`to_json_dict` writes them, or nested under ``params``:
+        ``{"builtin": "random_poly", "params": {"m": 1, ...}, "seed": 42}``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("malformed map descriptor: expected a JSON object")
         if "builtin" in data:
             params = {
-                k: v for k, v in data.items() if k not in ("builtin", "seed")
+                k: v for k, v in data.items() if k not in ("builtin", "seed", "params")
             }
-            return builtin_map(data["builtin"], params, seed=data.get("seed"))
+            nested = data.get("params", {})
+            if not isinstance(nested, dict):
+                raise ValueError("malformed map descriptor: params must be a JSON object")
+            clash = sorted(set(params) & set(nested))
+            if clash:
+                raise ValueError(
+                    f"malformed map descriptor: {clash} given both flat and under params"
+                )
+            params.update(nested)
+            try:
+                return builtin_map(data["builtin"], params, seed=data.get("seed"))
+            except TypeError as exc:
+                raise ValueError(f"malformed map descriptor: {exc}") from exc
         try:
             coords = tuple(
                 tuple((term["c"], tuple(term["e"])) for term in coord)

@@ -7,6 +7,9 @@ terminal summary.  Budgets are wall-clock on the machine running the suite.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import time
 
 import conftest
@@ -19,12 +22,14 @@ from parlines.charclass import (
     check_theorem_a,
     check_theorem_a_v2,
     check_theorem_b,
+    expected_outcome,
     oracle_umkehr_dual,
     oracle_umkehr_product,
     prop_q_max_degree,
     q_of,
     r_of,
 )
+from parlines.cli import main
 from parlines.maps import builtin_map
 from parlines.witness import (
     SearchConfig,
@@ -101,6 +106,32 @@ def test_sharpness_top_degree():
         prop_q_max_degree(m) == 2 * m + (1 << q_of(m)) for m in range(1, 32)
     )
     criterion("prop_q top nonzero degree = 2m + 2^q, m+1 = 2..32", ok)
+
+
+def test_verify_classes_top_of_cli_range():
+    # m = 4095 has the largest q (12) the CLI accepts, so the largest
+    # prop_q series; m = 4096 is the top of the accepted range.
+    start = time.perf_counter()
+    ok = True
+    reports = 0
+    for m in (4095, 4096):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify-classes", "--m", str(m)])
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        checks = [line for line in lines if "check" in line]
+        reports += len(checks)
+        ok = ok and code == 0 and len(checks) == 6 and all(
+            rep["m"] == m and rep["passed"] == expected_outcome(rep["check"], m)
+            for rep in checks
+        )
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 10.0
+    criterion(
+        "verify-classes --m 4095 and --m 4096 exit 0 with the expected outcomes",
+        ok,
+        f"{reports} reports, {elapsed:.2f}s",
+    )
 
 
 def test_product_direct_image_oracle():

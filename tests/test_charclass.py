@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 from conftest import binom2, series_inv_t, series_inv_ty
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlines.charclass import (
     LINE_SPECS,
@@ -39,6 +41,7 @@ from parlines.charclass import (
     w_minus,
 )
 from parlines.f2ring import (
+    RingElement,
     RingError,
     invert,
     ring_adjoin_x,
@@ -47,7 +50,7 @@ from parlines.f2ring import (
     ring_y0,
     ring_yhat,
 )
-from parlines.charclass import _series_data
+from parlines.charclass import _prop_q_series, _Rows, _series_data
 
 
 # -- binomials and dimension bookkeeping --------------------------------------
@@ -111,26 +114,105 @@ def test_dimension_params_validation():
         DimensionParams.for_m(0)
 
 
-# -- series supports against the Pascal oracle --------------------------------
+# -- series supports: row engine, set engine and Pascal oracle -----------------
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+def row_support(el: _Rows) -> set:
+    """The exponents (i, j, e) present in a row-form element."""
+    return {
+        (i, j, e)
+        for e, rows in enumerate(el.rows)
+        for j, row in enumerate(rows)
+        for i in range(el.m + 1)
+        if row >> i & 1
+    }
+
+
+def to_ring(el: _Rows, ring) -> RingElement:
+    """A row-form element as a set-engine element of ``ring_yhat(el.m)``."""
+    assert len(el.rows[0]) == len(el.rows[1]) == el.m + 1
+    assert all(row >> (el.m + 1) == 0 for rows in el.rows for row in rows), "bits past t^m"
+    return RingElement(ring, frozenset(row_support(el)))
+
+
+def set_engine_series(m: int):
+    """(S, w, inv_ty) through the generic set engine: ring_yhat + invert."""
+    ring = ring_yhat(m)
+    t, y, x = ring.gens()
+    one = ring.one()
+    inv_ty = invert(one + t + y)
+    w = invert(one + t) * inv_ty
+    return w * (one + x), w, inv_ty
+
+
+def assert_three_routes_agree(m: int) -> None:
+    _, *rows = _series_data(m)
+    pascal_w = {(i, j, 0) for i, j in series_inv_ty(m, 2)}
+    pascal = (
+        {(i, j, e) for i, j, _ in pascal_w for e in (0, 1)},  # S = w + w*x
+        pascal_w,
+        {(i, j, 0) for i, j in series_inv_ty(m, 1)},
+    )
+    for name, el, ref, closed in zip(("S", "w", "inv_ty"), rows, set_engine_series(m), pascal):
+        assert row_support(el) == set(ref.terms) == closed, (m, name)
+
+
+@pytest.mark.parametrize("m", [*range(1, 11), 63, 64, 127, 128])
 def test_series_supports_match_oracle(m):
     _, _, w, inv_ty = _series_data(m)
-    got_inv_ty = {(i, j) for (i, j, e) in inv_ty.terms}
-    got_w = {(i, j) for (i, j, e) in w.terms}
-    assert all(e == 0 for (_, _, e) in inv_ty.terms | w.terms)
-    assert got_inv_ty == series_inv_ty(m, 1)
-    assert got_w == series_inv_ty(m, 2)
+    got_inv_ty, got_w = row_support(inv_ty), row_support(w)
+    assert all(e == 0 for (_, _, e) in got_inv_ty | got_w)
+    assert {(i, j) for (i, j, _) in got_inv_ty} == series_inv_ty(m, 1)
+    assert {(i, j) for (i, j, _) in got_w} == series_inv_ty(m, 2)
+    assert_three_routes_agree(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=40))
+def test_series_three_routes_random_m(m):
+    assert_three_routes_agree(m)
+
+
+@st.composite
+def row_elements(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    bits = st.integers(min_value=0, max_value=(1 << (m + 1)) - 1)
+    rows = tuple(
+        tuple(draw(st.lists(bits, min_size=m + 1, max_size=m + 1))) for _ in range(2)
+    )
+    return _Rows(m, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_elements())
+def test_row_ops_match_set_engine(el):
+    # Elements with an x part exercise the x^2 = y + t*x rewrite, which the
+    # series themselves (all x-free until S) barely touch.
+    ring = ring_yhat(el.m)
+    t, y, x = ring.gens()
+    one = ring.one()
+    a = to_ring(el, ring)
+    assert to_ring(el.times_t(), ring) == t * a
+    assert to_ring(el.times_one_plus_x(), ring) == a * (one + x)
+    assert to_ring(el.times_one_plus_t_plus_x(), ring) == a * (one + t + x)
+    for d in range(3 * el.m + 3):
+        assert el.part(d) == [mo.exps for mo in a.homogeneous_part(d).support()], d
+    for i in range(el.m + 2):
+        for j in range(el.m + 2):
+            for e in (0, 1):
+                assert el.coefficient(i, j, e) == int((i, j, e) in a.terms)
 
 
 def test_series_data_internal_identities():
-    ring, s, w, inv_ty = _series_data(6)
+    ring, s_rows, w_rows, inv_ty_rows = _series_data(6)
+    s, w, inv_ty = (to_ring(el, ring) for el in (s_rows, w_rows, inv_ty_rows))
     one = ring.one()
     t, y, x = ring.gens()
     assert s == w * (one + x)
     assert inv_ty * (one + t + y) == one
     assert w * (one + t) * (one + t + y) == one
+    assert s_rows == w_rows.times_one_plus_x()
+    assert to_ring(s_rows.times_t(), ring) == t * s
 
 
 # -- the non-vanishing checks --------------------------------------------------
@@ -169,6 +251,9 @@ def test_theorem_a_boundary_pattern():
         boundary = (m + 1) == (1 << (r_of(m) - 1))
         assert rep.passed == (not boundary), m
         assert ("not applicable" in rep.detail) == boundary
+        # Off the boundary the key is t * (the corollary's key) x; on it,
+        # t^(m+1) leaves the basis and the coefficient is 0.
+        assert rep.key_coefficient == (not boundary), m
 
 
 def test_theorem_a_v2_agrees_off_boundary():
@@ -207,6 +292,27 @@ def test_prop_q_support_is_full_rectangle():
         }
         assert {exps for exps in w.terms} == expected
         assert prop_q_max_degree(m) == 2 * m + (1 << q)
+
+
+def test_prop_q_rows_match_set_engine():
+    for m in range(1, 65):
+        q = q_of(m)
+        ring = ring_y0(q, m)
+        t0, s = ring.gens()
+        one = ring.one()
+        w = invert(one + t0) * invert(one + t0 + (t0 + s))
+        rows = _prop_q_series(m)[1]
+        assert len(rows) == 1 << q
+        assert all(row >> (2 * m + 2) == 0 for row in rows)
+        got = {(a, b) for a, row in enumerate(rows) for b in range(2 * m + 2) if row >> b & 1}
+        assert got == set(w.terms), m
+        assert prop_q_max_degree(m) == w.max_nonzero_degree()
+        if m <= 16:
+            for n in range(w.max_nonzero_degree() + 3):
+                support = w.homogeneous_part(n).support()
+                rep = check_prop_q(m, n)
+                assert rep.key_monomial == (str(support[0]) if support else ""), (m, n)
+                assert rep.key_coefficient == int(bool(support))
 
 
 def test_check_prop_q_iff_below_bound():

@@ -251,6 +251,55 @@ def test_verify_witness_malformed_record(tmp_path, capsys):
     assert "malformed" in lines[0]["error"]
 
 
+README_MAP_FLAGS = (
+    "--builtin", "random_poly", "--m", "1", "--n", "4", "--degree", "3",
+    "--map-seed", "42",
+)
+
+
+def test_verify_witness_nested_params_map_file(tmp_path, capsys):
+    # The map-file form the README documents nests the builtin parameters.
+    rec_file = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        capsys, "find-witness", *README_MAP_FLAGS, "--case", "collinear",
+        "--restarts", "2", "--out", str(rec_file),
+    )
+    assert code == 0
+    map_file = write_json(
+        tmp_path / "map.json",
+        {"builtin": "random_poly", "params": {"m": 1, "n": 4, "degree": 3}, "seed": 42},
+    )
+    reports = []
+    for source in (("--map", map_file), README_MAP_FLAGS):
+        code, lines, _ = run_cli(capsys, "verify-witness", *source, "--record", str(rec_file))
+        assert code == 0
+        reports.append(lines[0])
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] is True
+    assert reports[0]["checks"]["digest_matches"] is True
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "5",
+        '{"builtin": "random_poly", "params": [1, 4, 3], "seed": 42}',
+        '{"builtin": "random_poly", "params": {"m": [1], "n": 4, "degree": 3}, "seed": 42}',
+        '{"builtin": "random_poly", "params": {"m": 1, "n": 4, "degree": 3}, "seed": "x"}',
+        '{"builtin": "moment", "m": 1, "params": {"m": 1, "n": 2}}',
+    ],
+    ids=["not-an-object", "params-not-object", "param-not-int", "seed-not-int",
+         "flat-and-nested"],
+)
+def test_malformed_map_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "map.json"
+    path.write_text(content, encoding="utf-8")
+    code, lines, _ = run_cli(capsys, "find-1d", "--map", str(path))
+    assert code == 2
+    assert lines[0]["error"].startswith("malformed map descriptor: ")
+    assert lines[-1]["manifest"]["outcome"].startswith("invalid input: ")
+
+
 # -- find-1d -------------------------------------------------------------------------
 
 

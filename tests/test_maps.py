@@ -126,6 +126,16 @@ def test_json_round_trip_builtin_form():
     assert g.builtin == f.builtin
 
 
+def test_json_builtin_form_with_nested_params():
+    f = builtin_map("random_poly", {"m": 1, "n": 2, "degree": 2}, seed=9)
+    g = MapDescriptor.from_json_dict(
+        {"builtin": "random_poly", "params": {"m": 1, "n": 2, "degree": 2}, "seed": 9}
+    )
+    assert g.coords == f.coords
+    # Output keeps the one flat form whichever form came in.
+    assert canonical_json(g.to_json_dict()) == canonical_json(f.to_json_dict())
+
+
 def test_digest_same_for_both_json_forms():
     f = builtin_map("parabola")
     explicit = MapDescriptor.from_json_dict(f._coords_json_dict())
