@@ -13,7 +13,6 @@ from .f2ring import (
     ring_truncated,
     ring_y0,
     ring_yhat,
-    ring_z,
 )
 from .charclass import (
     BundleClass,
@@ -53,10 +52,7 @@ from .witness import (
     config_to_points,
     estimate_singularity_dim,
     find_1d,
-    hemisphere_lift,
     lin_dep_residual,
-    objective_case_a,
-    objective_case_b,
     parallel_residual,
     search,
     theorem_guarantee,

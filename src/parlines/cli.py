@@ -143,8 +143,21 @@ def _load_config_defaults(argv: list, subs: dict) -> None:
     if not isinstance(defaults, dict):
         raise ValueError("config file must contain a JSON object")
     for p in subs.values():
-        known = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        # A default for one option of an exclusive group would be read next to
+        # the other option given as a flag, so verify-classes' --m/--m-max
+        # come from the command line only.
+        grouped = {a.dest for g in p._mutually_exclusive_groups for a in g._group_actions}
+        for a in p._actions:
+            if a.dest not in defaults or a.dest in grouped:
+                continue
+            value = defaults[a.dest]
+            if a.choices is not None and value not in a.choices:
+                raise ValueError(
+                    f"{a.dest}: invalid choice {value!r} (choose from "
+                    f"{', '.join(map(str, a.choices))})"
+                )
+            a.default = value
+            a.required = False
 
 
 def _resolve_map(args) -> MapDescriptor:

@@ -1,11 +1,9 @@
 """Exact arithmetic in graded truncated polynomial rings over GF(2).
 
 Every ring here is presented by a short list of graded generators together
-with a terminating normal-form rule assembled from three ingredients:
+with a terminating normal-form rule assembled from two ingredients:
 
 * per-generator truncations ``g**b = 0``,
-* an optional closed-form monomial zero test (a predicate on exponent
-  tuples that is monotone under divisibility),
 * quadratic rewrites ``g**2 -> (terms with exponent of g at most 1)``.
 
 Elements are stored as finite sets of normal-form monomials with implicit
@@ -16,16 +14,16 @@ object (there is no implicit coercion between isomorphic rings).
 
 The constructors at the bottom build the specific rings used by the
 characteristic-class checks: truncated polynomial rings, the ring with the
-quadratic relation ``x**2 = y + t*x``, a ring presented by a monomial zero
-test, and two generic extensions (adjoining a truncated generator, and a
-projective-bundle extension ``t**2 = w1*t + w2``).
+quadratic relation ``x**2 = y + t*x``, and two generic extensions (adjoining
+a truncated generator, and a projective-bundle extension
+``t**2 = w1*t + w2``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "RingError",
@@ -36,7 +34,6 @@ __all__ = [
     "ring_truncated",
     "ring_projective",
     "ring_yhat",
-    "ring_z",
     "ring_y0",
     "ring_adjoin_x",
     "ring_proj_bundle",
@@ -96,8 +93,6 @@ class RingPresentation:
         generators: Iterable[tuple[str, int]],
         *,
         truncations: dict[str, int] | None = None,
-        zero_test: Callable[[tuple[int, ...]], bool] | None = None,
-        exponent_caps: dict[str, int] | None = None,
         base: "RingPresentation | None" = None,
     ) -> None:
         gens = list(generators)
@@ -118,13 +113,8 @@ class RingPresentation:
         if any(b < 1 for b in trunc.values()):
             raise RingError("truncation bounds must be >= 1")
         self._bounds = tuple(trunc.get(n, _NO_BOUND) for n in self.gen_names)
-        self.zero_test = zero_test
         self._rewrites: dict[int, RingElement] = {}
-        caps = dict(exponent_caps or {})
-        self._caps = tuple(
-            caps.get(n, b - 1 if b != _NO_BOUND else _NO_BOUND)
-            for n, b in zip(self.gen_names, self._bounds)
-        )
+        self._caps = tuple(b - 1 if b != _NO_BOUND else _NO_BOUND for b in self._bounds)
         self.base = base
         self._zero_exps = (0,) * len(self.gen_names)
 
@@ -191,14 +181,8 @@ class RingPresentation:
                 return True
         return False
 
-    def _is_zero_mono(self, exps: tuple[int, ...]) -> bool:
-        if self._trunc_dead(exps):
-            return True
-        zt = self.zero_test
-        return zt is not None and zt(exps)
-
     def _is_normal_mono(self, exps: tuple[int, ...]) -> bool:
-        if self._is_zero_mono(exps):
+        if self._trunc_dead(exps):
             return False
         return all(exps[i] <= 1 for i in self._rewrites)
 
@@ -223,9 +207,6 @@ class RingPresentation:
                         else:
                             acc.add(t)
                 return acc
-        zt = self.zero_test
-        if zt is not None and zt(exps):
-            return set()
         return {exps}
 
     def _element_from(self, raw: Iterable[tuple[int, ...]]) -> "RingElement":
@@ -248,7 +229,7 @@ class RingPresentation:
         for exps in itertools.product(*(range(c + 1) for c in self._caps)):
             if max_degree is not None and _mono_degree(degs, exps) > max_degree:
                 continue
-            if self._is_zero_mono(exps):
+            if self._trunc_dead(exps):
                 continue
             yield Monomial(self, exps)
 
@@ -324,7 +305,7 @@ class RingElement:
                         else:
                             acc.add(t)
         else:
-            is_zero = ring._is_zero_mono
+            is_zero = ring._trunc_dead
             for a in self.terms:
                 for b in other.terms:
                     raw = tuple(x + y for x, y in zip(a, b))
@@ -460,36 +441,10 @@ def ring_yhat(m: int) -> RingPresentation:
         f"Yhat{m}",
         [("t", 1), ("y", 2), ("x", 1)],
         truncations={"t": m + 1, "y": m + 1},
-        exponent_caps={"x": 1},
     )
     replacement = RingElement(ring, frozenset({(0, 1, 0), (1, 0, 1)}))  # y + t*x
     ring._install_rewrite("x", replacement)
     return ring
-
-
-def ring_z(m: int) -> RingPresentation:
-    """Generators t, y, a (degrees 1, 2, 1) with the monomial zero test
-
-        t^i y^j a^k = 0  iff  i > m, or j > m,
-                              or (k >= 1 and i >= 1),
-                              or (k >= 1 and j + k >= m + 1),
-
-    the divisibility-closed form of the relations t^(m+1), y^(m+1), t*a,
-    y^(m+1-i) a^i (1 <= i <= m) and a^(m+1).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-    def zero(exps: tuple[int, ...], _m: int = m) -> bool:
-        i, j, k = exps
-        return i > _m or j > _m or (k >= 1 and (i >= 1 or j + k >= _m + 1))
-
-    return RingPresentation(
-        f"Z{m}",
-        [("t", 1), ("y", 2), ("a", 1)],
-        zero_test=zero,
-        exponent_caps={"t": m, "y": m, "a": m},
-    )
 
 
 def ring_y0(q: int, m: int) -> RingPresentation:
@@ -518,18 +473,10 @@ def _extend(
     }
     if bound is not None:
         trunc[gname] = bound
-    zero_test = None
-    if base.zero_test is not None:
-        k = len(base.gen_names)
-        bzt = base.zero_test
-        zero_test = lambda exps: bzt(exps[:k])  # noqa: E731
-    caps = dict(zip(base.gen_names, base._caps))
     ring = RingPresentation(
         name,
         list(zip(base.gen_names, base.gen_degrees)) + [gen],
         truncations=trunc,
-        zero_test=zero_test,
-        exponent_caps=caps,
         base=base,
     )
     for i, rep in base._rewrites.items():

@@ -11,13 +11,16 @@ exhibit one of four degeneracies:
 * ``collinear``: four pairwise distinct points x+du, x-du, -x+dv, -x-dv whose
   images affinely span at most 2 dimensions, ||u|| = ||v|| = 1;
 * ``linear_dependence``: the same 4-tuples with linearly dependent
-  normalized images (the spherical variant, via the hemisphere lift).
+  normalized images (the spherical variant).
 
 Residuals are scale-free squared singular-value ratios, so "witness found"
-means the residual is at or below a configurable tolerance.  The search is a
-seeded multi-start local minimization (Nelder-Mead in ambient coordinates,
-re-projected onto the constraint manifold inside the objective); it is fully
-deterministic for a fixed seed and configuration.  ``find_1d`` is separate:
+means the residual is at or below a configurable tolerance.  Each case has
+one residual, ``_residual_from_points`` on the 4 points in record order; the
+search objective, the record, ``verify_witness`` and the singularity
+estimate all go through it.  The search is a seeded multi-start local
+minimization (Nelder-Mead in ambient coordinates, re-projected onto the
+constraint manifold inside the objective); it is fully deterministic for a
+fixed seed and configuration.  ``find_1d`` is separate:
 for maps R -> R^2 it constructs a guaranteed parallel pair by an
 intermediate-value argument instead of optimizing.
 """
@@ -25,7 +28,7 @@ intermediate-value argument instead of optimizing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -46,11 +49,8 @@ __all__ = [
     "parallel_residual",
     "collinear_residual",
     "lin_dep_residual",
-    "hemisphere_lift",
     "config_to_points",
     "record_points",
-    "objective_case_a",
-    "objective_case_b",
     "search",
     "verify_witness",
     "find_1d",
@@ -310,13 +310,6 @@ def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) 
     return float((s[3] / s[0]) ** 2)
 
 
-def hemisphere_lift(w) -> np.ndarray:
-    """(1, w) / sqrt(1 + |w|^2): an affine map into the open upper hemisphere."""
-    w = np.asarray(w, dtype=float)
-    lifted = np.concatenate(([1.0], w))
-    return lifted / math.sqrt(1.0 + float(w @ w))
-
-
 # -- configurations and objectives -------------------------------------------
 
 
@@ -343,35 +336,20 @@ def record_points(case: str, c: Configuration) -> list:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def objective_case_b(c: Configuration, f: MapDescriptor, zero_eps: float = 1e-13) -> float:
-    """Residual of the antipodal-mixed pairing {x+du, -x+dv}, {x-du, -x-dv}."""
-    pts = np.stack(config_to_points(c))
-    imgs = eval_map(f, pts)
-    return parallel_residual(imgs[0] - imgs[2], imgs[1] - imgs[3], zero_eps)
-
-
-def objective_case_a(c: Configuration, f: MapDescriptor, zero_eps: float = 1e-13) -> float:
-    """Residual of the separated pairing {x±du}, {-x±dv}; offsets must have
-    norm 1/sqrt(2) (so the two chords have equal length delta*sqrt(2))."""
-    for name, w in (("u", c.u), ("v", c.v)):
-        if abs(float(np.linalg.norm(w)) - _SQRT_HALF) > 1e-9:
-            raise ValueError(f"case a requires ||{name}|| = 1/sqrt(2)")
-    pts = np.stack(config_to_points(c))
-    imgs = eval_map(f, pts)
-    return parallel_residual(imgs[0] - imgs[1], imgs[2] - imgs[3], zero_eps)
-
-
 def _residual_from_points(case: str, f: MapDescriptor, pts, zero_eps: float) -> float:
-    """Recompute a record's residual from its stored points."""
-    pts = [np.asarray(p, dtype=float) for p in pts]
-    if case in ("parallel_b", "parallel_a", "line_1d"):
-        imgs = eval_map(f, np.stack(pts))
-        return parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2], zero_eps)
-    if case == "collinear":
-        imgs = eval_map(f, np.stack(pts))
-        return collinear_residual(*imgs, zero_eps=zero_eps)
+    """The case residual of 4 points in record order: the one residual path.
+
+    ``pts`` is a (4, d) array or a list of 4 points.  The parallel cases
+    compare the chords f(p1) - f(p0) and f(p3) - f(p2).
+    """
+    pts = np.asarray(pts, dtype=float)
     if case == "linear_dependence":
         return lin_dep_residual(*pts, f=f, zero_eps=zero_eps)
+    imgs = eval_map(f, pts)
+    if case in ("parallel_b", "parallel_a", "line_1d"):
+        return parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2], zero_eps)
+    if case == "collinear":
+        return collinear_residual(*imgs, zero_eps=zero_eps)
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -431,49 +409,27 @@ def _nelder_mead(objective, z0: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarr
     return x, fx
 
 
-def _case_setup(case: str, f: MapDescriptor, cfg: SearchConfig):
-    """Ambient dimension, projection, and per-configuration residual."""
-    d = f.domain_dim
-    delta = cfg.delta
+def _projector(case: str, d: int, delta: float):
+    """Map an ambient point z = (x, u, v) in R^(3d) onto the case's manifold.
 
-    if case == "parallel_b":
-        ambient = 3 * d
-
-        def project(z):
-            x = _unit(z[:d])
-            w = _unit(z[d:])
-            if x is None or w is None:
-                return None
-            return Configuration(x, w[:d], w[d:], delta)
-
-        def residual(c):
-            return objective_case_b(c, f, cfg.zero_eps)
-
-        return ambient, project, residual
-
-    radius = {"parallel_a": _SQRT_HALF, "collinear": 1.0, "linear_dependence": 1.0}[case]
-    ambient = 3 * d
+    x goes to the unit sphere.  ``parallel_b`` puts (u, v) jointly on the
+    unit sphere of R^(2d); the other cases normalise u and v separately to
+    radius 1/sqrt(2) (``parallel_a``) or 1.  Returns None on a degenerate z.
+    """
+    radius = _SQRT_HALF if case == "parallel_a" else 1.0
 
     def project(z):
         x = _unit(z[:d])
-        u = _unit(z[d : 2 * d])
-        v = _unit(z[2 * d :])
+        if case == "parallel_b":
+            w = _unit(z[d:])
+            u, v = (None, None) if w is None else (w[:d], w[d:])
+        else:
+            u, v = _unit(z[d : 2 * d]), _unit(z[2 * d :])
         if x is None or u is None or v is None:
             return None
         return Configuration(x, radius * u, radius * v, delta)
 
-    if case == "parallel_a":
-        def residual(c):
-            return objective_case_a(c, f, cfg.zero_eps)
-    elif case == "collinear":
-        def residual(c):
-            imgs = eval_map(f, np.stack(config_to_points(c)))
-            return collinear_residual(*imgs, zero_eps=cfg.zero_eps)
-    else:
-        def residual(c):
-            return lin_dep_residual(*config_to_points(c), f=f, zero_eps=cfg.zero_eps)
-
-    return ambient, project, residual
+    return project
 
 
 def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> WitnessRecord:
@@ -486,13 +442,14 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     if case == "line_1d":
         raise ValueError("line_1d witnesses come from find_1d, not search")
     cfg = cfg or SearchConfig()
-    ambient, project, residual = _case_setup(case, f, cfg)
+    ambient = 3 * f.domain_dim
+    project = _projector(case, f.domain_dim, cfg.delta)
 
     def objective(z):
         c = project(z)
         if c is None:
             return 1.5
-        val = residual(c)
+        val = _residual_from_points(case, f, record_points(case, c), cfg.zero_eps)
         return val if math.isfinite(val) else 1.5
 
     best_val = math.inf
@@ -758,22 +715,15 @@ def estimate_singularity_dim(
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
     def objective(z):
-        imgs = eval_map(f, z.reshape(4, d))
-        val = collinear_residual(*imgs, zero_eps=cfg.zero_eps)
+        val = _residual_from_points("collinear", f, z.reshape(4, d), cfg.zero_eps)
         return val if math.isfinite(val) else 1.5
 
     # Keep the re-minimization local: the simplex scale follows the noise,
     # otherwise samples drift along the solution set and the displacement
     # directions no longer reflect its dimension at the base point.
-    local_cfg = SearchConfig(
-        delta=cfg.delta,
-        tol=cfg.tol,
-        restarts=cfg.restarts,
-        max_iters=cfg.max_iters,
-        seed=cfg.seed,
-        zero_eps=cfg.zero_eps,
+    local_cfg = replace(
+        cfg,
         step=min(cfg.step, 0.5 * noise_scale),
-        shrink=cfg.shrink,
         polish_rounds=max(cfg.polish_rounds, 3),
     )
     solutions = []

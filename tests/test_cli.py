@@ -406,3 +406,53 @@ def test_config_file_unreadable(tmp_path, capsys):
     )
     assert code == 2
     assert "bad config file" in lines[0]["error"]
+
+
+def test_config_file_supplies_required_options(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"m_max": 3, "format": "jsonl"})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "table")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2, 3]
+    code, lines, _ = run_cli(capsys, "--config", cfg, "table", "--m-max", "2")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2]  # the flag wins
+
+    path = scalar_map_file(tmp_path)
+    rec_file = tmp_path / "rec.json"
+    cfg = write_json(
+        tmp_path / "fw.json",
+        {"map": path, "case": "collinear", "restarts": 2, "max_iters": 60,
+         "record": str(rec_file)},
+    )
+    code, lines, _ = run_cli(capsys, "--config", cfg, "find-witness", "--out", str(rec_file))
+    assert code == 0 and lines[1]["case"] == "collinear"
+    code, lines, _ = run_cli(capsys, "--config", cfg, "verify-witness")
+    assert code == 0 and lines[0]["passed"] is True
+
+
+def test_config_file_leaves_verify_classes_group_to_the_command_line(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"m": 5, "m_max": 3})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "verify-classes", "--m-max", "2")
+    assert code == 0
+    assert {rep["m"] for rep in lines[:-1]} == {1, 2}
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "verify-classes"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "defaults, argv",
+    [
+        ({"format": "xml"}, ["table", "--m-max", "2"]),
+        ({"case": "diagonal"}, ["find-witness", "--builtin", "parabola"]),
+    ],
+)
+def test_config_file_values_are_checked_against_choices(tmp_path, capsys, defaults, argv):
+    cfg = write_json(tmp_path / "cfg.json", defaults)
+    code, lines, _ = run_cli(capsys, "--config", cfg, *argv)
+    assert code == 2
+    assert len(lines) == 1
+    key, value = next(iter(defaults.items()))
+    assert "bad config file" in lines[0]["error"]
+    assert key in lines[0]["error"] and repr(value) in lines[0]["error"]

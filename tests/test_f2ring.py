@@ -16,8 +16,15 @@ from parlines.f2ring import (
     ring_truncated,
     ring_y0,
     ring_yhat,
-    ring_z,
 )
+
+
+def _bundle_then_x():
+    # An extension of an extension: the rewrite t**2 = w1*t + w2 must carry
+    # over into the ring that adjoins x, with t capped at exponent 1.
+    base = ring_truncated("B", [("w1", 1, 3), ("w2", 2, 3)])
+    w1, w2 = base.gens()
+    return ring_adjoin_x(ring_proj_bundle(base, w1, w2), 2)
 
 
 # -- construction and normal form -------------------------------------------
@@ -60,30 +67,6 @@ def test_yhat_basis_shape():
 def test_yhat_rejects_small_m():
     with pytest.raises(ValueError):
         ring_yhat(0)
-
-
-def test_z_ring_zero_pattern():
-    ring = ring_z(2)
-    t, y, a = ring.gens()
-    assert t * a == ring.zero()
-    assert bool(y * a)
-    assert y * y * a == ring.zero()  # j + k = 3 >= m + 1
-    assert bool(a * a)
-    assert a ** 3 == ring.zero()
-    assert t ** 3 == ring.zero() and y ** 3 == ring.zero()
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_z_ring_basis_matches_closed_form(m):
-    # Normal monomials: t^i y^j (k = 0, i,j <= m) plus y^j a^k (k >= 1, j+k <= m).
-    expected = {(i, j, 0) for i in range(m + 1) for j in range(m + 1)}
-    expected |= {
-        (0, j, k)
-        for k in range(1, m + 1)
-        for j in range(0, m + 1 - k)
-    }
-    got = {mono.exps for mono in ring_z(m).basis()}
-    assert got == expected
 
 
 def test_y0_examples():
@@ -199,7 +182,7 @@ def test_invert_examples():
 
 def test_invert_is_two_sided_inverse():
     rng = random.Random(20240817)
-    for ring in (ring_projective(6), ring_yhat(3), ring_z(3), ring_y0(2, 3)):
+    for ring in (ring_projective(6), ring_yhat(3), _bundle_then_x(), ring_y0(2, 3)):
         basis = list(ring.basis())
         one = ring.one()
         for _ in range(25):
@@ -273,7 +256,7 @@ def test_ring_laws_exhaustive_tiny():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: ring_yhat(3), lambda: ring_z(3), lambda: ring_y0(2, 3)]
+    "make", [lambda: ring_yhat(3), lambda: _bundle_then_x(), lambda: ring_y0(2, 3)]
 )
 def test_ring_laws_sampled(make):
     ring = make()

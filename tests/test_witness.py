@@ -24,15 +24,13 @@ from parlines.witness import (
     config_to_points,
     estimate_singularity_dim,
     find_1d,
-    hemisphere_lift,
     lin_dep_residual,
-    objective_case_a,
-    objective_case_b,
     parallel_residual,
     record_points,
     search,
     theorem_guarantee,
     verify_witness,
+    _residual_from_points,
 )
 
 
@@ -134,15 +132,6 @@ def test_lin_dep_residual_vandermonde():
     assert lin_dep_residual(*ts, f=lifted_line) <= 1e-25
 
 
-def test_hemisphere_lift():
-    w = np.array([3.0, 4.0])
-    lifted = hemisphere_lift(w)
-    assert lifted.shape == (3,)
-    assert math.isclose(float(np.linalg.norm(lifted)), 1.0, rel_tol=1e-15)
-    assert lifted[0] > 0.0
-    assert np.allclose(lifted, np.array([1.0, 3.0, 4.0]) / math.sqrt(26.0))
-
-
 # -- configurations -------------------------------------------------------------
 
 
@@ -201,13 +190,31 @@ def test_record_points_residual_matches_objective_bitwise():
         c = Configuration(x, w[:3], w[3:], 0.25)
         pts = record_points("parallel_b", c)
         imgs = eval_map(f, np.stack(pts))
-        assert parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2]) == \
-            objective_case_b(c, f)
+        single_path = _residual_from_points("parallel_b", f, pts, 1e-13)
+        assert parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2]) == single_path
+        # Case b's pairing {x+du, -x+dv}, {x-du, -x-dv} and case a's
+        # {x±du}, {-x±dv}, taken in config_to_points order, give the
+        # record's chords bit for bit.
+        raw = eval_map(f, np.stack(config_to_points(c)))
+        assert parallel_residual(raw[0] - raw[2], raw[1] - raw[3]) == single_path
+        assert parallel_residual(raw[0] - raw[1], raw[2] - raw[3]) == \
+            _residual_from_points("parallel_a", f, record_points("parallel_a", c), 1e-13)
+
+    # Every search case stores exactly the residual that verify_witness
+    # recomputes, because both evaluate the same path on the same points.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    for case in ("parallel_b", "parallel_a", "collinear", "linear_dependence"):
+        rec = search(f, case, SearchConfig(restarts=2, max_iters=60, seed=4))
+        assert verify_witness(rec, f).residual == rec.residual
 
 
 def test_objective_case_b_symmetries():
     f = builtin_map("random_poly", {"m": 2, "n": 4, "degree": 2}, seed=1)
     rng = np.random.default_rng(2)
+
+    def residual(c):
+        return _residual_from_points("parallel_b", f, record_points("parallel_b", c), 1e-13)
+
     for _ in range(10):
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
@@ -216,25 +223,39 @@ def test_objective_case_b_symmetries():
         c = Configuration(x, w[:3], w[3:], 0.25)
         swapped = Configuration(-x, c.v, c.u, 0.25)
         negated = Configuration(x, -c.u, -c.v, 0.25)
-        val = objective_case_b(c, f)
-        assert objective_case_b(swapped, f) == val
-        assert objective_case_b(negated, f) == val
+        val = residual(c)
+        assert residual(swapped) == val
+        assert residual(negated) == val
 
 
 def test_objective_case_a_norm_gate():
     f = builtin_map("random_poly", {"m": 1, "n": 2, "degree": 2}, seed=2)
     root_half = 1.0 / math.sqrt(2.0)
+
+    def record(c):
+        pts = record_points("parallel_a", c)
+        return WitnessRecord(
+            case="parallel_a", found=True, points=pts,
+            residual=_residual_from_points("parallel_a", f, pts, 1e-13),
+            min_pairwise_distance=0.5, pair_sets_distinct=True, config=c,
+            map_digest=map_digest(f), seed=0, restarts_used=0,
+        )
+
     good = Configuration(
         np.array([1.0, 0.0]),
         np.array([root_half, 0.0]),
         np.array([0.0, root_half]),
         0.25,
     )
-    assert 0.0 <= objective_case_a(good, f) <= 1.0
+    ver = verify_witness(record(good), f, tol=1.0)
+    assert 0.0 <= ver.residual <= 1.0
+    assert ver.checks["config_norms"] is True and ver.passed
     bad = Configuration(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                         np.array([0.0, root_half]), 0.25)
-    with pytest.raises(ValueError, match="1/sqrt"):
-        objective_case_a(bad, f)
+    ver = verify_witness(record(bad), f, tol=1.0)
+    assert ver.checks["config_norms"] is False
+    assert not ver.passed
+    assert any("1/sqrt(2)" in msg for msg in ver.messages)
 
 
 # -- search ------------------------------------------------------------------------
