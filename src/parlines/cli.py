@@ -156,8 +156,37 @@ def _load_config_defaults(argv: list, subs: dict) -> None:
                     f"{a.dest}: invalid choice {value!r} (choose from "
                     f"{', '.join(map(str, a.choices))})"
                 )
-            a.default = value
+            a.default = _config_value(a, value)
             a.required = False
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_value(a: argparse.Action, value):
+    """A config value as the option would get it from its flag.
+
+    argparse converts only string defaults, so a string is left to it; a
+    JSON number must already fit the option's type, and ``--interval``
+    takes a list of 2 numbers.
+    """
+    try:
+        if a.nargs == 2:
+            if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+                return [float(v) for v in value]
+            raise ValueError(f"{a.dest}: expected a list of 2 numbers, got {value!r}")
+        if isinstance(value, str):
+            return value
+        if a.type is int and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if a.type is float and _is_number(value):
+            return float(value)
+    except OverflowError:
+        # float() of a JSON integer beyond the float range
+        raise ValueError(f"{a.dest}: expected a number in float range, got {value!r}") from None
+    kind = {int: "an integer", float: "a number"}.get(a.type, "a string")
+    raise ValueError(f"{a.dest}: expected {kind}, got {value!r}")
 
 
 def _resolve_map(args) -> MapDescriptor:

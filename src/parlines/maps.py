@@ -61,9 +61,24 @@ class MapDescriptor:
             for c, exps in terms:
                 exp_rows.append(exps)
                 coeffs.append(c)
-        self._exps = np.array(exp_rows, dtype=np.int64)
+        exps = np.array(exp_rows, dtype=np.int64)
         self._coeffs = np.array(coeffs, dtype=float)
         self._starts = np.array(starts, dtype=np.intp)
+        # Power table: eval_map raises every coordinate to each distinct
+        # exponent in use, and term t reads variable k's power from the flat
+        # column k*len(powers) + (index of exps[t, k] in powers).  A lone
+        # term in one variable gets a one-wide table: numpy then sees one
+        # exponent for the whole loop, as in the broadcast p ** exps, and
+        # squares by x*x instead of pow, a different last bit.
+        if exps.shape == (1, 1):
+            self._powers = exps[0]
+            self._columns = (np.zeros(1, dtype=np.intp),)
+        else:
+            self._powers = np.union1d(0, exps)
+            self._columns = tuple(
+                k * self._powers.size + np.searchsorted(self._powers, exps[:, k])
+                for k in range(self.domain_dim)
+            )
 
     def to_json_dict(self) -> dict:
         if self.builtin is not None:
@@ -129,8 +144,15 @@ def eval_map(f: MapDescriptor, points) -> np.ndarray:
         raise ValueError(
             f"expected points of dimension {f.domain_dim}, got shape {p.shape}"
         )
-    terms = f._coeffs * np.prod(p[:, None, :] ** f._exps[None, :, :], axis=2)
-    out = np.add.reduceat(terms, f._starts, axis=1)
+    # numpy's power ufunc makes the same pow calls as the broadcast
+    # p[:, None, :] ** exps, and the product runs left to right like np.prod,
+    # so the values agree bit for bit with that formula.
+    table = (p[:, :, None] ** f._powers).reshape(len(p), f._powers.size * f.domain_dim)
+    columns = f._columns
+    prod = table.take(columns[0], axis=1)
+    for col in columns[1:]:
+        prod *= table.take(col, axis=1)
+    out = np.add.reduceat(f._coeffs * prod, f._starts, axis=1)
     return out[0] if single else out
 
 

@@ -280,13 +280,8 @@ def collinear_residual(q0, q1, q2, q3, zero_eps: float = 1e-13) -> float:
     fit in a plane, the degenerate configuration the estimator samples);
     scale-free in the images.
     """
-    q0 = np.asarray(q0, dtype=float)
-    cols = np.column_stack([
-        np.asarray(q1, dtype=float) - q0,
-        np.asarray(q2, dtype=float) - q0,
-        np.asarray(q3, dtype=float) - q0,
-    ])
-    s = np.linalg.svd(cols, compute_uv=False)
+    q = np.asarray((q0, q1, q2, q3), dtype=float)
+    s = np.linalg.svd((q[1:] - q[0]).T, compute_uv=False)
     if s.size < 3 or s[0] <= zero_eps:
         return 0.0
     return float((s[2] / s[0]) ** 2)
@@ -298,8 +293,7 @@ def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) 
     Images are normalized onto the unit sphere before the test (a zero image
     makes the family dependent outright, hence residual 0).
     """
-    pts = np.stack([np.asarray(p, dtype=float) for p in (p0, p1, p2, p3)])
-    imgs = eval_map(f, pts)
+    imgs = eval_map(f, np.asarray((p0, p1, p2, p3), dtype=float))
     norms = np.linalg.norm(imgs, axis=1)
     if np.min(norms) <= zero_eps:
         return 0.0
@@ -315,22 +309,38 @@ def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) 
 
 def config_to_points(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sampled 4-tuple (x+du, x-du, -x+dv, -x-dv)."""
-    du = c.delta * c.u
-    dv = c.delta * c.v
-    return (c.x + du, c.x - du, -c.x + dv, -c.x - dv)
+    return _tuple_points(c.x, c.u, c.v, c.delta)
+
+
+def _tuple_points(x, u, v, delta: float):
+    du = delta * u
+    dv = delta * v
+    return (x + du, x - du, -x + dv, -x - dv)
+
+
+# Per case, the record's slots as indices into the 4-tuple of
+# config_to_points, so that the pairs are slots (0,1) and (2,3).
+_LAYOUTS = {
+    "parallel_b": (2, 0, 3, 1),
+    "parallel_a": (1, 0, 3, 2),
+    "collinear": (0, 1, 2, 3),
+    "linear_dependence": (0, 1, 2, 3),
+}
+
+
+def _points(case: str, x, u, v, delta: float) -> np.ndarray:
+    """The (4, d) array of a configuration's points in record order."""
+    try:
+        order = _LAYOUTS[case]
+    except KeyError:
+        raise ValueError(f"no configuration layout for case {case!r}") from None
+    tup = _tuple_points(x, u, v, delta)
+    return np.array([tup[i] for i in order])
 
 
 def record_points(case: str, c: Configuration) -> list:
     """The record's 4 points, ordered so the pairs are (0,1) and (2,3)."""
-    case = canonical_case(case)
-    p1, p2, p3, p4 = config_to_points(c)
-    if case == "parallel_b":
-        return [p3, p1, p4, p2]
-    if case == "parallel_a":
-        return [p2, p1, p4, p3]
-    if case in ("collinear", "linear_dependence"):
-        return [p1, p2, p3, p4]
-    raise ValueError(f"no configuration layout for case {case!r}")
+    return list(_points(canonical_case(case), c.x, c.u, c.v, c.delta))
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -374,7 +384,8 @@ def _min_pairwise(pts) -> float:
 
 
 def _unit(vec: np.ndarray):
-    n = float(np.linalg.norm(vec))
+    # np.linalg.norm of a vector is sqrt(vec.dot(vec)); this is the same value.
+    n = math.sqrt(vec @ vec)
     if n < 1e-12:
         return None
     return vec / n
@@ -409,12 +420,13 @@ def _nelder_mead(objective, z0: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarr
     return x, fx
 
 
-def _projector(case: str, d: int, delta: float):
+def _projector(case: str, d: int):
     """Map an ambient point z = (x, u, v) in R^(3d) onto the case's manifold.
 
     x goes to the unit sphere.  ``parallel_b`` puts (u, v) jointly on the
     unit sphere of R^(2d); the other cases normalise u and v separately to
-    radius 1/sqrt(2) (``parallel_a``) or 1.  Returns None on a degenerate z.
+    radius 1/sqrt(2) (``parallel_a``) or 1.  Returns (x, u, v), or None on
+    a degenerate z.
     """
     radius = _SQRT_HALF if case == "parallel_a" else 1.0
 
@@ -427,7 +439,7 @@ def _projector(case: str, d: int, delta: float):
             u, v = _unit(z[d : 2 * d]), _unit(z[2 * d :])
         if x is None or u is None or v is None:
             return None
-        return Configuration(x, radius * u, radius * v, delta)
+        return x, radius * u, radius * v
 
     return project
 
@@ -443,13 +455,13 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         raise ValueError("line_1d witnesses come from find_1d, not search")
     cfg = cfg or SearchConfig()
     ambient = 3 * f.domain_dim
-    project = _projector(case, f.domain_dim, cfg.delta)
+    project = _projector(case, f.domain_dim)
 
     def objective(z):
-        c = project(z)
-        if c is None:
+        xuv = project(z)
+        if xuv is None:
             return 1.5
-        val = _residual_from_points(case, f, record_points(case, c), cfg.zero_eps)
+        val = _residual_from_points(case, f, _points(case, *xuv, cfg.delta), cfg.zero_eps)
         return val if math.isfinite(val) else 1.5
 
     best_val = math.inf
@@ -465,15 +477,16 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         if best_val == 0.0:
             break
 
-    config = project(best_z)
-    if config is None:  # pragma: no cover - a degenerate optimum never wins
+    xuv = project(best_z)
+    if xuv is None:  # pragma: no cover - a degenerate optimum never wins
         raise RuntimeError("search collapsed onto a degenerate configuration")
-    pts = record_points(case, config)
+    config = Configuration(*xuv, cfg.delta)
+    pts = _points(case, *xuv, cfg.delta)
     res = _residual_from_points(case, f, pts, cfg.zero_eps)
     return WitnessRecord(
         case=case,
         found=res <= cfg.tol,
-        points=[np.asarray(p, dtype=float) for p in pts],
+        points=list(pts),
         residual=res,
         min_pairwise_distance=_min_pairwise(pts),
         pair_sets_distinct=_pair_sets_distinct(pts),

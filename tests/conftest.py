@@ -1,4 +1,5 @@
-"""Shared helpers: independent small-scale oracles for the GF(2) series.
+"""Shared helpers: independent small-scale oracles for the GF(2) series,
+and the reference formula for map evaluation.
 
 The expansions here deliberately avoid the package's own ring engine and
 its bitwise binomial shortcut, computing binomials from a Pascal triangle
@@ -8,6 +9,8 @@ instead, so engine and oracle can only agree by being right.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 # One line per acceptance criterion, replayed after the run summary so they
 # stay visible under pytest's output capture.
@@ -60,3 +63,23 @@ def series_inv_ty(m: int, shift: int) -> set:
             if binom2(i + j + shift - 1, i):
                 out.add((i, j))
     return out
+
+
+def reference_eval_map(f, points):
+    """A map evaluated by the plain broadcast formula, built from
+    ``f.coords`` alone: coeffs * prod(p ** exps) per term, then summed per
+    coordinate.  ``eval_map`` must agree with it bit for bit."""
+    p = np.asarray(points, dtype=float)
+    single = p.ndim == 1
+    if single:
+        p = p[None, :]
+    coeffs, exps, starts = [], [], []
+    for coord in f.coords:
+        starts.append(len(exps))
+        for c, e in coord or ((0.0, (0,) * f.domain_dim),):
+            coeffs.append(c)
+            exps.append(e)
+    exps = np.array(exps, dtype=np.int64)
+    terms = np.array(coeffs) * np.prod(p[:, None, :] ** exps[None, :, :], axis=2)
+    out = np.add.reduceat(terms, np.array(starts, dtype=np.intp), axis=1)
+    return out[0] if single else out

@@ -456,3 +456,51 @@ def test_config_file_values_are_checked_against_choices(tmp_path, capsys, defaul
     key, value = next(iter(defaults.items()))
     assert "bad config file" in lines[0]["error"]
     assert key in lines[0]["error"] and repr(value) in lines[0]["error"]
+
+
+@pytest.mark.parametrize(
+    "defaults, argv, expected",
+    [
+        ({"restarts": 2.5}, ["find-witness", "--builtin", "parabola", "--case", "b"],
+         "an integer"),
+        ({"m_max": 2.5}, ["table"], "an integer"),
+        ({"m_max": True}, ["table"], "an integer"),
+        ({"interval": [1]}, ["find-1d", "--builtin", "parabola"], "a list of 2 numbers"),
+        ({"interval": "-1 1"}, ["find-1d", "--builtin", "parabola"], "a list of 2 numbers"),
+        ({"tol": [1e-9]}, ["find-1d", "--builtin", "parabola"], "a number"),
+        ({"out": 5}, ["find-witness", "--builtin", "parabola", "--case", "b"], "a string"),
+        ({"tol": 10**400}, ["find-1d", "--builtin", "parabola"], "a number in float range"),
+        ({"interval": [-1, 10**400]}, ["find-1d", "--builtin", "parabola"],
+         "a number in float range"),
+    ],
+)
+def test_config_file_values_are_checked_against_types(tmp_path, capsys, defaults, argv, expected):
+    cfg = write_json(tmp_path / "cfg.json", defaults)
+    code, lines, _ = run_cli(capsys, "--config", cfg, *argv)
+    assert code == 2
+    assert len(lines) == 1
+    key, value = next(iter(defaults.items()))
+    assert lines[0]["error"] == f"bad config file: {key}: expected {expected}, got {value!r}"
+
+
+def test_config_file_integer_beyond_float_range(tmp_path, capsys):
+    # An int option takes a JSON integer as it is, without a float round
+    # trip that would overflow; the command's own range check then applies.
+    cfg = write_json(tmp_path / "cfg.json", {"m_max": 10**400})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "table")
+    assert code == 2
+    assert lines[0]["error"] == "m-max must lie in 1..4096"
+
+
+def test_config_file_numbers_take_the_option_type(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"m_max": 2.0, "format": "jsonl"})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "table")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2]
+
+    cfg = write_json(tmp_path / "interval.json", {"interval": [-1, 1], "tol": 1})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "find-1d", "--builtin", "parabola")
+    explicit = run_cli(capsys, "find-1d", "--builtin", "parabola", "--interval", "-1", "1",
+                       "--tol", "1")[1]
+    assert code == 0
+    assert lines[0] == explicit[0]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import reference_eval_map
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlines.jsonio import canonical_json
 from parlines.maps import (
@@ -39,6 +42,113 @@ def test_eval_mixed_terms():
         (((3.0, (2, 1)), (-1.0, (0, 1))), ((1.0, (1, 0)), (0.5, (0, 0)))),
     )
     assert np.allclose(eval_map(f, [2.0, -1.0]), [-11.0, 2.5])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def _maps_and_points(draw):
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    coefficient = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    term = st.tuples(coefficient, st.tuples(*[st.integers(0, 7)] * d))
+    coords = tuple(tuple(draw(st.lists(term, max_size=5))) for _ in range(c))
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        shape = (d,)
+    else:
+        shape = (draw(st.sampled_from([0, 1, 2, 4, 7, 33, 257])), d)
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e2]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, shape) * scale
+    if draw(st.booleans()) and points.size:
+        # a few hand-drawn values, zeros and repeats included
+        flat = points.reshape(-1)
+        for i, v in enumerate(draw(st.lists(coordinate, max_size=flat.size))):
+            flat[i] = v
+    return MapDescriptor(d, c, coords), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps_and_points())
+def test_eval_map_bitwise_equals_broadcast_formula(case):
+    # Single points, batches (empty ones too), empty coordinates and lone
+    # terms: the power table must give the broadcast formula's bits.
+    f, points = case
+    out = eval_map(f, points)
+    ref = reference_eval_map(f, points)
+    assert out.shape == ref.shape
+    assert np.array_equal(_bits(out), _bits(ref))
+
+
+def test_eval_map_bitwise_with_one_exponent():
+    # When every factor uses one exponent, numpy's power squares by x*x if it
+    # sees that exponent for the whole loop and calls pow otherwise, which
+    # differs in the last bit for about 2% of inputs.  Like the broadcast
+    # formula, a lone term in one variable must take the x*x path and
+    # several factors the pow path.
+    rng = np.random.default_rng(1)
+    for e in range(8):
+        for f in (
+            MapDescriptor(1, 1, (((0.7, (e,)),),)),
+            MapDescriptor(1, 1, (((0.5, (e,)), (1.5, (e,))),)),
+            MapDescriptor(2, 1, (((0.5, (e, e)),),)),
+            MapDescriptor(2, 2, (((0.5, (e, e)),), ((2.0, (e, e)),))),
+        ):
+            pts = rng.standard_normal((1000, f.domain_dim))
+            for p in (pts, pts[:4], pts[:1], pts[0]):
+                assert np.array_equal(_bits(eval_map(f, p)), _bits(reference_eval_map(f, p)))
+
+
+def test_eval_map_sparse_high_degree_terms():
+    # The power table holds the exponents in use, not 0..max_exp, so a map
+    # file with one very high exponent loads and evaluates like any other.
+    lone = MapDescriptor.from_json_dict(
+        {"domain_dim": 1, "codomain_dim": 1, "coords": [[{"c": 1, "e": [10**9]}]]}
+    )
+    mixed = MapDescriptor.from_json_dict(
+        {
+            "domain_dim": 2,
+            "codomain_dim": 2,
+            "coords": [
+                [{"c": 1, "e": [10**9, 0]}, {"c": -2.5, "e": [1, 101]}],
+                [{"c": 0.5, "e": [3, 10**9 + 1]}],
+            ],
+        }
+    )
+    assert lone._powers.size == 1 and mixed._powers.size == 6
+    rng = np.random.default_rng(2)
+    for f in (lone, mixed):
+        # near +-1, where x**101 is neither 0 nor 1, plus 1, -1 and 0 exactly
+        pts = rng.uniform(0.95, 1.0, (257, f.domain_dim)) * rng.choice([-1.0, 1.0], (257, 1))
+        pts[:3] = [[1.0], [-1.0], [0.0]]
+        for p in (pts, pts[:4], pts[0]):
+            assert np.array_equal(_bits(eval_map(f, p)), _bits(reference_eval_map(f, p)))
+
+
+@pytest.mark.parametrize(
+    "name, params, seed",
+    [
+        ("affine_graph", {"m": 0}, None),
+        ("affine_graph", {"m": 3}, None),
+        ("parabola", {}, None),
+        ("moment", {"m": 0, "n": 4}, None),
+        ("moment", {"m": 2, "n": 9}, None),
+        ("random_poly", {"m": 0, "n": 1, "degree": 7}, 3),
+        ("random_poly", {"m": 1, "n": 4, "degree": 3}, 42),
+        ("random_poly", {"m": 2, "n": 5, "degree": 2}, 7),
+        ("random_poly", {"m": 3, "n": 2, "degree": 4}, 11),
+    ],
+)
+def test_eval_map_bitwise_on_builtins(name, params, seed):
+    f = builtin_map(name, params, seed=seed)
+    rng = np.random.default_rng(0)
+    for n in (1, 4, 33, 257):
+        pts = rng.standard_normal((n, f.domain_dim))
+        assert np.array_equal(_bits(eval_map(f, pts)), _bits(reference_eval_map(f, pts)))
+        assert np.array_equal(_bits(eval_map(f, pts[0])), _bits(reference_eval_map(f, pts[0])))
 
 
 def test_eval_rejects_wrong_dimension():

@@ -11,7 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_eval_map
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parlines import witness
+from parlines.jsonio import canonical_json
 from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
 from parlines.witness import (
     CASES,
@@ -31,6 +36,7 @@ from parlines.witness import (
     theorem_guarantee,
     verify_witness,
     _residual_from_points,
+    _unit,
 )
 
 
@@ -206,6 +212,61 @@ def test_record_points_residual_matches_objective_bitwise():
     for case in ("parallel_b", "parallel_a", "collinear", "linear_dependence"):
         rec = search(f, case, SearchConfig(restarts=2, max_iters=60, seed=4))
         assert verify_witness(rec, f).residual == rec.residual
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1.0, 1e5]))
+def test_unit_and_record_points_bitwise(d, seed, scale):
+    # The objective's cheap forms give the bits of the forms they replace:
+    # np.linalg.norm for the projection, config_to_points for the points.
+    x, u, v = np.random.default_rng(seed).standard_normal((3, d)) * scale
+    assert np.array_equal(_unit(x), x / float(np.linalg.norm(x)))
+    assert _unit(np.full(d, 1e-13)) is None
+    c = Configuration(_unit(x), _unit(u), _unit(v), 0.25)
+    p1, p2, p3, p4 = config_to_points(c)
+    layouts = {
+        "parallel_b": [p3, p1, p4, p2],
+        "parallel_a": [p2, p1, p4, p3],
+        "collinear": [p1, p2, p3, p4],
+        "linear_dependence": [p1, p2, p3, p4],
+    }
+    for case, expected in layouts.items():
+        got = record_points(case, c)
+        assert len(got) == 4
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+    with pytest.raises(ValueError, match="no configuration layout"):
+        record_points("line_1d", c)
+
+
+def _witness_outputs() -> list:
+    """Canonical JSON of a search per case and of a singularity estimate."""
+    fb = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    fa = builtin_map("random_poly", {"m": 2, "n": 5, "degree": 2}, seed=7)
+    cfg = SearchConfig(restarts=2, max_iters=200, seed=0)
+    records = {
+        case: search(f, case, cfg)
+        for f, case in ((fb, "parallel_b"), (fa, "parallel_a"), (fb, "collinear"),
+                        (fb, "linear_dependence"))
+    }
+    assert records["collinear"].found
+    est = estimate_singularity_dim(fb, records["collinear"], n_samples=4, cfg=SearchConfig())
+    return [rec.canonical() for rec in records.values()] + [canonical_json(est.to_json_dict())]
+
+
+def test_records_identical_under_reference_eval_map(monkeypatch):
+    # Same machine, same run: the power-table eval_map and the broadcast
+    # formula must drive every optimizer step to the same bits.  (Frozen
+    # golden bytes would not do, as numpy's SIMD pow differs between CPUs.)
+    fast = _witness_outputs()
+    calls = []
+
+    def reference(f, points):
+        calls.append(1)
+        return reference_eval_map(f, points)
+
+    monkeypatch.setattr(witness, "eval_map", reference)
+    assert _witness_outputs() == fast
+    assert len(calls) > 10_000
 
 
 def test_objective_case_b_symmetries():
