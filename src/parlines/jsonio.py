@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 __all__ = ["format_float", "canonical_json", "sha256_of"]
 
@@ -20,6 +21,25 @@ def format_float(x: float) -> str:
     # Fold -0.0 into 0.0: "-0" would come back from a JSON parser as the
     # integer 0 and the reserialized text would no longer match.
     return f"{x + 0.0:.17g}"
+
+
+# The characters _escaped rewrites; any other string is quoted as it is.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escaped(s: str) -> str:
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
 
 
 def canonical_json(obj) -> str:
@@ -34,18 +54,9 @@ def canonical_json(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        if _NEEDS_ESCAPE.search(obj) is None:
+            return '"' + obj + '"'
+        return _escaped(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):

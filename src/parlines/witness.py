@@ -20,7 +20,8 @@ search objective, the record, ``verify_witness`` and the singularity
 estimate all go through it.  The search is a seeded multi-start local
 minimization (Nelder-Mead in ambient coordinates, re-projected onto the
 constraint manifold inside the objective); it is fully deterministic for a
-fixed seed and configuration.  ``find_1d`` is separate:
+fixed seed and configuration.  Its Nelder-Mead, ``minimize``, is a port of
+scipy's that the tests hold to scipy bit for bit.  ``find_1d`` is separate:
 for maps R -> R^2 it constructs a guaranteed parallel pair by an
 intermediate-value argument instead of optimizing.
 """
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .charclass import r_of
 from .jsonio import canonical_json
@@ -73,6 +74,12 @@ _ALIASES = {
 
 # Point-coincidence threshold used for the distinctness checks in records.
 _DISTINCT_EPS = 1e-9
+
+
+def _require_positive(name: str, value: float) -> None:
+    # nan fails every comparison, so "value <= 0" alone lets it through.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def canonical_case(case: str) -> str:
@@ -146,14 +153,14 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.tol <= 0 or self.zero_eps <= 0:
-            raise ValueError("tol and zero_eps must be positive")
+        for name in ("tol", "zero_eps", "step"):
+            _require_positive(name, getattr(self, name))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.step <= 0 or not (0.0 < self.shrink < 1.0):
-            raise ValueError("step must be > 0 and shrink in (0, 1)")
+        if not (0.0 < self.shrink < 1.0):
+            raise ValueError("shrink must lie in (0, 1)")
         if self.polish_rounds < 0:
             raise ValueError("polish_rounds must be >= 0")
 
@@ -391,6 +398,95 @@ def _unit(vec: np.ndarray):
     return vec / n
 
 
+class _MinimizeResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+class _MaxFevReached(Exception):
+    pass
+
+
+def minimize(fun, simplex, maxiter: int, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead from an explicit initial simplex, bit for bit as scipy's.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` for the one setting used
+    here: standard coefficients (reflect 1, expand 2, contract and shrink
+    1/2), no bounds, no callback.  The arithmetic, the comparisons, the
+    sorts and the fev cap (which may stop a shrink half done) follow
+    scipy's order of operations, so the result is the same to the last bit.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return fun(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    # scipy sorts twice here; the default argsort is not stable, so ties
+    # may come out in another order if one of the sorts is dropped.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            # scipy's expressions as written, e.g. (1 + rho)*xbar - rho*sim[-1]
+            # with rho = 1 for the reflection; simplified, the bits move.
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - 1 * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # contract inside
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return _MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, nit=iterations)
+
+
 def _nelder_mead(objective, z0: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]:
     """A few rounds of Nelder-Mead with a shrinking initial simplex."""
     dim = z0.size
@@ -401,15 +497,11 @@ def _nelder_mead(objective, z0: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarr
         simplex = np.vstack([x, x + step * np.eye(dim)])
         res = minimize(
             objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iters,
-                "maxfev": 4 * cfg.max_iters,
-                "xatol": 1e-14,
-                "fatol": 1e-18,
-                "initial_simplex": simplex,
-            },
+            simplex,
+            maxiter=cfg.max_iters,
+            maxfev=4 * cfg.max_iters,
+            xatol=1e-14,
+            fatol=1e-18,
         )
         if float(res.fun) < fx:
             x = np.asarray(res.x, dtype=float)
@@ -531,6 +623,7 @@ def verify_witness(
     the stored value), the config-to-points consistency, the per-case
     distinctness requirements, and the map digest.
     """
+    _require_positive("tol", tol)
     case = canonical_case(rec.case)
     checks: dict[str, bool] = {}
     messages: list[str] = []
@@ -618,8 +711,11 @@ def find_1d(
     if f.domain_dim != 1 or f.codomain_dim != 2:
         raise ValueError("find_1d needs a map R -> R^2")
     a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval must be finite, got {(a, b)!r}")
     if not (a < b):
         raise ValueError("interval must satisfy a < b")
+    _require_positive("tol", tol)
     if samples < 8:
         raise ValueError("need at least 8 samples")
 
@@ -718,6 +814,8 @@ def estimate_singularity_dim(
     cfg = cfg or SearchConfig()
     if canonical_case(base.case) != "collinear":
         raise ValueError("the base record must be a collinear witness")
+    _require_positive("noise_scale", noise_scale)
+    _require_positive("ratio_threshold", ratio_threshold)
     ver = verify_witness(base, f, tol=cfg.tol)
     if not ver.passed:
         raise ValueError(f"base record fails verification: {ver.messages}")

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parlines
 from parlines.cli import main
 from parlines.jsonio import canonical_json
 from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
@@ -365,6 +370,71 @@ def test_singularity_rejects_wrong_case(tmp_path, capsys):
     )
     assert code == 2
     assert "collinear" in lines[0]["error"]
+
+
+# -- non-finite numbers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["find-witness", "--builtin", "parabola", "--case", "b", "--tol", "nan"], "tol"),
+        (["find-witness", "--builtin", "parabola", "--case", "b", "--tol", "inf"], "tol"),
+        (["find-witness", "--builtin", "parabola", "--case", "b", "--zero-eps", "nan"],
+         "zero_eps"),
+        (["singularity", "--noise-scale", "nan"], "noise_scale"),
+        (["singularity", "--noise-scale", "inf"], "noise_scale"),
+        (["singularity", "--tol", "nan"], "tol"),
+        (["singularity", "--ratio-threshold", "nan"], "ratio_threshold"),
+        (["verify-witness", "--tol", "inf"], "tol"),
+        (["find-1d", "--builtin", "parabola", "--tol", "nan"], "tol"),
+        (["find-1d", "--builtin", "parabola", "--interval", "0", "inf"], "interval"),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, name):
+    if argv[0] in ("singularity", "verify-witness"):
+        f = linear_r2_r3()
+        argv = argv[:1] + [
+            "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
+            "--record", write_json(tmp_path / "base.json", exact_collinear_record_dict(f)),
+        ] + argv[1:]
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2
+    assert lines[0]["error"].startswith(f"{name} must be")
+    assert len(lines) == 2 and lines[1]["manifest"]["outcome"].startswith("invalid input")
+    assert captured.err == ""
+
+
+# -- runtime dependencies -------------------------------------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import parlines.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
+sys.modules["scipy"] = None  # any later "import scipy..." now fails
+main = parlines.cli.main
+codes = [
+    main(["find-witness", "--builtin", "parabola", "--case", "b", "--restarts", "2"]),
+    main(["find-witness", "--builtin", "parabola", "--case", "collinear", "--out", "col.json"]),
+    main(["verify-witness", "--builtin", "parabola", "--record", "col.json"]),
+    main(["singularity", "--builtin", "parabola", "--record", "col.json", "--samples", "2"]),
+]
+assert codes == [0, 0, 0, 0], codes
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the CLI must neither import it nor
+    # need it, in a fresh interpreter where the tests have not loaded it.
+    src = str(Path(parlines.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"outcome":"ok"') == 4
 
 
 # -- config file ------------------------------------------------------------------------

@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from parlines import witness
+
 TRACER = Path(__file__).resolve().parents[1] / "clibench" / "tracer.py"
 
 
@@ -48,3 +52,14 @@ def test_tracer_installs_without_notes_and_restores():
     finally:
         tr.uninstall()
     assert all(owner.__dict__[attr] is old for (owner, attr), old in zip(owners, before))
+
+
+def test_minimize_result_carries_the_counts_the_tracer_reads():
+    # The tracer's witness.minimize hook adds r.nfev and r.nit to integer
+    # counters; a float or numpy scalar there would change the report.
+    simplex = np.vstack([np.ones(2), np.ones(2) + 0.5 * np.eye(2)])
+    r = witness.minimize(lambda z: float(z @ z), simplex,
+                         maxiter=50, maxfev=200, xatol=1e-8, fatol=1e-8)
+    assert type(r.nfev) is int and type(r.nit) is int
+    assert r.nfev >= 3 and r.nit >= 1
+    assert r.x.shape == (2,) and float(r.fun) == float(r.x @ r.x)

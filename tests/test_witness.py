@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import reference_eval_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,99 @@ def test_records_identical_under_reference_eval_map(monkeypatch):
     monkeypatch.setattr(witness, "eval_map", reference)
     assert _witness_outputs() == fast
     assert len(calls) > 10_000
+
+
+# -- the Nelder-Mead port, bit for bit against scipy --------------------------------
+
+_NM_OPTIONS = {"maxiter": 400, "maxfev": 1600, "xatol": 1e-14, "fatol": 1e-18}
+
+
+def _scipy_minimize(fun, simplex, maxiter, maxfev, xatol, fatol):
+    return scipy.optimize.minimize(
+        fun,
+        simplex[0],
+        method="Nelder-Mead",
+        options={
+            "maxiter": maxiter,
+            "maxfev": maxfev,
+            "xatol": xatol,
+            "fatol": fatol,
+            "initial_simplex": simplex,
+        },
+    )
+
+
+def _same_minimum(fun, simplex, **options):
+    ours = witness.minimize(fun, simplex, **options)
+    ref = _scipy_minimize(fun, simplex, **options)
+    assert ours.x.view(np.int64).tolist() == ref.x.view(np.int64).tolist()
+    assert np.float64(ours.fun).view(np.int64) == np.float64(ref.fun).view(np.int64)
+    assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+    return ours
+
+
+def _bumpy(z):
+    k = np.arange(1, z.size + 1)
+    return float(np.sum(k * (z - 0.3) ** 2) + 0.2 * math.sin(3.0 * float(np.sum(z))))
+
+
+def _plateaus(z):
+    # Like the search objective: 1.5 where the projection would fail, and
+    # many exact ties elsewhere.
+    if abs(z[0]) < 0.3:
+        return 1.5
+    return min(1.5, round(float(z @ z), 1))
+
+
+def _kink(z):
+    # Not smooth along the unit sphere, so the simplex shrinks there and the
+    # shrunk vertices go on to set the later steps.
+    return float(abs(z @ z - 1.0) + 0.1 * np.sum(z))
+
+
+def _simplex(dim: int, seed: int, step: float = 0.5) -> np.ndarray:
+    x = np.random.default_rng([seed, dim]).standard_normal(dim)
+    return np.vstack([x, x + step * np.eye(dim)])
+
+
+@pytest.mark.parametrize("dim", range(1, 14))
+def test_minimize_matches_scipy_bitwise(dim):
+    for fun in (_bumpy, _plateaus, _kink):
+        _same_minimum(fun, _simplex(dim, 0), **_NM_OPTIONS)
+    stopped = _same_minimum(_bumpy, _simplex(dim, 1), **{**_NM_OPTIONS, "maxiter": 9})
+    assert stopped.nit == 9
+
+
+def test_minimize_matches_scipy_on_maxfev_during_a_shrink():
+    # A flat objective fails every reflection and contraction, so each
+    # iteration shrinks: 4 initial calls, a reflection and an inside
+    # contraction, then the cap of 8 stops the shrink after its second vertex.
+    flat = _same_minimum(lambda z: 1.5, _simplex(3, 2), **{**_NM_OPTIONS, "maxfev": 8})
+    assert (flat.nfev, flat.nit) == (8, 1)
+    # Every cap, including ones that stop the initial evaluation.
+    for maxfev in range(1, 80):
+        for fun in (_bumpy, _plateaus, _kink):
+            _same_minimum(fun, _simplex(4, 3), **{**_NM_OPTIONS, "maxfev": maxfev})
+
+
+def test_minimize_matches_scipy_on_convergence():
+    for dim in (1, 2, 5, 9):
+        options = {"maxiter": 10_000, "maxfev": 40_000, "xatol": 1e-6, "fatol": 1e-6}
+        res = _same_minimum(_bumpy, _simplex(dim, 4), **options)
+        assert res.nit < options["maxiter"] and res.nfev < options["maxfev"]
+
+
+def test_records_identical_under_scipy_nelder_mead(monkeypatch):
+    ours = _witness_outputs()
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(1)
+        return _scipy_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "minimize", reference)
+    assert _witness_outputs() == ours
+    assert len(calls) > 10
 
 
 def test_objective_case_b_symmetries():
