@@ -100,6 +100,8 @@ class MapDescriptor:
         """Parse either JSON form.  The builtin form takes its parameters flat,
         as :meth:`to_json_dict` writes them, or nested under ``params``:
         ``{"builtin": "random_poly", "params": {"m": 1, ...}, "seed": 42}``.
+        In the coords form, ``domain_dim`` defaults to the length of the
+        exponent vectors and ``codomain_dim`` to the number of coordinates.
         """
         if not isinstance(data, dict):
             raise ValueError("malformed map descriptor: expected a JSON object")
@@ -125,9 +127,19 @@ class MapDescriptor:
                 tuple((term["c"], tuple(term["e"])) for term in coord)
                 for coord in data["coords"]
             )
+            domain_dim = data.get("domain_dim")
+            if domain_dim is None:
+                lengths = sorted({len(exps) for coord in coords for _, exps in coord})
+                if len(lengths) != 1:
+                    raise ValueError(
+                        "malformed map descriptor: domain_dim is not given and the "
+                        + ("map has no term" if not lengths else
+                           f"exponent vectors have lengths {lengths}")
+                    )
+                domain_dim = lengths[0]
             return cls(
-                domain_dim=data["domain_dim"],
-                codomain_dim=data["codomain_dim"],
+                domain_dim=domain_dim,
+                codomain_dim=data.get("codomain_dim", len(coords)),
                 coords=coords,
             )
         except (KeyError, TypeError) as exc:

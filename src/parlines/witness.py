@@ -15,15 +15,17 @@ exhibit one of four degeneracies:
 
 Residuals are scale-free squared singular-value ratios, so "witness found"
 means the residual is at or below a configurable tolerance.  Each case has
-one residual, ``_residual_from_points`` on the 4 points in record order; the
-search objective, the record, ``verify_witness`` and the singularity
-estimate all go through it.  The search is a seeded multi-start local
-minimization (Nelder-Mead in ambient coordinates, re-projected onto the
-constraint manifold inside the objective); it is fully deterministic for a
-fixed seed and configuration.  Its Nelder-Mead, ``minimize``, is a port of
-scipy's that the tests hold to scipy bit for bit.  ``find_1d`` is separate:
-for maps R -> R^2 it constructs a guaranteed parallel pair by an
-intermediate-value argument instead of optimizing.
+one residual, ``_residual_from_points`` on a stack of 4-tuples of points in
+record order; the search objective, the record, ``verify_witness``, the
+singularity estimate and the public one-row residuals all go through it.
+The search is a seeded multi-start local minimization (Nelder-Mead in
+ambient coordinates, re-projected onto the constraint manifold inside the
+objective); it is fully deterministic for a fixed seed and configuration.
+Its Nelder-Mead, ``minimize``, is a port of scipy's that the tests hold to
+scipy bit for bit; it runs a search's restarts, and the singularity
+estimate's samples, as lanes of one simplex stack in lockstep.  ``find_1d``
+is separate: for maps R -> R^2 it constructs a guaranteed parallel pair by
+an intermediate-value argument instead of optimizing.
 """
 
 from __future__ import annotations
@@ -230,7 +232,8 @@ class WitnessVerification:
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "residual": float(self.residual),
+            # null where the residual is NaN, as JSON has no NaN.
+            "residual": None if math.isnan(self.residual) else float(self.residual),
             "checks": dict(self.checks),
             "messages": list(self.messages),
         }
@@ -268,16 +271,14 @@ def parallel_residual(a, b, zero_eps: float = 1e-13) -> float:
 
     (|a|^2 |b|^2 - <a,b>^2) / (|a|^2 |b|^2): zero iff the vectors are
     parallel; by convention also zero when either norm is <= zero_eps.
+    NaN if the vectors or their products are not finite.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a2 = float(a @ a)
-    b2 = float(b @ b)
-    if min(a2, b2) <= zero_eps * zero_eps:
-        return 0.0
-    ab = float(a @ b)
-    val = (a2 * b2 - ab * ab) / (a2 * b2)
-    return min(1.0, max(0.0, val))
+    zero = np.zeros_like(a)
+    # The chords of the images (0, a, 0, b) are a and b bit for bit.
+    imgs = np.stack([zero, a, zero, np.asarray(b, dtype=float)])
+    with np.errstate(all="ignore"):
+        return float(_residual_rows("parallel_b", imgs[None], zero_eps)[0])
 
 
 def collinear_residual(q0, q1, q2, q3, zero_eps: float = 1e-13) -> float:
@@ -285,30 +286,76 @@ def collinear_residual(q0, q1, q2, q3, zero_eps: float = 1e-13) -> float:
 
     Zero iff the four IMAGE points affinely span at most 2 dimensions (they
     fit in a plane, the degenerate configuration the estimator samples);
-    scale-free in the images.
+    scale-free in the images.  NaN if a difference is not finite.
     """
-    q = np.asarray((q0, q1, q2, q3), dtype=float)
-    s = np.linalg.svd((q[1:] - q[0]).T, compute_uv=False)
-    if s.size < 3 or s[0] <= zero_eps:
-        return 0.0
-    return float((s[2] / s[0]) ** 2)
+    imgs = np.asarray((q0, q1, q2, q3), dtype=float)
+    with np.errstate(all="ignore"):
+        return float(_residual_rows("collinear", imgs[None], zero_eps)[0])
 
 
 def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) -> float:
     """(sigma_4 / sigma_1)^2 of the normalized image matrix of four DOMAIN points.
 
     Images are normalized onto the unit sphere before the test (a zero image
-    makes the family dependent outright, hence residual 0).
+    makes the family dependent outright, hence residual 0).  NaN if an
+    image or its norm is not finite.
     """
-    imgs = eval_map(f, np.asarray((p0, p1, p2, p3), dtype=float))
-    norms = np.linalg.norm(imgs, axis=1)
-    if np.min(norms) <= zero_eps:
-        return 0.0
-    cols = (imgs / norms[:, None]).T
-    s = np.linalg.svd(cols, compute_uv=False)
-    if s.size < 4 or s[0] <= zero_eps:
-        return 0.0
-    return float((s[3] / s[0]) ** 2)
+    return float(_residual_from_points("linear_dependence", f, [(p0, p1, p2, p3)], zero_eps)[0])
+
+
+def _residual_rows(case: str, imgs: np.ndarray, zero_eps: float) -> np.ndarray:
+    """The case residual of each row of an (M, 4, c) stack of images.
+
+    Every residual is computed here, one row at a time or many: each row
+    gets the arithmetic of the one-row formula, bit for bit.  Non-finite
+    input gives NaN, which is never clamped to 0 and never reaches an SVD.
+    Callers run it under ``np.errstate(all="ignore")``: overflow is expected
+    here and shows as NaN instead.
+    """
+    if case in ("parallel_b", "parallel_a", "line_1d"):
+        chords = imgs[:, 1::2] - imgs[:, 0::2]
+        # Stacked (1, c) @ (c, 1) matmuls are BLAS ddot per row, as a @ b.
+        a2, b2 = (chords[:, :, None, :] @ chords[:, :, :, None])[:, :, 0, 0].T
+        ab = (chords[:, 0, None, :] @ chords[:, 1, :, None])[:, 0, 0]
+        prod = a2 * b2
+        val = (prod - ab * ab) / prod
+        # Clamped at 0 from below; val <= prod / prod rounds to at most 1,
+        # so it needs no clamp from above.
+        out = np.where(val > 0.0, val, 0.0)
+        out[np.minimum(a2, b2) <= zero_eps * zero_eps] = 0.0
+        # A non-finite chord norm, or their product overflowing, gives NaN.
+        return np.where(prod < np.inf, out, np.nan)
+    if case == "collinear":
+        # The SVD takes each (c, 3) matrix of columns q1-q0, q2-q0, q3-q0.
+        return _sv_ratio(np.swapaxes(imgs[:, 1:] - imgs[:, :1], 1, 2), zero_eps)
+    if case == "linear_dependence":
+        norms = np.linalg.norm(imgs, axis=2)
+        out = np.full(len(imgs), np.nan)
+        ok = np.isfinite(norms).all(axis=1)
+        zero = ok & (norms <= zero_eps).any(axis=1)
+        out[zero] = 0.0
+        ok &= ~zero
+        out[ok] = _sv_ratio(np.swapaxes(imgs[ok] / norms[ok][:, :, None], 1, 2), zero_eps)
+        return out
+    raise ValueError(f"unknown case {case!r}")
+
+
+def _sv_ratio(mats: np.ndarray, zero_eps: float) -> np.ndarray:
+    """(sigma_min / sigma_1)^2 of each (c, k) matrix, with sigma_min the
+    k-th singular value: 0 if c < k or sigma_1 <= zero_eps, NaN if the
+    matrix is not finite."""
+    k = mats.shape[2]
+    ok = np.isfinite(mats).all(axis=(1, 2))
+    out = np.where(ok, 0.0, np.nan)
+    if mats.shape[1] < k or not ok.any():
+        return out
+    s = np.linalg.svd(mats if ok.all() else mats[ok], compute_uv=False)
+    # Squared by the C library's pow, one float at a time, which keeps the
+    # records' bits: numpy's vectorised **2 (x*x) differs in the last bit
+    # for about 0.1% of inputs.
+    ratio = [r**2 for r in (s[:, k - 1] / s[:, 0]).tolist()]
+    out[ok] = np.where(s[:, 0] <= zero_eps, 0.0, ratio)
+    return out
 
 
 # -- configurations and objectives -------------------------------------------
@@ -316,19 +363,14 @@ def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) 
 
 def config_to_points(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sampled 4-tuple (x+du, x-du, -x+dv, -x-dv)."""
-    return _tuple_points(c.x, c.u, c.v, c.delta)
+    return tuple(_points("collinear", c.x, c.u, c.v, c.delta))
 
 
-def _tuple_points(x, u, v, delta: float):
-    du = delta * u
-    dv = delta * v
-    return (x + du, x - du, -x + dv, -x - dv)
-
-
-# Per case, the record's slots as indices into the 4-tuple of
-# config_to_points, so that the pairs are slots (0,1) and (2,3).
-_LAYOUTS = {
-    "parallel_b": (2, 0, 3, 1),
+# Per case, the record slot of each point of the 4-tuple of
+# config_to_points (the collinear order), so that the pairs are slots
+# (0,1) and (2,3).
+_SLOTS = {
+    "parallel_b": (1, 3, 0, 2),
     "parallel_a": (1, 0, 3, 2),
     "collinear": (0, 1, 2, 3),
     "linear_dependence": (0, 1, 2, 3),
@@ -336,13 +378,21 @@ _LAYOUTS = {
 
 
 def _points(case: str, x, u, v, delta: float) -> np.ndarray:
-    """The (4, d) array of a configuration's points in record order."""
+    """A configuration's points in record order: (4, d) for one
+    configuration, (M, 4, d) for M of them stacked in x, u and v."""
     try:
-        order = _LAYOUTS[case]
+        p0, p1, p2, p3 = _SLOTS[case]
     except KeyError:
         raise ValueError(f"no configuration layout for case {case!r}") from None
-    tup = _tuple_points(x, u, v, delta)
-    return np.array([tup[i] for i in order])
+    du = delta * u
+    dv = delta * v
+    nx = -x
+    out = np.empty(x.shape[:-1] + (4, x.shape[-1]))
+    np.add(x, du, out=out[..., p0, :])
+    np.subtract(x, du, out=out[..., p1, :])
+    np.add(nx, dv, out=out[..., p2, :])
+    np.subtract(nx, dv, out=out[..., p3, :])
+    return out
 
 
 def record_points(case: str, c: Configuration) -> list:
@@ -353,21 +403,19 @@ def record_points(case: str, c: Configuration) -> list:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _residual_from_points(case: str, f: MapDescriptor, pts, zero_eps: float) -> float:
-    """The case residual of 4 points in record order: the one residual path.
+def _residual_from_points(case: str, f: MapDescriptor, pts, zero_eps: float) -> np.ndarray:
+    """The case residual of each 4-tuple of points in record order: the one
+    residual kernel.
 
-    ``pts`` is a (4, d) array or a list of 4 points.  The parallel cases
-    compare the chords f(p1) - f(p0) and f(p3) - f(p2).
+    ``pts`` is an (M, 4, d) array or nested list; returns the M residuals.
+    The parallel cases compare the chords f(p1) - f(p0) and f(p3) - f(p2).
+    A residual whose images overflow is NaN, not 0.
     """
     pts = np.asarray(pts, dtype=float)
-    if case == "linear_dependence":
-        return lin_dep_residual(*pts, f=f, zero_eps=zero_eps)
-    imgs = eval_map(f, pts)
-    if case in ("parallel_b", "parallel_a", "line_1d"):
-        return parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2], zero_eps)
-    if case == "collinear":
-        return collinear_residual(*imgs, zero_eps=zero_eps)
-    raise ValueError(f"unknown case {case!r}")
+    m, _, d = pts.shape
+    with np.errstate(all="ignore"):
+        imgs = eval_map(f, pts.reshape(4 * m, d)).reshape(m, 4, f.codomain_dim)
+        return _residual_rows(case, imgs, zero_eps)
 
 
 def _pair_sets_distinct(pts, eps: float = _DISTINCT_EPS) -> bool:
@@ -389,149 +437,284 @@ def _min_pairwise(pts) -> float:
 
 # -- local minimization -------------------------------------------------------
 
+# Lanes per lockstep batch of restarts or singularity samples.  It bounds the
+# simplex stack, and so the memory, whatever --restarts or --samples asks.
+_BATCH = 64
 
-def _unit(vec: np.ndarray):
-    # np.linalg.norm of a vector is sqrt(vec.dot(vec)); this is the same value.
-    n = math.sqrt(vec @ vec)
-    if n < 1e-12:
-        return None
-    return vec / n
+
+def _unit(vecs: np.ndarray):
+    """Each vector along the last axis scaled to norm 1, and the mask of the
+    vectors whose norm is below 1e-12 (those are left unscaled)."""
+    # A stacked (1, k) @ (k, 1) matmul is BLAS ddot per vector, as
+    # vec @ vec, and sqrt(vec @ vec) is np.linalg.norm's value.
+    norms = np.sqrt(vecs[..., None, :] @ vecs[..., :, None])[..., 0]
+    tiny = norms[..., 0] < 1e-12
+    norms[tiny] = 1.0
+    return vecs / norms, tiny
 
 
 class _MinimizeResult(NamedTuple):
-    x: np.ndarray
-    fun: float
+    """Per-lane results of :func:`minimize`; ``nfev`` and ``nit`` are the
+    lanes' counts summed, as Python ints."""
+
+    x: np.ndarray  # (K, N): each lane's best vertex
+    fun: np.ndarray  # (K,)
     nfev: int
     nit: int
+    lane_nfev: np.ndarray  # (K,)
+    lane_nit: np.ndarray  # (K,)
+    status: np.ndarray  # (K,): scipy's status, 0 converged, 1 maxfev, 2 maxiter
 
 
-class _MaxFevReached(Exception):
-    pass
+# Factors of xbar and of the worst vertex in the reflection, the expansion
+# and the outside and inside contractions, one row each.  scipy writes
+# 2*xbar - 1*sim[-1], 3*xbar - 2*sim[-1], 1.5*xbar - 0.5*sim[-1] and
+# 0.5*xbar + 0.5*sim[-1]; a - b is a + (-b) to the bit, so one form with
+# signed factors gives all four of scipy's points.
+_XBAR_FACTORS = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+_WORST_FACTORS = np.array([-1.0, -2.0, -0.5, 0.5])[:, None, None]
+# Up to this many lanes, an iteration evaluates the reflections and all
+# three second points in one call: for a few lanes a call costs about as
+# much as four points do.
+_SPECULATE = 4
 
 
-def minimize(fun, simplex, maxiter: int, maxfev: int, xatol: float, fatol: float):
-    """Nelder-Mead from an explicit initial simplex, bit for bit as scipy's.
+def _step(code: int) -> int:
+    """scipy's choice in one iteration, from six comparisons: bit i of code
+    is fxr < f[0], fxr < f[-2], fxr < f[-1], fe < fxr, foc <= fxr and
+    fic < f[-1] for i = 0..5 (fe, foc, fic: the values of the expansion and
+    the outside and inside contractions).  Returns the row of the point
+    that replaces the worst vertex (0 reflection, 1 expansion, 2 and 3 the
+    contractions), or 4 to shrink."""
+    bit = [(code >> i) & 1 for i in range(6)]
+    if bit[0]:
+        return 1 if bit[3] else 0
+    if bit[1]:
+        return 0
+    if bit[2]:
+        return 2 if bit[4] else 4
+    return 3 if bit[5] else 4
 
-    A port of scipy 1.17's ``_minimize_neldermead`` for the one setting used
-    here: standard coefficients (reflect 1, expand 2, contract and shrink
-    1/2), no bounds, no callback.  The arithmetic, the comparisons, the
-    sorts and the fev cap (which may stop a shrink half done) follow
-    scipy's order of operations, so the result is the same to the last bit.
+
+# _step for every code, and the weights that turn the comparisons into one.
+_STEPS = np.array([_step(code) for code in range(64)])
+_BITS = np.array([1, 2, 4, 8, 16, 32])
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray):
+    # Each lane by argsort of its values, as scipy sorts its one simplex;
+    # rows is the column of lane indices.
+    ind = np.argsort(fsim, axis=1)
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: float,
+             prune: bool = False) -> _MinimizeResult:
+    """Nelder-Mead on K simplices in lockstep, each lane bit for bit as scipy's.
+
+    ``simplices`` is a (K, N+1, N) stack of initial simplices and ``fun``
+    maps an (M, N) stack of points to their M values.  Each lane is a port
+    of scipy 1.17's ``_minimize_neldermead`` for the one setting used here:
+    standard coefficients (reflect 1, expand 2, contract and shrink 1/2), no
+    bounds, no callback.  An iteration evaluates the reflections of all
+    lanes in one call of ``fun``, their expansions or contractions in a
+    second (in the first, for a few lanes) and the shrunk vertices in a
+    third.  Each lane takes its own branch under a mask and keeps its own
+    counts and stop, the fev cap that may stop a shrink half done included.
+    The arithmetic, the comparisons and the sorts follow scipy's order of
+    operations in every lane, so each lane's result is scipy's to the last
+    bit.  ``fun`` must be a pure function of each point: a value never
+    depends on the other points of a call, nor on whether scipy would have
+    asked for it.
+
+    With ``prune``, for an objective >= 0: once a lane holds the value 0,
+    every lane behind it stops where it is.  That lane will end at 0, so a
+    caller that stops at the first lane ending at 0 reads none behind it.
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    nfev = 0
+    sim = np.array(simplices, dtype=float)
+    k, n1, n = sim.shape
+    x_out = np.empty((k, n))
+    f_out = np.empty(k)
+    nfev_out = np.zeros(k, dtype=np.int64)
+    nit_out = np.zeros(k, dtype=np.int64)
 
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFevReached
-        nfev += 1
-        return fun(np.copy(x))
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _MaxFevReached:
-        pass
+    # scipy evaluates the vertices in order until the fev cap.
+    m = min(n1, maxfev)
+    fsim = np.full((k, n1), np.inf)
+    if m:
+        fsim[:, :m] = fun(sim[:, :m].reshape(k * m, n)).reshape(k, m)
+    nfev = np.full(k, m, dtype=np.int64)
+    nit = np.ones(k, dtype=np.int64)
+    lanes = np.arange(k)  # the lane of each working row
+    at = np.arange(k)
     # scipy sorts twice here; the default argsort is not stable, so ties
     # may come out in another order if one of the sorts is dropped.
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+    sim, fsim = _sorted(*_sorted(sim, fsim, at[:, None]), at[:, None])
+    # Bounds on every lane's counts: below the caps, no lane needs the
+    # per-lane cap checks.
+    fev_bound, nit_bound = m, 1
 
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    while True:
+        # A lane leaves where scipy's loop ends: at a cap, or converged (a
+        # break, so that lane is not sorted again).  fsim is sorted, so its
+        # spread max |f0 - fj| is f[-1] - f[0], to the bit.
+        flat = fsim[:, -1] - fsim[:, 0] <= fatol
+        done = flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) \
+            if flat.any() else flat
+        if nit_bound >= maxiter:
+            done |= nit >= maxiter
+        if fev_bound >= maxfev:
+            done |= nfev >= maxfev
+        if prune:
+            hit = fsim[:, 0] == 0.0
+            if hit.any():
+                done |= lanes > lanes[hit][0]
+        if done.any():
+            ids = lanes[done]
+            x_out[ids] = sim[done, 0]
+            f_out[ids] = np.min(fsim[done], axis=1)
+            nfev_out[ids] = nfev[done]
+            nit_out[ids] = nit[done]
+            keep = ~done
+            sim, fsim, nfev, nit, lanes = sim[keep], fsim[keep], nfev[keep], nit[keep], lanes[keep]
+            if not lanes.size:
                 break
-            # scipy's expressions as written, e.g. (1 + rho)*xbar - rho*sim[-1]
-            # with rho = 1 for the reflection; simplified, the bits move.
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - 1 * sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # contract outside
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # contract inside
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _MaxFevReached:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+            at = np.arange(len(lanes))
 
-    return _MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev, nit=iterations)
+        # pts holds xr, then the three second points: the expansion and the
+        # outside and inside contractions.
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        pts = _XBAR_FACTORS * xbar + _WORST_FACTORS * sim[:, -1]
+        w = len(lanes)
+        if w <= _SPECULATE:
+            vals = fun(pts.reshape(4 * w, n)).reshape(4, w)
+        else:
+            vals = np.zeros((4, w))
+            vals[0] = fun(pts[0])
+        fxr, fworst = vals[0], fsim[:, -1]
+        cmp = np.empty((6, w), dtype=bool)
+        np.less(fxr, fsim[:, [0, -2, -1]].T, out=cmp[:3])
+        # Any step but the reflection evaluates a second point, and needs a
+        # fev left after xr's.
+        nfev += 1
+        second = cmp[0] | ~cmp[1]
+        capped = None
+        if fev_bound + 1 >= maxfev:
+            capped = second & (nfev >= maxfev)
+            second &= ~capped
+        if w > _SPECULATE and second.any():
+            row = np.where(cmp[0], 1, np.where(cmp[2], 2, 3))[second]
+            vals[row, at[second]] = fun(pts[row, at[second]])
+        np.less(vals[1], fxr, out=cmp[3])
+        np.less_equal(vals[2], fxr, out=cmp[4])
+        np.less(vals[3], fworst, out=cmp[5])
+        step = _STEPS[_BITS @ cmp]
+        if capped is not None:
+            # A cap that stops the second point leaves the simplex as it is.
+            step[capped] = 5
+        nfev += second
+        fev_bound += 2
+        nit_bound += 1
+        replace = step < 4
+        nit += replace
+        if replace.all():
+            sim[:, -1] = pts[step, at]
+            fsim[:, -1] = vals[step, at]
+        else:
+            sim[replace, -1] = pts[step[replace], at[replace]]
+            fsim[replace, -1] = vals[step[replace], at[replace]]
+            s = np.flatnonzero(step == 4)
+            if s.size:
+                room = (maxfev - nfev[s])[:, None]
+                best = sim[s, :1]
+                moved = best + 0.5 * (sim[s, 1:] - best)
+                # scipy moves vertex j, then evaluates it; the cap stops the
+                # shrink at the first vertex it cannot evaluate, moved.
+                j = np.arange(n)
+                move, ev = j <= room, j < room
+                block, fblock = sim[s], fsim[s]
+                block[:, 1:][move] = moved[move]
+                if ev.any():
+                    fblock[:, 1:][ev] = fun(moved[ev])
+                sim[s], fsim[s] = block, fblock
+                nfev[s] += ev.sum(axis=1)
+                nit[s] += room[:, 0] >= n
+                fev_bound += n
+        sim, fsim = _sorted(sim, fsim, at[:, None])
+
+    status = np.where(nfev_out >= maxfev, 1, np.where(nit_out >= maxiter, 2, 0))
+    return _MinimizeResult(
+        x_out, f_out, int(nfev_out.sum()), int(nit_out.sum()), nfev_out, nit_out, status
+    )
 
 
-def _nelder_mead(objective, z0: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]:
-    """A few rounds of Nelder-Mead with a shrinking initial simplex."""
-    dim = z0.size
-    x = np.asarray(z0, dtype=float)
-    fx = float(objective(x))
+def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, prune: bool = False):
+    """A few rounds of Nelder-Mead with a shrinking initial simplex, for a
+    (K, N) stack of starts in lockstep.
+
+    Each lane follows one start's schedule: every round restarts from the
+    lane's best point with a simplex of scale step * shrink**round, and a
+    lane leaves after the round that brings its value to exactly 0.  With
+    ``prune`` the lanes behind the first lane at 0 leave too (see
+    :func:`minimize`), and their results are not to be read.  Returns the
+    lanes' best points and values.
+    """
+    xs = np.array(z0s, dtype=float)
+    fxs = objective(xs)
+    live = np.arange(len(xs))
     step = cfg.step
     for _ in range(1 + cfg.polish_rounds):
-        simplex = np.vstack([x, x + step * np.eye(dim)])
+        base = xs[live, None]
         res = minimize(
             objective,
-            simplex,
+            np.concatenate([base, base + step * np.eye(xs.shape[1])], axis=1),
             maxiter=cfg.max_iters,
             maxfev=4 * cfg.max_iters,
             xatol=1e-14,
             fatol=1e-18,
+            prune=prune,
         )
-        if float(res.fun) < fx:
-            x = np.asarray(res.x, dtype=float)
-            fx = float(res.fun)
-        if fx == 0.0:
+        better = res.fun < fxs[live]
+        xs[live[better]] = res.x[better]
+        fxs[live[better]] = res.fun[better]
+        live = live[fxs[live] != 0.0]
+        if prune and (fxs == 0.0).any():
+            live = live[live < np.flatnonzero(fxs == 0.0)[0]]
+        if not live.size:
             break
         step *= cfg.shrink
-    return x, fx
+    return xs, fxs
+
+
+def _batches(total: int, first: int):
+    """(start, stop) of consecutive lane batches: ``first`` lanes, then
+    four times as many each time, up to ``_BATCH``."""
+    start, width = 0, min(first, _BATCH)
+    while start < total:
+        yield start, min(total, start + width)
+        start += width
+        width = min(4 * width, _BATCH)
 
 
 def _projector(case: str, d: int):
-    """Map an ambient point z = (x, u, v) in R^(3d) onto the case's manifold.
+    """Map ambient points z = (x, u, v) in R^(3d), an (M, 3d) stack, onto
+    the case's manifold.
 
     x goes to the unit sphere.  ``parallel_b`` puts (u, v) jointly on the
     unit sphere of R^(2d); the other cases normalise u and v separately to
-    radius 1/sqrt(2) (``parallel_a``) or 1.  Returns (x, u, v), or None on
-    a degenerate z.
+    radius 1/sqrt(2) (``parallel_a``) or 1.  Returns (x, u, v) and the mask
+    of degenerate rows.
     """
-    radius = _SQRT_HALF if case == "parallel_a" else 1.0
-
-    def project(z):
-        x = _unit(z[:d])
+    def project(zs):
         if case == "parallel_b":
-            w = _unit(z[d:])
-            u, v = (None, None) if w is None else (w[:d], w[d:])
-        else:
-            u, v = _unit(z[d : 2 * d]), _unit(z[2 * d :])
-        if x is None or u is None or v is None:
-            return None
-        return x, radius * u, radius * v
+            x, bad = _unit(zs[:, :d])
+            w, bad_w = _unit(zs[:, d:])
+            return x, w[:, :d], w[:, d:], bad | bad_w
+        units, bad = _unit(zs.reshape(len(zs), 3, d))
+        u, v = units[:, 1], units[:, 2]
+        if case == "parallel_a":
+            u, v = _SQRT_HALF * u, _SQRT_HALF * v
+        return units[:, 0], u, v, bad.any(axis=1)
 
     return project
 
@@ -541,6 +724,10 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     manifold.  Runs every restart (the result is the (residual, restart)
     minimum over all of them) unless some restart reaches residual exactly
     0.0, which no later restart could improve.
+
+    Restart 0 runs alone, the others in lockstep batches of ``_BATCH``;
+    within a batch, restarts behind the first one to reach 0 are dropped.
+    The batching changes no result: the pick reads the restarts in order.
     """
     case = canonical_case(case)
     if case == "line_1d":
@@ -549,32 +736,42 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     ambient = 3 * f.domain_dim
     project = _projector(case, f.domain_dim)
 
-    def objective(z):
-        xuv = project(z)
-        if xuv is None:
-            return 1.5
-        val = _residual_from_points(case, f, _points(case, *xuv, cfg.delta), cfg.zero_eps)
-        return val if math.isfinite(val) else 1.5
+    def objective(zs):
+        x, u, v, degenerate = project(zs)
+        vals = _residual_from_points(case, f, _points(case, x, u, v, cfg.delta), cfg.zero_eps)
+        vals[degenerate | np.isnan(vals)] = 1.5
+        return vals
 
     best_val = math.inf
     best_z = None
     executed = 0
-    for idx in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, idx])
-        z0 = rng.standard_normal(ambient)
-        z, val = _nelder_mead(objective, z0, cfg)
-        executed += 1
-        if val < best_val:
-            best_val, best_z = val, z
+    # The parallel residuals reach exactly 0, and cases a and b mostly stop
+    # after a restart or two: their batches start narrow.  The other cases
+    # run every restart, so all go at once.
+    first = 1 if case in ("parallel_b", "parallel_a") else _BATCH
+    for start, stop in _batches(cfg.restarts, first):
+        z0s = [np.random.default_rng([cfg.seed, idx]).standard_normal(ambient)
+               for idx in range(start, stop)]
+        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg, prune=True)):
+            executed += 1
+            if val < best_val:
+                best_val, best_z = val, z
+            if best_val == 0.0:
+                break
         if best_val == 0.0:
             break
 
-    xuv = project(best_z)
-    if xuv is None:  # pragma: no cover - a degenerate optimum never wins
+    x, u, v, degenerate = project(best_z[None])
+    if degenerate[0]:  # pragma: no cover - a degenerate optimum never wins
         raise RuntimeError("search collapsed onto a degenerate configuration")
-    config = Configuration(*xuv, cfg.delta)
-    pts = _points(case, *xuv, cfg.delta)
-    res = _residual_from_points(case, f, pts, cfg.zero_eps)
+    config = Configuration(x[0], u[0], v[0], cfg.delta)
+    pts = _points(case, x[0], u[0], v[0], cfg.delta)
+    res = float(_residual_from_points(case, f, pts[None], cfg.zero_eps)[0])
+    if not math.isfinite(res):
+        raise ValueError(
+            "no configuration tried has a finite residual: "
+            "the map's values overflow the float range"
+        )
     return WitnessRecord(
         case=case,
         found=res <= cfg.tol,
@@ -648,14 +845,16 @@ def verify_witness(
         if dev > 1e-9:
             messages.append(f"points deviate from configuration by {dev!r}")
 
-    residual = _residual_from_points(case, f, pts, zero_eps=1e-13)
+    residual = float(_residual_from_points(case, f, [pts], zero_eps=1e-13)[0])
     checks["residual_agrees_with_record"] = abs(residual - rec.residual) <= 1e-12
     if not checks["residual_agrees_with_record"]:
         messages.append(
             f"recomputed residual {residual!r} vs recorded {rec.residual!r}"
         )
     checks["residual_within_tol"] = residual <= tol
-    if residual > tol:
+    if math.isnan(residual):
+        messages.append("residual is not finite: the map's values overflow the float range")
+    elif residual > tol:
         messages.append(f"residual {residual!r} exceeds tol {tol!r}")
 
     if case == "line_1d":
@@ -686,6 +885,40 @@ def verify_witness(
 
 
 # -- the 1-dimensional construction ---------------------------------------------
+
+
+# Entries of the pairwise chord table find_1d computes at a time.
+_CHORD_BLOCK = 1 << 18
+
+
+def _widest_chord(imgs: np.ndarray) -> tuple[int, int]:
+    """(i, j), i <= j, of the widest chord between sampled plane images:
+    the first maximum of |imgs[i] - imgs[j]|^2 in row-major order, as
+    ``argmax`` of the whole table finds it.
+
+    The table is symmetric to the bit and 0 on its diagonal, so the first
+    maximum lies above the diagonal unless every entry is 0.  Only that part
+    is computed, a block of rows at a time, so memory stays flat in the
+    number of samples.
+    """
+    n = len(imgs)
+    x, y = imgs[:, 0], imgs[:, 1]
+    rows = max(1, _CHORD_BLOCK // n)
+    best, at = 0.0, (0, 0)
+    for start in range(0, n - 1, rows):
+        stop = min(n, start + rows)
+        # Entries (i, j) with start <= i < stop and j > start; d0*d0 + d1*d1
+        # is the einsum of the whole table, bit for bit.
+        dx = x[start:stop, None] - x[None, start + 1 :]
+        dy = y[start:stop, None] - y[None, start + 1 :]
+        dist2 = dx * dx + dy * dy
+        below = np.arange(stop - start)
+        dist2[:, : stop - start][below[:, None] > below[: n - start - 1]] = -1.0
+        k = int(np.argmax(dist2))
+        i, j = divmod(k, n - start - 1)
+        if dist2[i, j] > best:
+            best, at = dist2[i, j], (start + i, start + 1 + j)
+    return at
 
 
 def find_1d(
@@ -736,11 +969,7 @@ def find_1d(
             "tighten tol or refine the interval"
         )
     else:
-        diffs = imgs[:, None, :] - imgs[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        i0, i1 = np.unravel_index(int(np.argmax(dist2)), dist2.shape)
-        if i0 > i1:
-            i0, i1 = i1, i0
+        i0, i1 = _widest_chord(imgs)
         chord = imgs[i1] - imgs[i0]
         e = np.array([-chord[1], chord[0]]) / float(np.linalg.norm(chord))
 
@@ -777,7 +1006,7 @@ def find_1d(
             y0, y1 = y1, y0
         pts = [np.array([x0]), np.array([x1]), np.array([y0]), np.array([y1])]
 
-    residual = _residual_from_points("line_1d", f, pts, zero_eps)
+    residual = float(_residual_from_points("line_1d", f, [pts], zero_eps)[0])
     return WitnessRecord(
         case="line_1d",
         found=residual <= tol,
@@ -825,9 +1054,10 @@ def estimate_singularity_dim(
     d = f.domain_dim
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
-    def objective(z):
-        val = _residual_from_points("collinear", f, z.reshape(4, d), cfg.zero_eps)
-        return val if math.isfinite(val) else 1.5
+    def objective(zs):
+        vals = _residual_from_points("collinear", f, zs.reshape(len(zs), 4, d), cfg.zero_eps)
+        vals[np.isnan(vals)] = 1.5
+        return vals
 
     # Keep the re-minimization local: the simplex scale follows the noise,
     # otherwise samples drift along the solution set and the displacement
@@ -837,13 +1067,13 @@ def estimate_singularity_dim(
         step=min(cfg.step, 0.5 * noise_scale),
         polish_rounds=max(cfg.polish_rounds, 3),
     )
+    # The samples run as lanes in lockstep batches of _BATCH.
     solutions = []
-    for i in range(n_samples):
-        rng = np.random.default_rng([cfg.seed, i, 1])
-        z0 = p0 + noise_scale * rng.standard_normal(p0.size)
-        z, val = _nelder_mead(objective, z0, local_cfg)
-        if val <= cfg.tol:
-            solutions.append(z)
+    for start, stop in _batches(n_samples, _BATCH):
+        z0s = [p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(p0.size)
+               for i in range(start, stop)]
+        zs, vals = _nelder_mead(objective, np.array(z0s), local_cfg)
+        solutions.extend(zs[vals <= cfg.tol])
 
     if solutions:
         mat = np.array(solutions)

@@ -292,9 +292,11 @@ def test_verify_witness_nested_params_map_file(tmp_path, capsys):
         '{"builtin": "random_poly", "params": {"m": [1], "n": 4, "degree": 3}, "seed": 42}',
         '{"builtin": "random_poly", "params": {"m": 1, "n": 4, "degree": 3}, "seed": "x"}',
         '{"builtin": "moment", "m": 1, "params": {"m": 1, "n": 2}}',
+        '{"coords": [[{"c": 1.0, "e": [1]}], [{"c": 1.0, "e": [1, 0]}]]}',
+        '{"coords": [[], []]}',
     ],
     ids=["not-an-object", "params-not-object", "param-not-int", "seed-not-int",
-         "flat-and-nested"],
+         "flat-and-nested", "exponent-lengths-differ", "no-term"],
 )
 def test_malformed_map_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "map.json"
@@ -303,6 +305,69 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, content):
     assert code == 2
     assert lines[0]["error"].startswith("malformed map descriptor: ")
     assert lines[-1]["manifest"]["outcome"].startswith("invalid input: ")
+
+
+def _overflow_map(power: int) -> dict:
+    # R^2 -> R^5 with first coordinate 1e308 (x^p + y^p): finite values, but
+    # chord norms, or near the unit circle the images, overflow.
+    return {
+        "domain_dim": 2,
+        "codomain_dim": 5,
+        "coords": [
+            [{"c": 1e308, "e": [power, 0]}, {"c": 1e308, "e": [0, power]}],
+            [{"c": 1.0, "e": [1, 0]}],
+            [{"c": 1.0, "e": [0, 1]}],
+            [{"c": 1.0, "e": [1, 1]}],
+            [{"c": 1.0, "e": [3, 0]}, {"c": 0.5, "e": [0, 2]}],
+        ],
+    }
+
+
+def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
+    path = write_json(tmp_path / "map.json", _overflow_map(2))
+    code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "b",
+                             "--restarts", "3")
+    assert code == 2
+    assert lines[1]["error"].startswith("no configuration tried has a finite residual")
+    # The record an overflow clamped to 0 used to produce and pass.
+    false_witness = {
+        "case": "parallel_b", "found": True,
+        "points": [[-0.83563077822540421, 0.82306917254444234],
+                   [0.86422436352202725, -0.6957340682030061],
+                   [-0.54319681702316625, 0.62566629764362625],
+                   [0.51460323172654321, -0.75300140198506249]],
+        "residual": 0, "min_pairwise_distance": 0.35282505109974727,
+        "pair_sets_distinct": True,
+        "config": {"x": [0.68941379762428523, -0.72436773509403429],
+                   "u": [0.6992422635909683, 0.11453466756411267],
+                   "v": [-0.58486792240447594, 0.39480574980163219], "delta": 0.25},
+        "map_digest": "865c4c8f8be776836bba72f7fcd43d262be3427ea727c4bf1ec3ec21f0162e73",
+        "seed": 0, "restarts_used": 1,
+    }
+    record = write_json(tmp_path / "rec.json", false_witness)
+    code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", record)
+    assert code == 1
+    report = lines[0]
+    assert report["passed"] is False and report["residual"] is None
+    assert report["checks"]["digest_matches"] is True
+    assert report["checks"]["residual_within_tol"] is False
+    assert any("not finite" in msg for msg in report["messages"])
+
+
+def test_overflowing_images_do_not_abort_the_search(tmp_path, capsys):
+    # Images that overflow to inf used to reach the SVD, which raised "SVD
+    # did not converge" and ended the search.  Now such configurations score
+    # 1.5 and every restart runs.
+    path = write_json(tmp_path / "map.json", _overflow_map(4))
+    code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "collinear",
+                             "--restarts", "3")
+    assert code == 0 and lines[1]["found"] is True
+    # Every image norm overflows near the unit circle: no finite residual.
+    code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "lindep",
+                             "--restarts", "3")
+    assert code == 2
+    assert lines[1]["error"].startswith("no configuration tried has a finite residual")
+    assert all("SVD" not in line.get("error", "") for line in lines)
 
 
 # -- find-1d -------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import reference_eval_map
@@ -98,7 +102,7 @@ def test_eval_map_bitwise_with_one_exponent():
             MapDescriptor(2, 2, (((0.5, (e, e)),), ((2.0, (e, e)),))),
         ):
             pts = rng.standard_normal((1000, f.domain_dim))
-            for p in (pts, pts[:4], pts[:1], pts[0]):
+            for p in (pts, pts[:4], pts[:1], pts[0], *pts[:300]):
                 assert np.array_equal(_bits(eval_map(f, p)), _bits(reference_eval_map(f, p)))
 
 
@@ -244,6 +248,34 @@ def test_json_builtin_form_with_nested_params():
     assert g.coords == f.coords
     # Output keeps the one flat form whichever form came in.
     assert canonical_json(g.to_json_dict()) == canonical_json(f.to_json_dict())
+
+
+def test_json_coords_form_readme_example():
+    # The README's map-file example, its "..." elisions dropped, gives no
+    # dimensions: they come from the exponent vectors and the coordinates.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r'`(\{"coords": .*?\})`', readme).group(1)
+    f = MapDescriptor.from_json_dict(json.loads(example.replace(", ...", "")))
+    assert (f.domain_dim, f.codomain_dim) == (2, 1)
+    assert f.coords == (((1.0, (1, 0)),),)
+    explicit = {"domain_dim": 2, "codomain_dim": 1, "coords": [[{"c": 1.0, "e": [1, 0]}]]}
+    assert f.to_json_dict() == explicit
+    assert map_digest(f) == map_digest(MapDescriptor.from_json_dict(explicit))
+
+
+def test_json_coords_form_checks_given_dimensions():
+    coords = [[{"c": 1.0, "e": [1, 0]}], [{"c": 2.0, "e": [0, 3]}, {"c": 1.0, "e": [0, 0]}]]
+    f = MapDescriptor.from_json_dict({"coords": coords, "codomain_dim": 2})
+    assert (f.domain_dim, f.codomain_dim) == (2, 2)
+    assert MapDescriptor.from_json_dict({"coords": coords, "domain_dim": 2}) == f
+    with pytest.raises(ValueError, match="codomain_dim"):
+        MapDescriptor.from_json_dict({"coords": coords, "codomain_dim": 3})
+    with pytest.raises(ValueError, match="domain_dim"):
+        MapDescriptor.from_json_dict({"coords": coords, "domain_dim": 3})
+    with pytest.raises(ValueError, match=r"malformed map descriptor: .*lengths \[1, 2\]"):
+        MapDescriptor.from_json_dict({"coords": [[{"c": 1.0, "e": [1]}, {"c": 1.0, "e": [1, 0]}]]})
+    with pytest.raises(ValueError, match="malformed map descriptor: .*no term"):
+        MapDescriptor.from_json_dict({"coords": [[], []]})
 
 
 def test_digest_same_for_both_json_forms():

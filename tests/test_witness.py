@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +141,94 @@ def test_lin_dep_residual_vandermonde():
     assert lin_dep_residual(*ts, f=lifted_line) <= 1e-25
 
 
+def _old_parallel_residual(a, b, zero_eps=1e-13):
+    # The one-pair formula the kernel replaced, kept as its reference.
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a2 = float(a @ a)
+    b2 = float(b @ b)
+    if min(a2, b2) <= zero_eps * zero_eps:
+        return 0.0
+    ab = float(a @ b)
+    val = (a2 * b2 - ab * ab) / (a2 * b2)
+    return min(1.0, max(0.0, val))
+
+
+def _old_collinear_residual(q0, q1, q2, q3, zero_eps=1e-13):
+    q = np.asarray((q0, q1, q2, q3), dtype=float)
+    s = np.linalg.svd((q[1:] - q[0]).T, compute_uv=False)
+    if s.size < 3 or s[0] <= zero_eps:
+        return 0.0
+    return float((s[2] / s[0]) ** 2)
+
+
+def _old_lin_dep_residual(imgs, zero_eps=1e-13):
+    norms = np.linalg.norm(imgs, axis=1)
+    if np.min(norms) <= zero_eps:
+        return 0.0
+    s = np.linalg.svd((imgs / norms[:, None]).T, compute_uv=False)
+    if s.size < 4 or s[0] <= zero_eps:
+        return 0.0
+    return float((s[3] / s[0]) ** 2)
+
+
+def _old_residual(case, f, pts):
+    imgs = eval_map(f, np.asarray(pts, dtype=float))
+    if case == "linear_dependence":
+        return _old_lin_dep_residual(imgs)
+    if case == "collinear":
+        return _old_collinear_residual(*imgs)
+    return _old_parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.sampled_from(["parallel_b", "parallel_a", "line_1d", "collinear", "linear_dependence"]),
+)
+def test_residual_kernel_bitwise_equals_one_row_formulas(d, c, seed, rows, case):
+    # Every row of a stack, degenerate ones included, gets the bits the old
+    # one-row formula gives its four points alone.
+    rng = np.random.default_rng(seed)
+    f = builtin_map("random_poly", {"m": d - 1, "n": c - 1, "degree": 2}, seed=seed)
+    pts = rng.standard_normal((rows, 4, d)) * rng.choice([1e-7, 1.0, 30.0], (rows, 1, 1))
+    pts[::3, 1] = pts[::3, 0]  # a zero chord
+    pts[1::4, 3] = pts[1::4, 0]  # repeated points
+    got = _residual_from_points(case, f, pts, 1e-13)
+    want = np.array([_old_residual(case, f, p) for p in pts])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    one = [lin_dep_residual(*p, f=f) if case == "linear_dependence" else
+           collinear_residual(*eval_map(f, p)) if case == "collinear" else
+           parallel_residual(*(eval_map(f, p)[1::2] - eval_map(f, p)[::2]))
+           for p in pts]
+    assert np.array(one).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_non_finite_residuals_are_nan_not_zero():
+    # Overflowing norms used to be clamped to 0, a false witness; an SVD of
+    # inf or NaN used to abort the search.  No warning may escape either.
+    assert math.isnan(parallel_residual([1e200, 0.0], [1e200, 1.0]))
+    assert math.isnan(parallel_residual([math.inf, 0.0], [1.0, 0.0]))
+    assert math.isnan(parallel_residual([math.nan, 0.0], [0.0, 0.0]))
+    # A zero chord gives 0, unless the other chord's norm overflows.
+    assert parallel_residual([0.0, 0.0], [1e150, 1.0]) == 0.0
+    assert math.isnan(parallel_residual([0.0, 0.0], [1e200, 1.0]))
+    q = np.eye(4)[:, :3]
+    assert math.isnan(collinear_residual(q[0], q[1], q[2], [math.inf, 0.0, 0.0]))
+    # Finite images whose difference overflows.
+    assert math.isnan(collinear_residual([-1e308, 0, 0], q[1], q[2], [1e308, 0, 0]))
+    huge = MapDescriptor(2, 5, (((1e308, (4, 0)), (1e308, (0, 4))),) + tuple(
+        ((1.0, e),) for e in ((1, 0), (0, 1), (1, 1), (2, 1))))
+    # The first row's images overflow; near 0 they stay finite.
+    pts = np.array([[2.0, 0.0], [0.1, 0.2], [0.3, -0.1], [0.0, 0.5]]) * [[[1.0]], [[1e-70]]]
+    for case in ("parallel_b", "collinear", "linear_dependence"):
+        got = _residual_from_points(case, huge, pts, 1e-13)
+        assert math.isnan(got[0]) and math.isfinite(got[1])
+
+
 # -- configurations -------------------------------------------------------------
 
 
@@ -197,7 +287,7 @@ def test_record_points_residual_matches_objective_bitwise():
         c = Configuration(x, w[:3], w[3:], 0.25)
         pts = record_points("parallel_b", c)
         imgs = eval_map(f, np.stack(pts))
-        single_path = _residual_from_points("parallel_b", f, pts, 1e-13)
+        single_path = _residual_from_points("parallel_b", f, [pts], 1e-13)[0]
         assert parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2]) == single_path
         # Case b's pairing {x+du, -x+dv}, {x-du, -x-dv} and case a's
         # {x±du}, {-x±dv}, taken in config_to_points order, give the
@@ -205,7 +295,7 @@ def test_record_points_residual_matches_objective_bitwise():
         raw = eval_map(f, np.stack(config_to_points(c)))
         assert parallel_residual(raw[0] - raw[2], raw[1] - raw[3]) == single_path
         assert parallel_residual(raw[0] - raw[1], raw[2] - raw[3]) == \
-            _residual_from_points("parallel_a", f, record_points("parallel_a", c), 1e-13)
+            _residual_from_points("parallel_a", f, [record_points("parallel_a", c)], 1e-13)[0]
 
     # Every search case stores exactly the residual that verify_witness
     # recomputes, because both evaluate the same path on the same points.
@@ -221,9 +311,11 @@ def test_unit_and_record_points_bitwise(d, seed, scale):
     # The objective's cheap forms give the bits of the forms they replace:
     # np.linalg.norm for the projection, config_to_points for the points.
     x, u, v = np.random.default_rng(seed).standard_normal((3, d)) * scale
-    assert np.array_equal(_unit(x), x / float(np.linalg.norm(x)))
-    assert _unit(np.full(d, 1e-13)) is None
-    c = Configuration(_unit(x), _unit(u), _unit(v), 0.25)
+    units, tiny = _unit(np.array([x, u, v]))
+    assert np.array_equal(units[0], x / float(np.linalg.norm(x)))
+    assert not tiny.any()
+    assert _unit(np.full((1, d), 1e-13))[1].tolist() == [True]
+    c = Configuration(*units, 0.25)
     p1, p2, p3, p4 = config_to_points(c)
     layouts = {
         "parallel_b": [p3, p1, p4, p2],
@@ -262,15 +354,15 @@ def test_records_identical_under_reference_eval_map(monkeypatch):
     calls = []
 
     def reference(f, points):
-        calls.append(1)
+        calls.append(len(points))  # points evaluated
         return reference_eval_map(f, points)
 
     monkeypatch.setattr(witness, "eval_map", reference)
     assert _witness_outputs() == fast
-    assert len(calls) > 10_000
+    assert sum(calls) > 40_000
 
 
-# -- the Nelder-Mead port, bit for bit against scipy --------------------------------
+# -- the lockstep Nelder-Mead, each lane bit for bit against scipy -----------------
 
 _NM_OPTIONS = {"maxiter": 400, "maxfev": 1600, "xatol": 1e-14, "fatol": 1e-18}
 
@@ -290,12 +382,22 @@ def _scipy_minimize(fun, simplex, maxiter, maxfev, xatol, fatol):
     )
 
 
-def _same_minimum(fun, simplex, **options):
-    ours = witness.minimize(fun, simplex, **options)
-    ref = _scipy_minimize(fun, simplex, **options)
-    assert ours.x.view(np.int64).tolist() == ref.x.view(np.int64).tolist()
-    assert np.float64(ours.fun).view(np.int64) == np.float64(ref.fun).view(np.int64)
-    assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+def _batched(fun):
+    """A one-point objective in the (M, N) -> (M,) form minimize calls."""
+    return lambda zs: np.array([fun(z) for z in zs])
+
+
+def _same_minima(fun, simplices, **options):
+    """One lockstep minimize over the stack, every lane held to scipy."""
+    simplices = np.asarray(simplices, dtype=float)
+    ours = witness.minimize(_batched(fun), simplices, **options)
+    for i, simplex in enumerate(simplices):
+        ref = _scipy_minimize(fun, simplex, **options)
+        assert ours.x[i].view(np.int64).tolist() == ref.x.view(np.int64).tolist()
+        assert np.float64(ours.fun[i]).view(np.int64) == np.float64(ref.fun).view(np.int64)
+        assert (ours.lane_nfev[i], ours.lane_nit[i], ours.status[i]) == \
+            (ref.nfev, ref.nit, ref.status)
+    assert (ours.nfev, ours.nit) == (sum(ours.lane_nfev), sum(ours.lane_nit))
     return ours
 
 
@@ -325,9 +427,10 @@ def _simplex(dim: int, seed: int, step: float = 0.5) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", range(1, 14))
 def test_minimize_matches_scipy_bitwise(dim):
+    # Three lanes per call; they stop at different iterations.
     for fun in (_bumpy, _plateaus, _kink):
-        _same_minimum(fun, _simplex(dim, 0), **_NM_OPTIONS)
-    stopped = _same_minimum(_bumpy, _simplex(dim, 1), **{**_NM_OPTIONS, "maxiter": 9})
+        _same_minima(fun, [_simplex(dim, seed) for seed in range(3)], **_NM_OPTIONS)
+    stopped = _same_minima(_bumpy, [_simplex(dim, 1)], **{**_NM_OPTIONS, "maxiter": 9})
     assert stopped.nit == 9
 
 
@@ -335,19 +438,80 @@ def test_minimize_matches_scipy_on_maxfev_during_a_shrink():
     # A flat objective fails every reflection and contraction, so each
     # iteration shrinks: 4 initial calls, a reflection and an inside
     # contraction, then the cap of 8 stops the shrink after its second vertex.
-    flat = _same_minimum(lambda z: 1.5, _simplex(3, 2), **{**_NM_OPTIONS, "maxfev": 8})
+    flat = _same_minima(lambda z: 1.5, [_simplex(3, 2)], **{**_NM_OPTIONS, "maxfev": 8})
     assert (flat.nfev, flat.nit) == (8, 1)
     # Every cap, including ones that stop the initial evaluation.
     for maxfev in range(1, 80):
         for fun in (_bumpy, _plateaus, _kink):
-            _same_minimum(fun, _simplex(4, 3), **{**_NM_OPTIONS, "maxfev": maxfev})
+            _same_minima(fun, [_simplex(4, 3), _simplex(4, 5)], **{**_NM_OPTIONS, "maxfev": maxfev})
 
 
 def test_minimize_matches_scipy_on_convergence():
     for dim in (1, 2, 5, 9):
         options = {"maxiter": 10_000, "maxfev": 40_000, "xatol": 1e-6, "fatol": 1e-6}
-        res = _same_minimum(_bumpy, _simplex(dim, 4), **options)
+        res = _same_minima(_bumpy, [_simplex(dim, 4)], **options)
         assert res.nit < options["maxiter"] and res.nfev < options["maxfev"]
+
+
+def _regions(z):
+    # Four objectives side by side, told apart by z[0]: a flat plateau, exact
+    # ties, Rosenbrock's valley and a bowl.
+    if z[0] > 50:
+        return 1.5
+    if z[0] > 20:
+        return min(1.5, round(float((z - 30) @ (z - 30)), 1))
+    if z[0] > -50:
+        w = z + 30
+        return float(np.sum(100 * (w[1:] - w[:-1] ** 2) ** 2 + (1 - w[:-1]) ** 2))
+    w = z + 100
+    return float(w @ w)
+
+
+def test_minimize_lanes_stop_for_different_reasons():
+    def simplex(center, step, tilt=0.01):
+        x = center + tilt * np.arange(3)
+        return np.vstack([x, x + step * np.eye(3)])
+
+    stack = [simplex(100.0, 0.5), simplex(30.3, 0.5), simplex(-30.0, 0.5),
+             simplex(-100.0, 1.5e-3, tilt=0.0)]
+    res = _same_minima(_regions, stack, maxiter=15, maxfev=37, xatol=1e-3, fatol=1e-3)
+    # The plateau shrinks every iteration (5 fevs after the 4 initial ones):
+    # the cap of 37 falls in iteration 7's shrink, after its first vertex.
+    assert (res.lane_nfev[0], res.lane_nit[0], res.status[0]) == (37, 7, 1)
+    # Ties up to the fev cap, the valley up to the iteration cap, and the
+    # bowl, started at its minimum, converged.
+    assert res.status.tolist() == [1, 1, 2, 0]
+
+
+def test_minimize_prune_keeps_every_lane_up_to_the_first_zero():
+    def fun(z):
+        # Above z[0] = 50 a bowl whose minimum is 0.5; elsewhere 0 on a disc.
+        if z[0] > 50:
+            return float((z - 60) @ (z - 60)) + 0.5
+        return max(0.0, float(z @ z) - 1.0)
+
+    stack = [_simplex(2, 0) + 60, _simplex(2, 1) + 3, _simplex(2, 2) + 2, _simplex(2, 3) + 60]
+    full = _same_minima(fun, stack, **_NM_OPTIONS)
+    pruned = witness.minimize(_batched(fun), np.array(stack), prune=True, **_NM_OPTIONS)
+    assert full.fun[0] > 0 and full.fun[1] == 0.0
+    for name in ("x", "fun", "lane_nfev", "lane_nit", "status"):
+        # Bit for bit: the bytes of the first two lanes.
+        assert getattr(pruned, name)[:2].tobytes() == getattr(full, name)[:2].tobytes()
+    # The lanes behind lane 1 stopped early.
+    assert pruned.lane_nfev[3] < full.lane_nfev[3]
+
+
+def _scipy_lanes(fun, simplices, maxiter, maxfev, xatol, fatol, prune=False):
+    """minimize's contract, one scipy run per lane; every lane runs to its
+    end, as a lane behind a zero is never read."""
+    refs = [_scipy_minimize(lambda z: float(fun(z[None])[0]), simplex,
+                            maxiter, maxfev, xatol, fatol) for simplex in simplices]
+    nfev = np.array([r.nfev for r in refs])
+    nit = np.array([r.nit for r in refs])
+    return witness._MinimizeResult(
+        np.array([r.x for r in refs]), np.array([r.fun for r in refs]),
+        int(nfev.sum()), int(nit.sum()), nfev, nit, np.array([r.status for r in refs]),
+    )
 
 
 def test_records_identical_under_scipy_nelder_mead(monkeypatch):
@@ -356,11 +520,28 @@ def test_records_identical_under_scipy_nelder_mead(monkeypatch):
 
     def reference(*args, **kwargs):
         calls.append(1)
-        return _scipy_minimize(*args, **kwargs)
+        return _scipy_lanes(*args, **kwargs)
 
     monkeypatch.setattr(witness, "minimize", reference)
     assert _witness_outputs() == ours
     assert len(calls) > 10
+
+
+def test_records_identical_for_any_batch_width(monkeypatch):
+    # The README map at seed 7 first reaches 0 at restart 1, the first lane
+    # of the batch of restarts 1-3 for widths 3 and 64: the lanes behind it
+    # are dropped, and neither the record nor restarts_used may change.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    cfg = SearchConfig(restarts=4, seed=7)
+    base = search(f, "collinear", SearchConfig(restarts=2, max_iters=200))
+    outputs = []
+    for width in (1, 3, 64):
+        monkeypatch.setattr(witness, "_BATCH", width)
+        rec = search(f, "b", cfg)
+        est = estimate_singularity_dim(f, base, n_samples=5, cfg=SearchConfig())
+        outputs.append((rec.canonical(), canonical_json(est.to_json_dict())))
+        assert rec.residual == 0.0 and rec.restarts_used == 2
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_objective_case_b_symmetries():
@@ -368,7 +549,7 @@ def test_objective_case_b_symmetries():
     rng = np.random.default_rng(2)
 
     def residual(c):
-        return _residual_from_points("parallel_b", f, record_points("parallel_b", c), 1e-13)
+        return _residual_from_points("parallel_b", f, [record_points("parallel_b", c)], 1e-13)[0]
 
     for _ in range(10):
         x = rng.standard_normal(3)
@@ -391,7 +572,7 @@ def test_objective_case_a_norm_gate():
         pts = record_points("parallel_a", c)
         return WitnessRecord(
             case="parallel_a", found=True, points=pts,
-            residual=_residual_from_points("parallel_a", f, pts, 1e-13),
+            residual=float(_residual_from_points("parallel_a", f, [pts], 1e-13)[0]),
             min_pairwise_distance=0.5, pair_sets_distinct=True, config=c,
             map_digest=map_digest(f), seed=0, restarts_used=0,
         )
@@ -541,6 +722,55 @@ def test_find_1d_parabola():
     # Parabola chords are parallel iff endpoint sums agree.
     assert abs((x0 + x1) - (y0 + y1)) <= 1e-10
     assert verify_witness(rec, f, tol=1e-10).passed
+
+
+def _old_widest_chord(imgs):
+    # The whole-table formula find_1d used, kept as the reference.
+    diffs = imgs[:, None, :] - imgs[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    i0, i1 = np.unravel_index(int(np.argmax(dist2)), dist2.shape)
+    return (int(i0), int(i1)) if i0 <= i1 else (int(i1), int(i0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 120),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 7, 64, 1 << 18]),
+    st.sampled_from(["ties", "float", "zero"]),
+)
+def test_widest_chord_matches_whole_table(n, seed, block, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # few distinct points: many chords of equal length
+        imgs = rng.integers(-2, 3, (n, 2)).astype(float)
+    elif kind == "float":
+        imgs = rng.standard_normal((n, 2)) * rng.choice([1e-150, 1.0, 1e150])
+    else:  # every chord 0
+        imgs = np.ones((n, 2))
+    with mock.patch.object(witness, "_CHORD_BLOCK", block):
+        assert witness._widest_chord(imgs) == _old_widest_chord(imgs)
+
+
+def test_find_1d_records_match_whole_table():
+    cubic = MapDescriptor(1, 2, (((1.0, (1,)),), ((1.0, (3,)), (-0.5, (1,)))))
+    cases = [(builtin_map("parabola"), (-2.0, 2.0)), (cubic, (-1.5, 1.0))]
+    for f, interval in cases:
+        for samples in (8, 257, 1000):
+            rec = find_1d(f, interval, samples=samples)
+            with mock.patch.object(witness, "_widest_chord", _old_widest_chord):
+                assert find_1d(f, interval, samples=samples).canonical() == rec.canonical()
+
+
+def test_find_1d_memory_is_flat_in_samples():
+    # The whole 20,000 x 20,000 table would take gigabytes.
+    tracemalloc.start()
+    try:
+        rec = find_1d(builtin_map("parabola"), (-2.0, 2.0), samples=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.found
+    assert peak < 40e6
 
 
 def test_find_1d_collinear_branch():
