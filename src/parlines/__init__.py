@@ -49,7 +49,6 @@ from .witness import (
     WitnessRecord,
     WitnessVerification,
     collinear_residual,
-    config_to_points,
     estimate_singularity_dim,
     find_1d,
     lin_dep_residual,

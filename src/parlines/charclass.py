@@ -89,44 +89,51 @@ def binom_mod2_negative(a: int, k: int) -> int:
 
 def r_of(m: int) -> int:
     """The number of binary digits of m+1: 2^(r-1) <= m+1 < 2^r."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return (m + 1).bit_length()
+    return DimensionParams.for_m(m).r
 
 
 def q_of(m: int) -> int:
     """The 2-adic valuation of m+1 (largest q with 2^q | m+1)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    v = m + 1
-    return (v & -v).bit_length() - 1
+    return DimensionParams.for_m(m).q
 
 
 @dataclass(frozen=True)
 class DimensionParams:
-    """The derived dimension parameters attached to a domain dimension m.
-
-    ``n = m + 2^r - 1`` is the critical codomain dimension minus one: maps
-    to R^(n+1) are the largest case the non-vanishing arguments cover.
+    """The dimension parameters of a domain dimension m >= 0, all read from
+    m: r with 2^(r-1) <= m+1 < 2^r; q, the 2-adic valuation of m+1;
+    ``n = m + 2^r - 1``, so that maps to R^(n+1) are the largest case the
+    non-vanishing arguments cover; and ``boundary``, m+1 = 2^(r-1), where
+    separated pairs are not forced, only x0 != x1, y0 != y1 and
+    {x0,x1} != {y0,y1}.
     """
 
     m: int
-    r: int
-    q: int
-    n: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.r != r_of(self.m):
-            raise ValueError("r inconsistent with m")
-        if self.q != q_of(self.m):
-            raise ValueError("q inconsistent with m")
+        if self.m < 0:
+            raise ValueError("m must be >= 0")
+
+    @property
+    def r(self) -> int:
+        return (self.m + 1).bit_length()
+
+    @property
+    def q(self) -> int:
+        v = self.m + 1
+        return (v & -v).bit_length() - 1
+
+    @property
+    def n(self) -> int:
+        return self.m + (1 << self.r) - 1
+
+    @property
+    def boundary(self) -> bool:
+        return self.m + 1 == 1 << (self.r - 1)
 
     @classmethod
     def for_m(cls, m: int) -> "DimensionParams":
-        r = r_of(m)
-        return cls(m=m, r=r, q=q_of(m), n=m + (1 << r) - 1)
+        """The parameters of domain dimension m."""
+        return cls(m)
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,8 @@ def _series_data(m: int) -> tuple[RingPresentation, _Rows, _Rows, _Rows]:
     and is cross-checked by inv_ty (1+x) (1+t+x) = 1, which holds because
     (1+x)(1+t+x) = 1+t+y by x^2 = y + t*x.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     width = m + 1
     u = [_prefix_xor(1, width)]
     for _ in range(m):
@@ -373,8 +382,6 @@ def check_theorem_b(m: int) -> VerificationReport:
     p = DimensionParams.for_m(m)
     ring, s, _, _ = _series_data(m)
     e = (1 << p.r) - m - 2
-    if not 0 <= e <= m:
-        raise RingError("key exponent out of basis range; r is inconsistent")
     key = ring.monomial(t=e, y=m, x=1)
     part = s.part(p.n)
     coeff = s.coefficient(*key.exps)
@@ -404,7 +411,7 @@ def check_theorem_a(m: int) -> VerificationReport:
     part = ts.part(p.n + 1)
     e1 = (1 << p.r) - m - 1
     key = ring.monomial(t=e1, y=m, x=1)
-    expected = (m + 1) != (1 << (p.r - 1))
+    expected = not p.boundary
     note = "" if expected else "; not applicable: m+1 = 2^(r-1)"
     return VerificationReport(
         check="theorem_a",
@@ -428,9 +435,9 @@ def check_theorem_a_v2(m: int) -> VerificationReport:
     (there the exponent leaves the basis range and the statement is empty).
     """
     p = DimensionParams.for_m(m)
-    if (m + 1) == (1 << (p.r - 1)):
-        raise ValueError("not applicable: m+1 = 2^(r-1)")
     ring, _, _, inv_ty = _series_data(m)
+    if p.boundary:
+        raise ValueError("not applicable: m+1 = 2^(r-1)")
     e1 = (1 << p.r) - m - 1
     key = ring.monomial(t=e1, y=m)
     part = inv_ty.part(p.n)
@@ -642,7 +649,7 @@ def all_checks(m: int) -> list[VerificationReport]:
     routes, the corollary, and the sharpness bound at its top degree."""
     p = DimensionParams.for_m(m)
     reports = [check_prelude(m, m), check_theorem_b(m), check_theorem_a(m)]
-    if (m + 1) == (1 << (p.r - 1)):
+    if p.boundary:
         reports.append(
             VerificationReport(
                 check="theorem_a_v2",
@@ -666,5 +673,5 @@ def all_checks(m: int) -> list[VerificationReport]:
 def expected_outcome(check: str, m: int) -> bool:
     """Whether a standard check is expected to pass at this m."""
     if check in ("theorem_a", "theorem_a_v2"):
-        return (m + 1) != (1 << (r_of(m) - 1))
+        return not DimensionParams.for_m(m).boundary
     return True

@@ -22,8 +22,6 @@ from .charclass import (
     oracle_umkehr_dual,
     oracle_umkehr_product,
     prop_q_max_degree,
-    q_of,
-    r_of,
 )
 from .jsonio import canonical_json
 from .maps import BUILTIN_NAMES, MapDescriptor, builtin_map, map_digest
@@ -238,9 +236,9 @@ def _run_table(args) -> int:
         rows.append(
             {
                 "m": m,
-                "r": r_of(m),
-                "q": q_of(m),
-                "n": m + (1 << r_of(m)) - 1,
+                "r": reps["theorem_b"].r,
+                "q": reps["theorem_b"].q,
+                "n": reps["theorem_b"].n,
                 "theorem_a": "na" if boundary else ("1" if reps["theorem_a"].passed else "0"),
                 "theorem_b": "1" if reps["theorem_b"].passed else "0",
                 "corollary": "1" if reps["corollary"].passed else "0",

@@ -233,9 +233,6 @@ class RingPresentation:
                 continue
             yield Monomial(self, exps)
 
-    def dim_of_degree(self, d: int) -> int:
-        return sum(1 for mo in self.basis(max_degree=d) if mo.degree() == d)
-
     def top_degree(self) -> int:
         """An upper bound for the degree of any nonzero element."""
         if any(c >= _NO_BOUND for c in self._caps):

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charclass import r_of
+from .charclass import DimensionParams
 from .jsonio import canonical_json
 from .maps import MapDescriptor, eval_map, map_digest
 
@@ -52,7 +52,6 @@ __all__ = [
     "parallel_residual",
     "collinear_residual",
     "lin_dep_residual",
-    "config_to_points",
     "record_points",
     "search",
     "verify_witness",
@@ -330,6 +329,12 @@ def _residual_rows(case: str, imgs: np.ndarray, zero_eps: float) -> np.ndarray:
         return _sv_ratio(np.swapaxes(imgs[:, 1:] - imgs[:, :1], 1, 2), zero_eps)
     if case == "linear_dependence":
         norms = np.linalg.norm(imgs, axis=2)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            # Squares overflow above about 1e154: scale by the largest |entry|.
+            big = ~finite & np.isfinite(imgs).all(axis=2)
+            scale = np.abs(imgs[big]).max(axis=1)
+            norms[big] = scale * np.linalg.norm(imgs[big] / scale[:, None], axis=1)
         out = np.full(len(imgs), np.nan)
         ok = np.isfinite(norms).all(axis=1)
         zero = ok & (norms <= zero_eps).any(axis=1)
@@ -361,14 +366,9 @@ def _sv_ratio(mats: np.ndarray, zero_eps: float) -> np.ndarray:
 # -- configurations and objectives -------------------------------------------
 
 
-def config_to_points(c: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sampled 4-tuple (x+du, x-du, -x+dv, -x-dv)."""
-    return tuple(_points("collinear", c.x, c.u, c.v, c.delta))
-
-
-# Per case, the record slot of each point of the 4-tuple of
-# config_to_points (the collinear order), so that the pairs are slots
-# (0,1) and (2,3).
+# Per case, the record slot of each point of the sampled 4-tuple
+# (x+du, x-du, -x+dv, -x-dv), the collinear order, so that the pairs are
+# slots (0,1) and (2,3).
 _SLOTS = {
     "parallel_b": (1, 3, 0, 2),
     "parallel_a": (1, 0, 3, 2),
@@ -1101,10 +1101,10 @@ def estimate_singularity_dim(
 def theorem_guarantee(f: MapDescriptor, case: str) -> tuple[bool, str]:
     """Whether existence of the requested witness is forced by dimensions.
 
-    For domain R^(m+1), the parallel cases are guaranteed into codomains of
-    dimension at most m + 2^r (with m+1 not a power of two additionally
-    required for the separated case), collinearity/linear dependence up to
-    one more, and the 1-d construction exactly for maps R -> R^2.
+    For domain R^(m+1), with ``DimensionParams``' n = m + 2^r - 1, parallel
+    pairs and collinearity are guaranteed into codomains of dimension at most
+    n + 1 (separated pairs only off the boundary m+1 = 2^(r-1)), linear
+    dependence into one more, and the 1-d construction exactly for R -> R^2.
     """
     case = canonical_case(case)
     m = f.domain_dim - 1
@@ -1115,18 +1115,16 @@ def theorem_guarantee(f: MapDescriptor, case: str) -> tuple[bool, str]:
             if ok
             else "construction needs domain dimension 1 and codomain dimension 2"
         )
-    r = r_of(m)
-    limit = m + (1 << r) + (1 if case == "linear_dependence" else 0)
+    p = DimensionParams.for_m(m)
+    limit = p.n + 1 + (1 if case == "linear_dependence" else 0)
     parts = []
     ok = f.codomain_dim <= limit
     parts.append(
         f"codomain dimension {f.codomain_dim} {'<=' if ok else '>'} {limit} "
-        f"(m = {m}, r = {r})"
+        f"(m = {m}, r = {p.r})"
     )
-    if case == "parallel_a":
-        boundary = (m + 1) == (1 << (r - 1))
-        if boundary:
-            parts.append("m+1 is a power of two, separated pairs are not forced")
-        ok = ok and not boundary
+    if case == "parallel_a" and p.boundary:
+        parts.append("m+1 is a power of two, separated pairs are not forced")
+        ok = False
     label = "guaranteed" if ok else "exploratory"
     return ok, f"{label}: " + "; ".join(parts)

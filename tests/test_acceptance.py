@@ -8,9 +8,11 @@ terminal summary.  Budgets are wall-clock on the machine running the suite.
 from __future__ import annotations
 
 import contextlib
+import doctest
 import io
 import json
 import time
+from pathlib import Path
 
 import conftest
 import pytest
@@ -245,4 +247,14 @@ def test_singularity_estimate_advisory():
         ok,
         "base not found" if est is None else
         f"estimated {est.estimated_dim}, {est.samples} samples",
+    )
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    criterion(
+        "README >>> examples run as written",
+        result.attempted > 0 and result.failed == 0,
+        f"{result.attempted - result.failed}/{result.attempted} pass",
     )

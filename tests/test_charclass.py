@@ -91,27 +91,33 @@ def test_r_q_match_definitions():
 
 def test_dimension_params_frozen_values():
     cases = {
-        1: (2, 1, 4),
-        2: (2, 0, 5),
-        3: (3, 2, 10),
-        4: (3, 0, 11),
-        7: (4, 3, 22),
-        12: (4, 0, 27),
-        15: (5, 4, 46),
-        64: (7, 0, 191),
+        0: (1, 0, 1, True),
+        1: (2, 1, 4, True),
+        2: (2, 0, 5, False),
+        3: (3, 2, 10, True),
+        4: (3, 0, 11, False),
+        7: (4, 3, 22, True),
+        12: (4, 0, 27, False),
+        15: (5, 4, 46, True),
+        64: (7, 0, 191, False),
     }
-    for m, (r, q, n) in cases.items():
+    for m, (r, q, n, boundary) in cases.items():
         p = DimensionParams.for_m(m)
-        assert (p.r, p.q, p.n) == (r, q, n)
+        assert (p.r, p.q, p.n, p.boundary) == (r, q, n, boundary)
 
 
 def test_dimension_params_validation():
+    # r, q and n are read from m, so no disagreeing value can be stored.
+    with pytest.raises(TypeError):
+        DimensionParams(m=2, r=2, q=0, n=99)
+    with pytest.raises(AttributeError):
+        DimensionParams.for_m(3).n = 10
     with pytest.raises(ValueError):
-        DimensionParams(m=3, r=2, q=2, n=10)  # r wrong
-    with pytest.raises(ValueError):
-        DimensionParams(m=3, r=3, q=1, n=10)  # q wrong
-    with pytest.raises(ValueError):
-        DimensionParams.for_m(0)
+        DimensionParams.for_m(-1)
+    # m = 0 (domain R^1) has parameters, but the series checks reject it.
+    for check in (check_theorem_b, check_theorem_a, check_theorem_a_v2, check_corollary):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            check(0)
 
 
 # -- series supports: row engine, set engine and Pascal oracle -----------------

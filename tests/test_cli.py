@@ -362,11 +362,17 @@ def test_overflowing_images_do_not_abort_the_search(tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "collinear",
                              "--restarts", "3")
     assert code == 0 and lines[1]["found"] is True
-    # Every image norm overflows near the unit circle: no finite residual.
+    # Near the unit circle every image norm's sum of squares overflows, but
+    # the images are finite, so their normalised forms and residual are too.
     code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "lindep",
-                             "--restarts", "3")
-    assert code == 2
-    assert lines[1]["error"].startswith("no configuration tried has a finite residual")
+                             "--restarts", "3", "--out", str(tmp_path / "rec.json"))
+    assert code == 0
+    rec = lines[1]
+    assert rec["found"] is True and rec["residual"] == 0
+    assert rec["min_pairwise_distance"] == 0.5
+    code, lines, _ = run_cli(capsys, "verify-witness", "--map", path,
+                             "--record", str(tmp_path / "rec.json"))
+    assert code == 0 and lines[0]["passed"] is True
     assert all("SVD" not in line.get("error", "") for line in lines)
 
 

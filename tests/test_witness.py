@@ -29,7 +29,6 @@ from parlines.witness import (
     WitnessRecord,
     canonical_case,
     collinear_residual,
-    config_to_points,
     estimate_singularity_dim,
     find_1d,
     lin_dep_residual,
@@ -229,14 +228,30 @@ def test_non_finite_residuals_are_nan_not_zero():
         assert math.isnan(got[0]) and math.isfinite(got[1])
 
 
+def test_lin_dep_residual_survives_overflowing_norms():
+    # Scaling by 2**600 is exact, and the images' sums of squares overflow;
+    # the normalised images, and so the residual, are those of the unscaled map.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    big = MapDescriptor(f.domain_dim, f.codomain_dim,
+                        tuple(tuple((c * 2.0**600, e) for c, e in coord) for coord in f.coords))
+    pts = np.random.default_rng(5).standard_normal((20, 4, 2))
+    pts[::5, 2] = pts[::5, 0]  # dependent rows, residual 0
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.norm(eval_map(big, pts[0]), axis=1)).any()
+    want = _residual_from_points("linear_dependence", f, pts, 1e-13)
+    got = _residual_from_points("linear_dependence", big, pts, 1e-13)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # -- configurations -------------------------------------------------------------
 
 
-def test_config_to_points_example():
+def test_record_points_collinear_example():
     x = np.array([1.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])
     v = np.array([0.0, 0.0, 1.0])
-    p1, p2, p3, p4 = config_to_points(Configuration(x, u, v, 0.25))
+    p1, p2, p3, p4 = record_points("collinear", Configuration(x, u, v, 0.25))
     assert np.allclose(p1, [1.0, 0.25, 0.0])
     assert np.allclose(p2, [1.0, -0.25, 0.0])
     assert np.allclose(p3, [-1.0, 0.0, 0.25])
@@ -290,9 +305,9 @@ def test_record_points_residual_matches_objective_bitwise():
         single_path = _residual_from_points("parallel_b", f, [pts], 1e-13)[0]
         assert parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2]) == single_path
         # Case b's pairing {x+du, -x+dv}, {x-du, -x-dv} and case a's
-        # {x±du}, {-x±dv}, taken in config_to_points order, give the
-        # record's chords bit for bit.
-        raw = eval_map(f, np.stack(config_to_points(c)))
+        # {x±du}, {-x±dv}, taken in the collinear order, give the record's
+        # chords bit for bit.
+        raw = eval_map(f, np.stack(record_points("collinear", c)))
         assert parallel_residual(raw[0] - raw[2], raw[1] - raw[3]) == single_path
         assert parallel_residual(raw[0] - raw[1], raw[2] - raw[3]) == \
             _residual_from_points("parallel_a", f, [record_points("parallel_a", c)], 1e-13)[0]
@@ -309,14 +324,15 @@ def test_record_points_residual_matches_objective_bitwise():
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1.0, 1e5]))
 def test_unit_and_record_points_bitwise(d, seed, scale):
     # The objective's cheap forms give the bits of the forms they replace:
-    # np.linalg.norm for the projection, config_to_points for the points.
+    # np.linalg.norm for the projection, the collinear order for the points.
     x, u, v = np.random.default_rng(seed).standard_normal((3, d)) * scale
     units, tiny = _unit(np.array([x, u, v]))
     assert np.array_equal(units[0], x / float(np.linalg.norm(x)))
     assert not tiny.any()
     assert _unit(np.full((1, d), 1e-13))[1].tolist() == [True]
     c = Configuration(*units, 0.25)
-    p1, p2, p3, p4 = config_to_points(c)
+    du, dv = 0.25 * c.u, 0.25 * c.v
+    p1, p2, p3, p4 = c.x + du, c.x - du, -c.x + dv, -c.x - dv
     layouts = {
         "parallel_b": [p3, p1, p4, p2],
         "parallel_a": [p2, p1, p4, p3],
@@ -858,3 +874,26 @@ def test_theorem_guarantee_classification():
 
     ok, _ = theorem_guarantee(f_b, "lindep")
     assert ok
+
+
+@pytest.mark.parametrize("above", [0, 1])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("m", range(17))
+def test_theorem_guarantee_matches_the_dimension_formula(m, case, above):
+    # The codomain limit for domain R^(m+1), with r from 2^(r-1) <= m+1 < 2^r:
+    # m + 2^r, one more for lindep; R^2 exactly for the 1-d construction.
+    r = next(k for k in range(1, 10) if m + 1 < 2**k)
+    if case == "line_1d":
+        limit = 2
+    else:
+        limit = m + 2**r + (case == "linear_dependence")
+    c = limit + above
+    ok, label = theorem_guarantee(builtin_map("moment", {"m": m, "n": c - 1}), case)
+    if case == "line_1d":
+        want = m == 0 and above == 0
+    else:
+        # Separated pairs are not forced when m+1 is a power of two.
+        want = above == 0 and not (case == "parallel_a" and m + 1 in (1, 2, 4, 8, 16))
+        assert label.startswith("guaranteed" if want else "exploratory")
+        assert f"codomain dimension {c} {'>' if above else '<='} {limit} (m = {m}, r = {r})" in label
+    assert ok == want
