@@ -26,7 +26,7 @@ the series route and the coefficient route stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .f2ring import (
@@ -89,12 +89,12 @@ def binom_mod2_negative(a: int, k: int) -> int:
 
 def r_of(m: int) -> int:
     """The number of binary digits of m+1: 2^(r-1) <= m+1 < 2^r."""
-    return DimensionParams.for_m(m).r
+    return DimensionParams(m).r
 
 
 def q_of(m: int) -> int:
     """The 2-adic valuation of m+1 (largest q with 2^q | m+1)."""
-    return DimensionParams.for_m(m).q
+    return DimensionParams(m).q
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,6 @@ class DimensionParams:
     @property
     def boundary(self) -> bool:
         return self.m + 1 == 1 << (self.r - 1)
-
-    @classmethod
-    def for_m(cls, m: int) -> "DimensionParams":
-        """The parameters of domain dimension m."""
-        return cls(m)
 
 
 @dataclass(frozen=True)
@@ -352,6 +347,7 @@ def check_prelude(m: int, n: int) -> VerificationReport:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    p = DimensionParams(m)
     ring = ring_projective(m)
     t = ring.gen("t")
     w = invert(ring.one() + t)
@@ -361,8 +357,8 @@ def check_prelude(m: int, n: int) -> VerificationReport:
     return VerificationReport(
         check="prelude",
         m=m,
-        r=r_of(m),
-        q=q_of(m),
+        r=p.r,
+        q=p.q,
         n=n,
         key_monomial=str(key),
         key_coefficient=_coeff_raw(w, key),
@@ -372,21 +368,21 @@ def check_prelude(m: int, n: int) -> VerificationReport:
     )
 
 
-def check_theorem_b(m: int) -> VerificationReport:
-    """Degree-n non-vanishing of S = (1+t)^-1 (1+t+y)^-1 (1+x), n = m+2^r-1.
-
-    The key monomial t^(2^r-m-2) y^m x always has coefficient 1 (its exponent
-    lies in [0, m] for every m >= 1), which forces a dimension-(3m+1) pair of
-    parallel chords for maps R^(m+1) -> R^(n+1) with antipodal-mixed pairs.
-    """
-    p = DimensionParams.for_m(m)
-    ring, s, _, _ = _series_data(m)
-    e = (1 << p.r) - m - 2
-    key = ring.monomial(t=e, y=m, x=1)
-    part = s.part(p.n)
-    coeff = s.coefficient(*key.exps)
+def _series_report(
+    check: str, ring: RingPresentation, rows: _Rows, t_offset: int, x_exp: int
+) -> VerificationReport:
+    """The report of one series check, which passes when the key
+    t^(n-2m-1+t_offset) y^m x^x_exp of ``rows`` has coefficient 1 and the
+    part in the key's own degree, n-1+t_offset+x_exp, is nonzero (as the
+    key alone already makes it)."""
+    m = rows.m
+    p = DimensionParams(m)
+    key = ring.monomial(t=p.n - 2 * m - 1 + t_offset, y=m, x=x_exp)
+    degree = p.n - 1 + t_offset + x_exp
+    part = rows.part(degree)
+    coeff = rows.coefficient(*key.exps)
     return VerificationReport(
-        check="theorem_b",
+        check=check,
         m=m,
         r=p.r,
         q=p.q,
@@ -394,8 +390,19 @@ def check_theorem_b(m: int) -> VerificationReport:
         key_monomial=str(key),
         key_coefficient=coeff,
         passed=bool(part) and coeff == 1,
-        detail=f"witnesses in degree {p.n}: {_witnesses(ring, part)}",
+        detail=f"witnesses in degree {degree}: {_witnesses(ring, part)}",
     )
+
+
+def check_theorem_b(m: int) -> VerificationReport:
+    """Degree-n non-vanishing of S = (1+t)^-1 (1+t+y)^-1 (1+x), n = m+2^r-1.
+
+    The key monomial t^(n-2m-1) y^m x always has coefficient 1 (its exponent
+    lies in [0, m] for every m >= 1), which forces a dimension-(3m+1) pair of
+    parallel chords for maps R^(m+1) -> R^(n+1) with antipodal-mixed pairs.
+    """
+    ring, s, _, _ = _series_data(m)
+    return _series_report("theorem_b", ring, s, t_offset=0, x_exp=1)
 
 
 def check_theorem_a(m: int) -> VerificationReport:
@@ -405,79 +412,37 @@ def check_theorem_a(m: int) -> VerificationReport:
     m+1 != 2^(r-1)); at the boundary the class t*S vanishes in that degree
     and the report carries a not-applicable note.
     """
-    p = DimensionParams.for_m(m)
     ring, s, _, _ = _series_data(m)
-    ts = s.times_t()
-    part = ts.part(p.n + 1)
-    e1 = (1 << p.r) - m - 1
-    key = ring.monomial(t=e1, y=m, x=1)
-    expected = not p.boundary
-    note = "" if expected else "; not applicable: m+1 = 2^(r-1)"
-    return VerificationReport(
-        check="theorem_a",
-        m=m,
-        r=p.r,
-        q=p.q,
-        n=p.n,
-        key_monomial=str(key),
-        key_coefficient=ts.coefficient(*key.exps),
-        passed=bool(part),
-        detail=f"expected iff m+1 != 2^(r-1) (here {expected}); "
-        f"witnesses in degree {p.n + 1}: {_witnesses(ring, part)}{note}",
+    rep = _series_report("theorem_a", ring, s.times_t(), t_offset=1, x_exp=1)
+    boundary = DimensionParams(m).boundary
+    note = "; not applicable: m+1 = 2^(r-1)" if boundary else ""
+    return replace(
+        rep,
+        detail=f"expected iff m+1 != 2^(r-1) (here {not boundary}); {rep.detail}{note}",
     )
 
 
 def check_theorem_a_v2(m: int) -> VerificationReport:
     """Second route to the separated-pairs case, in the same t,y,x ring:
-    the coefficient of t^(2^r-m-1) y^m in (1+t+y)^-1 is 1.
+    the coefficient of t^(n-2m) y^m in (1+t+y)^-1 is 1.
 
     Only defined off the boundary; raises ValueError when m+1 = 2^(r-1)
     (there the exponent leaves the basis range and the statement is empty).
     """
-    p = DimensionParams.for_m(m)
     ring, _, _, inv_ty = _series_data(m)
-    if p.boundary:
+    if DimensionParams(m).boundary:
         raise ValueError("not applicable: m+1 = 2^(r-1)")
-    e1 = (1 << p.r) - m - 1
-    key = ring.monomial(t=e1, y=m)
-    part = inv_ty.part(p.n)
-    coeff = inv_ty.coefficient(*key.exps)
-    return VerificationReport(
-        check="theorem_a_v2",
-        m=m,
-        r=p.r,
-        q=p.q,
-        n=p.n,
-        key_monomial=str(key),
-        key_coefficient=coeff,
-        passed=coeff == 1 and bool(part),
-        detail=f"witnesses in degree {p.n}: {_witnesses(ring, part)}",
-    )
+    return _series_report("theorem_a_v2", ring, inv_ty, t_offset=1, x_exp=0)
 
 
 def check_corollary(m: int) -> VerificationReport:
-    """Coefficient of t^(2^r-m-2) y^m in (1+t)^-1 (1+t+y)^-1 equals 1.
+    """Coefficient of t^(n-2m-1) y^m in (1+t)^-1 (1+t+y)^-1 equals 1.
 
     This is the degree-(n-1) non-vanishing that forces four distinct points
     with collinear images for maps R^(m+1) -> R^n, n = m + 2^r - 1.
     """
-    p = DimensionParams.for_m(m)
     ring, _, w, _ = _series_data(m)
-    e = (1 << p.r) - m - 2
-    key = ring.monomial(t=e, y=m)
-    part = w.part(p.n - 1)
-    coeff = w.coefficient(*key.exps)
-    return VerificationReport(
-        check="corollary",
-        m=m,
-        r=p.r,
-        q=p.q,
-        n=p.n,
-        key_monomial=str(key),
-        key_coefficient=coeff,
-        passed=coeff == 1,
-        detail=f"witnesses in degree {p.n - 1}: {_witnesses(ring, part)}",
-    )
+    return _series_report("corollary", ring, w, t_offset=0, x_exp=0)
 
 
 @lru_cache(maxsize=4)
@@ -508,7 +473,8 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
     """
     if m < 1 or n < 0:
         raise ValueError("m must be >= 1 and n >= 0")
-    q = q_of(m)
+    p = DimensionParams(m)
+    q = p.q
     ring, rows = _prop_q_series(m)
     bound = 2 * m + (1 << q)
     top = _top_degree(rows)
@@ -519,7 +485,7 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
     return VerificationReport(
         check="prop_q",
         m=m,
-        r=r_of(m),
+        r=p.r,
         q=q,
         n=n,
         key_monomial=str(Monomial(ring, first)) if first is not None else "",
@@ -647,7 +613,7 @@ def oracle_umkehr_dual(k: int, n: int) -> bool:
 def all_checks(m: int) -> list[VerificationReport]:
     """The six standard reports for one m: prelude at n = m, both theorem
     routes, the corollary, and the sharpness bound at its top degree."""
-    p = DimensionParams.for_m(m)
+    p = DimensionParams(m)
     reports = [check_prelude(m, m), check_theorem_b(m), check_theorem_a(m)]
     if p.boundary:
         reports.append(
@@ -673,5 +639,5 @@ def all_checks(m: int) -> list[VerificationReport]:
 def expected_outcome(check: str, m: int) -> bool:
     """Whether a standard check is expected to pass at this m."""
     if check in ("theorem_a", "theorem_a_v2"):
-        return not DimensionParams.for_m(m).boundary
+        return not DimensionParams(m).boundary
     return True

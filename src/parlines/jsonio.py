@@ -23,23 +23,14 @@ def format_float(x: float) -> str:
     return f"{x + 0.0:.17g}"
 
 
-# The characters _escaped rewrites; any other string is quoted as it is.
+# The characters a JSON string must escape: the quote, the backslash and
+# the control characters, which are written as \u00XX.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
 
 
-def _escaped(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+def _escape(match: re.Match) -> str:
+    ch = match.group()
+    return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
 
 
 def canonical_json(obj) -> str:
@@ -54,9 +45,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        if _NEEDS_ESCAPE.search(obj) is None:
-            return '"' + obj + '"'
-        return _escaped(obj)
+        return '"' + _NEEDS_ESCAPE.sub(_escape, obj) + '"'
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):

@@ -138,7 +138,7 @@ class SearchConfig:
     ``restarts`` independent Nelder-Mead runs are seeded from streams
     derived from (seed, restart index); each run gets ``max_iters``
     iterations per polish round, with the initial simplex scale starting at
-    ``step`` and shrinking by ``shrink`` between rounds.
+    ``step`` and shrinking by ``_SHRINK`` between rounds.
     """
 
     delta: float = 0.25
@@ -148,7 +148,6 @@ class SearchConfig:
     seed: int = 0
     zero_eps: float = 1e-13
     step: float = 0.5
-    shrink: float = 0.25
     polish_rounds: int = 2
 
     def __post_init__(self) -> None:
@@ -160,8 +159,6 @@ class SearchConfig:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
         if self.polish_rounds < 0:
             raise ValueError("polish_rounds must be >= 0")
 
@@ -441,6 +438,9 @@ def _min_pairwise(pts) -> float:
 # simplex stack, and so the memory, whatever --restarts or --samples asks.
 _BATCH = 64
 
+# The factor by which each polish round scales the initial simplex down.
+_SHRINK = 0.25
+
 
 def _unit(vecs: np.ndarray):
     """Each vector along the last axis scaled to norm 1, and the mask of the
@@ -653,7 +653,7 @@ def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, prune: bool = Fa
     (K, N) stack of starts in lockstep.
 
     Each lane follows one start's schedule: every round restarts from the
-    lane's best point with a simplex of scale step * shrink**round, and a
+    lane's best point with a simplex of scale step * _SHRINK**round, and a
     lane leaves after the round that brings its value to exactly 0.  With
     ``prune`` the lanes behind the first lane at 0 leave too (see
     :func:`minimize`), and their results are not to be read.  Returns the
@@ -682,7 +682,7 @@ def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, prune: bool = Fa
             live = live[live < np.flatnonzero(fxs == 0.0)[0]]
         if not live.size:
             break
-        step *= cfg.shrink
+        step *= _SHRINK
     return xs, fxs
 
 
@@ -1115,7 +1115,7 @@ def theorem_guarantee(f: MapDescriptor, case: str) -> tuple[bool, str]:
             if ok
             else "construction needs domain dimension 1 and codomain dimension 2"
         )
-    p = DimensionParams.for_m(m)
+    p = DimensionParams(m)
     limit = p.n + 1 + (1 if case == "linear_dependence" else 0)
     parts = []
     ok = f.codomain_dim <= limit

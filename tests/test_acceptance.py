@@ -136,6 +136,19 @@ def test_verify_classes_top_of_cli_range():
     )
 
 
+def test_table_top_sweep_budget():
+    # table prints four columns per m, so it must not pay for the reports it
+    # leaves out (the prelude's set-engine inverse above all).
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["table", "--m-max", "1024"])
+    elapsed = time.perf_counter() - start
+    rows = out.getvalue().splitlines()[1:-1]
+    ok = code == 0 and len(rows) == 1024 and elapsed < 8.0
+    criterion("table --m-max 1024 exits 0 in under 8 s", ok, f"{len(rows)} rows, {elapsed:.2f}s")
+
+
 def test_product_direct_image_oracle():
     start = time.perf_counter()
     runs = 0

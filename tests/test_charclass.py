@@ -16,7 +16,6 @@ from parlines.charclass import (
     LINE_SPECS,
     BundleClass,
     DimensionParams,
-    VerificationReport,
     all_checks,
     alpha_of,
     binom_mod2,
@@ -102,7 +101,7 @@ def test_dimension_params_frozen_values():
         64: (7, 0, 191, False),
     }
     for m, (r, q, n, boundary) in cases.items():
-        p = DimensionParams.for_m(m)
+        p = DimensionParams(m)
         assert (p.r, p.q, p.n, p.boundary) == (r, q, n, boundary)
 
 
@@ -111,9 +110,9 @@ def test_dimension_params_validation():
     with pytest.raises(TypeError):
         DimensionParams(m=2, r=2, q=0, n=99)
     with pytest.raises(AttributeError):
-        DimensionParams.for_m(3).n = 10
+        DimensionParams(3).n = 10
     with pytest.raises(ValueError):
-        DimensionParams.for_m(-1)
+        DimensionParams(-1)
     # m = 0 (domain R^1) has parameters, but the series checks reject it.
     for check in (check_theorem_b, check_theorem_a, check_theorem_a_v2, check_corollary):
         with pytest.raises(ValueError, match="m must be >= 1"):

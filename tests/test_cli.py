@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 import parlines
+from parlines import charclass
+from parlines.charclass import DimensionParams, all_checks
 from parlines.cli import main
 from parlines.jsonio import canonical_json
-from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
+from parlines.maps import MapDescriptor, eval_map, map_digest
 from parlines.witness import Configuration, collinear_residual, record_points
 
 
@@ -139,6 +142,52 @@ def test_table_jsonl(capsys):
     rows = lines[:-1]
     assert [row["prop_q_top"] for row in rows] == [4, 5, 10]
     assert rows[0]["theorem_a"] == "na" and rows[1]["theorem_a"] == "1"
+
+
+def _row_from_reports(m: int) -> dict:
+    """A table row as the six reports of verify-classes give it."""
+    reps = {rep.check: rep for rep in all_checks(m)}
+    b = reps["theorem_b"]
+    # A passing prop_q report is queried at the top nonzero degree.
+    assert reps["prop_q"].passed
+    return {
+        "m": m,
+        "r": b.r,
+        "q": b.q,
+        "n": b.n,
+        "theorem_a": "na" if DimensionParams(m).boundary else str(int(reps["theorem_a"].passed)),
+        "theorem_b": str(int(b.passed)),
+        "corollary": str(int(reps["corollary"].passed)),
+        "prop_q_top": reps["prop_q"].n,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_table_rows_match_the_verify_classes_reports(capsys, fmt):
+    code, _, out = run_cli(capsys, "table", "--m-max", "128", "--format", fmt,
+                           parse_lines=False)
+    assert code == 0
+    lines = out.strip().splitlines()[:-1]
+    if fmt == "csv":
+        rows = list(csv.DictReader(lines))
+        expected = [{k: str(v) for k, v in _row_from_reports(m).items()} for m in range(1, 129)]
+    else:
+        rows = [json.loads(line) for line in lines]
+        expected = [_row_from_reports(m) for m in range(1, 129)]
+    assert rows == expected
+
+
+def test_table_runs_only_the_checks_it_prints(capsys, monkeypatch):
+    _, _, before = run_cli(capsys, "table", "--m-max", "40", parse_lines=False)
+
+    def unused(*args):
+        raise AssertionError("table does not print this check")
+
+    for name in ("check_prelude", "check_theorem_a_v2", "check_prop_q"):
+        monkeypatch.setattr(charclass, name, unused)
+    code, _, after = run_cli(capsys, "table", "--m-max", "40", parse_lines=False)
+    assert code == 0
+    assert after.splitlines()[:-1] == before.splitlines()[:-1]
 
 
 # -- oracles -----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Canonical JSON: the string fast path against the per-character escaper."""
+"""Canonical JSON: the regex string escaper against a per-character loop."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from parlines.jsonio import canonical_json
 
 
 def _reference_string(s: str) -> str:
-    # The escaper canonical_json used for every string before its fast path.
+    # Each character on its own: the quote, the backslash and the control
+    # characters escaped, every other code point kept as it is.
     out = ['"']
     for ch in s:
         if ch == '"':
@@ -35,7 +36,7 @@ _TEXT = st.lists(
 
 @settings(max_examples=500, deadline=None)
 @given(_TEXT)
-def test_string_fast_path_matches_the_escaper(s):
+def test_string_escaping_matches_the_reference_loop(s):
     assert canonical_json(s) == _reference_string(s)
     assert canonical_json({s: [s]}) == "{" + _reference_string(s) + ":[" + _reference_string(s) + "]}"
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from parlines import witness
+from parlines.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "clibench" / "tracer.py"
 
@@ -67,3 +68,16 @@ def test_minimize_result_carries_the_counts_the_tracer_reads():
     assert (r.lane_nfev >= 3).all() and (r.lane_nit >= 1).all()
     assert r.x.shape == (2, 2)
     assert all(float(f) == float(z @ z) for f, z in zip(r.fun, r.x))
+
+
+def test_tracer_sees_the_checks_table_runs(capsys):
+    # table calls its checks through the charclass module, where the tracer
+    # wraps them.
+    tr = _load_tracer().Tracer()
+    tr.install()
+    try:
+        assert main(["table", "--m-max", "4"]) == 0
+    finally:
+        tr.uninstall()
+    capsys.readouterr()
+    assert tr.calls["charclass.check"] > 0

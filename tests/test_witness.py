@@ -623,7 +623,6 @@ def test_search_config_validation():
         {"seed": -1},
         {"zero_eps": -1.0},
         {"step": 0.0},
-        {"shrink": 1.0},
         {"polish_rounds": -1},
     ):
         with pytest.raises(ValueError):
