@@ -138,7 +138,8 @@ class SearchConfig:
     ``restarts`` independent Nelder-Mead runs are seeded from streams
     derived from (seed, restart index); each run gets ``max_iters``
     iterations per polish round, with the initial simplex scale starting at
-    ``step`` and shrinking by ``_SHRINK`` between rounds.
+    ``step`` and shrinking by ``_SHRINK`` between rounds.  A residual at or
+    below ``tol`` is a witness, and the search stops at the first one.
     """
 
     delta: float = 0.25
@@ -463,7 +464,9 @@ class _MinimizeResult(NamedTuple):
     nit: int
     lane_nfev: np.ndarray  # (K,)
     lane_nit: np.ndarray  # (K,)
-    status: np.ndarray  # (K,): scipy's status, 0 converged, 1 maxfev, 2 maxiter
+    # (K,): scipy's status, 0 converged, 1 maxfev, 2 maxiter, 99 stopped at
+    # ``stop`` (scipy's code for a run its callback halted)
+    status: np.ndarray
 
 
 # Factors of xbar and of the worst vertex in the reflection, the expansion
@@ -509,27 +512,31 @@ def _sorted(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray):
 
 
 def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: float,
-             prune: bool = False) -> _MinimizeResult:
+             stop: float | None = None, prune: bool = False) -> _MinimizeResult:
     """Nelder-Mead on K simplices in lockstep, each lane bit for bit as scipy's.
 
     ``simplices`` is a (K, N+1, N) stack of initial simplices and ``fun``
     maps an (M, N) stack of points to their M values.  Each lane is a port
     of scipy 1.17's ``_minimize_neldermead`` for the one setting used here:
     standard coefficients (reflect 1, expand 2, contract and shrink 1/2), no
-    bounds, no callback.  An iteration evaluates the reflections of all
-    lanes in one call of ``fun``, their expansions or contractions in a
-    second (in the first, for a few lanes) and the shrunk vertices in a
-    third.  Each lane takes its own branch under a mask and keeps its own
-    counts and stop, the fev cap that may stop a shrink half done included.
+    bounds, and no callback but the stop below.  An iteration evaluates the
+    reflections of all lanes in one call of ``fun``, their expansions or
+    contractions in a second (in the first, for a few lanes) and the shrunk
+    vertices in a third.  Each lane takes its own branch under a mask and
+    keeps its own counts and stop, the fev cap that may stop a shrink half
+    done included.
     The arithmetic, the comparisons and the sorts follow scipy's order of
     operations in every lane, so each lane's result is scipy's to the last
     bit.  ``fun`` must be a pure function of each point: a value never
     depends on the other points of a call, nor on whether scipy would have
     asked for it.
 
-    With ``prune``, for an objective >= 0: once a lane holds the value 0,
-    every lane behind it stops where it is.  That lane will end at 0, so a
-    caller that stops at the first lane ending at 0 reads none behind it.
+    With a ``stop``, a lane stops after the first iteration that leaves its
+    best value at or below it: scipy's run halted by a callback that raises
+    ``StopIteration`` once ``intermediate_result.fun <= stop``, status 99
+    included.  With ``prune`` as well, the lanes behind the first lane to
+    stop there stop with it, wherever they are; a caller that stops at the
+    first lane ending at or below ``stop`` reads none behind it.
     """
     sim = np.array(simplices, dtype=float)
     k, n1, n = sim.shape
@@ -553,11 +560,16 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
     # Bounds on every lane's counts: below the caps, no lane needs the
     # per-lane cap checks.
     fev_bound, nit_bound = m, 1
+    halted = np.zeros(k, dtype=bool)
+    # scipy calls its callback after an iteration's sort, never before the
+    # first iteration.
+    iterated = False
 
     while True:
-        # A lane leaves where scipy's loop ends: at a cap, or converged (a
-        # break, so that lane is not sorted again).  fsim is sorted, so its
-        # spread max |f0 - fj| is f[-1] - f[0], to the bit.
+        # A lane leaves where scipy's loop ends: halted by the stop, at a
+        # cap, or converged (a break, so that lane is not sorted again).
+        # fsim is sorted, so its spread max |f0 - fj| is f[-1] - f[0], to
+        # the bit.
         flat = fsim[:, -1] - fsim[:, 0] <= fatol
         done = flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) \
             if flat.any() else flat
@@ -565,10 +577,13 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
             done |= nit >= maxiter
         if fev_bound >= maxfev:
             done |= nfev >= maxfev
-        if prune:
-            hit = fsim[:, 0] == 0.0
+        if stop is not None and iterated:
+            hit = fsim[:, 0] <= stop
             if hit.any():
-                done |= lanes > lanes[hit][0]
+                halted[lanes[hit]] = True
+                done |= hit
+                if prune:
+                    done |= lanes > lanes[hit][0]
         if done.any():
             ids = lanes[done]
             x_out[ids] = sim[done, 0]
@@ -580,6 +595,7 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
             if not lanes.size:
                 break
             at = np.arange(len(lanes))
+        iterated = True
 
         # pts holds xr, then the three second points: the expansion and the
         # outside and inside contractions.
@@ -642,22 +658,25 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
                 fev_bound += n
         sim, fsim = _sorted(sim, fsim, at[:, None])
 
-    status = np.where(nfev_out >= maxfev, 1, np.where(nit_out >= maxiter, 2, 0))
+    status = np.where(halted, 99,
+                      np.where(nfev_out >= maxfev, 1, np.where(nit_out >= maxiter, 2, 0)))
     return _MinimizeResult(
         x_out, f_out, int(nfev_out.sum()), int(nit_out.sum()), nfev_out, nit_out, status
     )
 
 
-def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, prune: bool = False):
+def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, stop: float,
+                 prune: bool = False):
     """A few rounds of Nelder-Mead with a shrinking initial simplex, for a
     (K, N) stack of starts in lockstep.
 
     Each lane follows one start's schedule: every round restarts from the
     lane's best point with a simplex of scale step * _SHRINK**round, and a
-    lane leaves after the round that brings its value to exactly 0.  With
-    ``prune`` the lanes behind the first lane at 0 leave too (see
-    :func:`minimize`), and their results are not to be read.  Returns the
-    lanes' best points and values.
+    lane leaves in the round that brings its value to ``stop`` or below,
+    at the end of that iteration (see :func:`minimize`).  With ``prune``
+    the lanes behind the first lane at or below ``stop`` leave too, and
+    their results are not to be read.  Returns the lanes' best points and
+    values.
     """
     xs = np.array(z0s, dtype=float)
     fxs = objective(xs)
@@ -672,14 +691,16 @@ def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, prune: bool = Fa
             maxfev=4 * cfg.max_iters,
             xatol=1e-14,
             fatol=1e-18,
+            stop=stop,
             prune=prune,
         )
         better = res.fun < fxs[live]
         xs[live[better]] = res.x[better]
         fxs[live[better]] = res.fun[better]
-        live = live[fxs[live] != 0.0]
-        if prune and (fxs == 0.0).any():
-            live = live[live < np.flatnonzero(fxs == 0.0)[0]]
+        reached = fxs <= stop
+        live = live[~reached[live]]
+        if prune and reached.any():
+            live = live[live < np.flatnonzero(reached)[0]]
         if not live.size:
             break
         step *= _SHRINK
@@ -721,13 +742,18 @@ def _projector(case: str, d: int):
 
 def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> WitnessRecord:
     """Multi-start minimization of the case residual over the configuration
-    manifold.  Runs every restart (the result is the (residual, restart)
-    minimum over all of them) unless some restart reaches residual exactly
-    0.0, which no later restart could improve.
+    manifold.
 
-    Restart 0 runs alone, the others in lockstep batches of ``_BATCH``;
-    within a batch, restarts behind the first one to reach 0 are dropped.
-    The batching changes no result: the pick reads the restarts in order.
+    Restarts run in order up to the first whose residual is at or below
+    ``cfg.tol``, which is a witness; each stops as soon as it gets there.
+    The result is the (residual, restart) minimum over the restarts run, so
+    over all of them when none reaches the tolerance.
+
+    The restarts run as lanes of lockstep batches: cases a and b, which
+    mostly stop after a restart or two, start at one lane and widen, the
+    other cases start at ``_BATCH`` lanes.  Within a batch, the restarts
+    behind the first one at or below the tolerance are dropped.  The
+    batching changes no result: the pick reads the restarts in order.
     """
     case = canonical_case(case)
     if case == "line_1d":
@@ -745,20 +771,21 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     best_val = math.inf
     best_z = None
     executed = 0
-    # The parallel residuals reach exactly 0, and cases a and b mostly stop
-    # after a restart or two: their batches start narrow.  The other cases
-    # run every restart, so all go at once.
+    # Cases a and b mostly stop after a restart or two: their batches start
+    # narrow.  The collinear and lindep batches start at full width: on 64
+    # random cubics R^2 -> R^5, a one-lane start made collinear searches
+    # about 10% slower and lindep ones about 45% faster: no gain in sum.
     first = 1 if case in ("parallel_b", "parallel_a") else _BATCH
     for start, stop in _batches(cfg.restarts, first):
         z0s = [np.random.default_rng([cfg.seed, idx]).standard_normal(ambient)
                for idx in range(start, stop)]
-        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg, prune=True)):
+        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg, cfg.tol, prune=True)):
             executed += 1
             if val < best_val:
                 best_val, best_z = val, z
-            if best_val == 0.0:
+            if best_val <= cfg.tol:
                 break
-        if best_val == 0.0:
+        if best_val <= cfg.tol:
             break
 
     x, u, v, degenerate = project(best_z[None])
@@ -1035,10 +1062,16 @@ def estimate_singularity_dim(
     """Estimate the local dimension of the collinearity solution set.
 
     Perturbs the base 4-tuple in free coordinates (all 4(m+1) of them, not
-    the search manifold), re-minimizes the collinear residual to cfg.tol,
-    and counts singular values of the centered displacement matrix above
+    the search manifold), re-minimizes the collinear residual, and counts
+    singular values of the centered displacement matrix above
     ratio_threshold * sigma_1.  The comparison value is the covering bound
     4(m+1) - (n-1) for maps R^(m+1) -> R^(n+1).
+
+    ``cfg.tol`` is the bound the base record must verify at and that a
+    sample must reach to count; each sample stops once its residual is at
+    or below ``cfg.tol**2``.  The residual is a squared singular-value
+    ratio, so a sample's relative error is about its square root, cfg.tol,
+    far below any useful ``ratio_threshold``.
     """
     cfg = cfg or SearchConfig()
     if canonical_case(base.case) != "collinear":
@@ -1072,7 +1105,7 @@ def estimate_singularity_dim(
     for start, stop in _batches(n_samples, _BATCH):
         z0s = [p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(p0.size)
                for i in range(start, stop)]
-        zs, vals = _nelder_mead(objective, np.array(z0s), local_cfg)
+        zs, vals = _nelder_mead(objective, np.array(z0s), local_cfg, cfg.tol**2)
         solutions.extend(zs[vals <= cfg.tol])
 
     if solutions:

@@ -223,7 +223,7 @@ def test_find_witness_instant_collinear(tmp_path, capsys):
     note, rec, manifest = lines
     assert note["note"] in ("guaranteed", "exploratory")
     assert rec["found"] and rec["residual"] == 0.0
-    assert rec["restarts_used"] == 1  # exact zero stops the restart loop
+    assert rec["restarts_used"] == 1  # a residual within tol, here 0, stops the search
     assert manifest["manifest"]["seed"] == 4
 
 
@@ -406,7 +406,7 @@ def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
 def test_overflowing_images_do_not_abort_the_search(tmp_path, capsys):
     # Images that overflow to inf used to reach the SVD, which raised "SVD
     # did not converge" and ended the search.  Now such configurations score
-    # 1.5 and every restart runs.
+    # 1.5 and the search goes on.
     path = write_json(tmp_path / "map.json", _overflow_map(4))
     code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "collinear",
                              "--restarts", "3")

@@ -348,18 +348,23 @@ def test_unit_and_record_points_bitwise(d, seed, scale):
 
 
 def _witness_outputs() -> list:
-    """Canonical JSON of a search per case and of a singularity estimate."""
+    """Canonical JSON of searches that hit at restart 0, hit later and miss,
+    and of a singularity estimate."""
     fb = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
     fa = builtin_map("random_poly", {"m": 2, "n": 5, "degree": 2}, seed=7)
     cfg = SearchConfig(restarts=2, max_iters=200, seed=0)
-    records = {
-        case: search(f, case, cfg)
-        for f, case in ((fb, "parallel_b"), (fa, "parallel_a"), (fb, "collinear"),
-                        (fb, "linear_dependence"))
-    }
-    assert records["collinear"].found
-    est = estimate_singularity_dim(fb, records["collinear"], n_samples=4, cfg=SearchConfig())
-    return [rec.canonical() for rec in records.values()] + [canonical_json(est.to_json_dict())]
+    records = [search(f, case, cfg) for f, case in (
+        (fb, "parallel_b"), (fa, "parallel_a"), (fb, "collinear"), (fb, "linear_dependence"))]
+    # Restart 1, the first lane of a batch of 4, is the first within tol.
+    later = search(fb, "b", SearchConfig(restarts=4, seed=7))
+    # No restart gets within tol, so the pick is the minimum over all three.
+    miss = search(fb, "collinear", SearchConfig(restarts=3, max_iters=25))
+    assert records[2].found and later.restarts_used == 2 and not miss.found
+    # The searches run at most 4 lanes at a time: 16 samples also run
+    # minimize's wider path, and most of the points.
+    est = estimate_singularity_dim(fb, records[2], n_samples=16, cfg=SearchConfig())
+    return [rec.canonical() for rec in (*records, later, miss)] + \
+        [canonical_json(est.to_json_dict())]
 
 
 def test_records_identical_under_reference_eval_map(monkeypatch):
@@ -383,11 +388,18 @@ def test_records_identical_under_reference_eval_map(monkeypatch):
 _NM_OPTIONS = {"maxiter": 400, "maxfev": 1600, "xatol": 1e-14, "fatol": 1e-18}
 
 
-def _scipy_minimize(fun, simplex, maxiter, maxfev, xatol, fatol):
+def _scipy_minimize(fun, simplex, maxiter, maxfev, xatol, fatol, stop=None):
+    """scipy's Nelder-Mead; with a stop, halted by a callback as soon as
+    its best value is at or below it."""
+    def halt(intermediate_result):
+        if intermediate_result.fun <= stop:
+            raise StopIteration
+
     return scipy.optimize.minimize(
         fun,
         simplex[0],
         method="Nelder-Mead",
+        callback=None if stop is None else halt,
         options={
             "maxiter": maxiter,
             "maxfev": maxfev,
@@ -499,17 +511,44 @@ def test_minimize_lanes_stop_for_different_reasons():
     assert res.status.tolist() == [1, 1, 2, 0]
 
 
-def test_minimize_prune_keeps_every_lane_up_to_the_first_zero():
+@pytest.mark.parametrize("dim", [1, 2, 5, 9])
+def test_minimize_matches_scipy_halted_by_a_callback(dim):
+    # Stops reached early, late, at exact ties, after the first iteration
+    # (every initial value is below 1e9) and never (-10).
+    stops = {_bumpy: (0.5, 0.0, -0.1), _plateaus: (1.0, 0.5, 0.0), _kink: (0.2, -0.3)}
+    for fun, fun_stops in stops.items():
+        for stop in (*fun_stops, 1e9, -10.0):
+            res = _same_minima(fun, [_simplex(dim, seed) for seed in range(3)],
+                               stop=stop, **_NM_OPTIONS)
+            assert (res.status == 99).tolist() == (res.fun <= stop).tolist()
+    halted = _same_minima(_bumpy, [_simplex(dim, 1)], stop=1e9, **_NM_OPTIONS)
+    assert (halted.nit, halted.status[0]) == (2, 99)
+    # scipy calls no callback before the first iteration: a lane capped
+    # there keeps its cap's status.
+    capped = _same_minima(_bumpy, [_simplex(dim, 1)], stop=1e9, **{**_NM_OPTIONS, "maxiter": 1})
+    assert capped.status[0] == 2
+    # A stop with the fev cap inside the same iteration, a shrink included.
+    for maxfev in range(1, 40):
+        for fun in (_bumpy, _plateaus, _kink):
+            _same_minima(fun, [_simplex(3, 3), _simplex(3, 5)], stop=0.5,
+                         **{**_NM_OPTIONS, "maxfev": maxfev})
+
+
+def test_minimize_prune_keeps_every_lane_up_to_the_first_stop():
     def fun(z):
-        # Above z[0] = 50 a bowl whose minimum is 0.5; elsewhere 0 on a disc.
+        # Above z[0] = 50 a bowl whose minimum is 0.5; elsewhere a bowl
+        # whose minimum 0 is approached, never reached.
         if z[0] > 50:
             return float((z - 60) @ (z - 60)) + 0.5
-        return max(0.0, float(z @ z) - 1.0)
+        return float(z @ z)
 
+    stop = 1e-6
     stack = [_simplex(2, 0) + 60, _simplex(2, 1) + 3, _simplex(2, 2) + 2, _simplex(2, 3) + 60]
-    full = _same_minima(fun, stack, **_NM_OPTIONS)
-    pruned = witness.minimize(_batched(fun), np.array(stack), prune=True, **_NM_OPTIONS)
-    assert full.fun[0] > 0 and full.fun[1] == 0.0
+    full = _same_minima(fun, stack, stop=stop, **_NM_OPTIONS)
+    pruned = witness.minimize(_batched(fun), np.array(stack), stop=stop, prune=True,
+                              **_NM_OPTIONS)
+    assert full.fun[0] > stop and 0.0 < full.fun[1] <= stop
+    assert full.status.tolist()[:2] == [0, 99]
     for name in ("x", "fun", "lane_nfev", "lane_nit", "status"):
         # Bit for bit: the bytes of the first two lanes.
         assert getattr(pruned, name)[:2].tobytes() == getattr(full, name)[:2].tobytes()
@@ -517,11 +556,11 @@ def test_minimize_prune_keeps_every_lane_up_to_the_first_zero():
     assert pruned.lane_nfev[3] < full.lane_nfev[3]
 
 
-def _scipy_lanes(fun, simplices, maxiter, maxfev, xatol, fatol, prune=False):
+def _scipy_lanes(fun, simplices, maxiter, maxfev, xatol, fatol, stop=None, prune=False):
     """minimize's contract, one scipy run per lane; every lane runs to its
-    end, as a lane behind a zero is never read."""
+    end or its stop, as a lane behind a stopped one is never read."""
     refs = [_scipy_minimize(lambda z: float(fun(z[None])[0]), simplex,
-                            maxiter, maxfev, xatol, fatol) for simplex in simplices]
+                            maxiter, maxfev, xatol, fatol, stop) for simplex in simplices]
     nfev = np.array([r.nfev for r in refs])
     nit = np.array([r.nit for r in refs])
     return witness._MinimizeResult(
@@ -544,19 +583,25 @@ def test_records_identical_under_scipy_nelder_mead(monkeypatch):
 
 
 def test_records_identical_for_any_batch_width(monkeypatch):
-    # The README map at seed 7 first reaches 0 at restart 1, the first lane
-    # of the batch of restarts 1-3 for widths 3 and 64: the lanes behind it
-    # are dropped, and neither the record nor restarts_used may change.
+    # The README map at seed 7 first gets within tol at restart 1 in case b,
+    # the first lane of the batch of restarts 1-3 for widths 3 and 64; at
+    # seed 11 also in the collinear case, whose first batch is restarts 0-2
+    # at width 3 and all 20 at width 64.  The lanes behind restart 1 are
+    # dropped, and neither the records nor restarts_used may change.
     f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
     cfg = SearchConfig(restarts=4, seed=7)
+    collinear_cfg = SearchConfig(restarts=20, seed=11)
     base = search(f, "collinear", SearchConfig(restarts=2, max_iters=200))
     outputs = []
     for width in (1, 3, 64):
         monkeypatch.setattr(witness, "_BATCH", width)
         rec = search(f, "b", cfg)
+        collinear = search(f, "collinear", collinear_cfg)
         est = estimate_singularity_dim(f, base, n_samples=5, cfg=SearchConfig())
-        outputs.append((rec.canonical(), canonical_json(est.to_json_dict())))
-        assert rec.residual == 0.0 and rec.restarts_used == 2
+        outputs.append((rec.canonical(), collinear.canonical(),
+                        canonical_json(est.to_json_dict())))
+        assert rec.residual <= cfg.tol and rec.restarts_used == 2
+        assert collinear.residual <= cfg.tol and collinear.restarts_used == 2
     assert outputs[0] == outputs[1] == outputs[2]
 
 
