@@ -169,12 +169,12 @@ def euler_line_tensor_quotient(
         raise RingError("e_line must be homogeneous of degree 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    # Horner in x: after k steps total = sum_(j<=k) e^j x^(k-j).
     x = ring_x.gen("x")
-    total = ring_x.zero()
-    epow = ring_x.one()
-    for j in range(n + 1):
-        total = total + epow * x ** (n - j)
+    total = epow = ring_x.one()
+    for _ in range(n):
         epow = epow * e_line
+        total = total * x + epow
     return total
 
 
@@ -544,12 +544,11 @@ def hurwitz_comparison(m: int) -> dict:
     }
 
 
-# All 16 ways of assigning the two line-bundle Euler classes from the span
-# of t1, t2 over a product of two projective spaces.
+# The four line classes in the span of t1, t2 over a product of two
+# projective spaces, and all 16 ways of assigning two of them.
+_LINE_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
 LINE_SPECS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
-    (a, b)
-    for a in ((0, 0), (1, 0), (0, 1), (1, 1))
-    for b in ((0, 0), (1, 0), (0, 1), (1, 1))
+    (a, b) for a in _LINE_BITS for b in _LINE_BITS
 )
 
 
@@ -562,6 +561,26 @@ def _line_class(ring: RingPresentation, bits: tuple[int, int]) -> RingElement:
     return el
 
 
+@lru_cache(maxsize=4)
+def _product_rings(
+    m1: int, m2: int, n: int
+) -> tuple[RingPresentation, dict[tuple[int, int], RingElement]]:
+    """The base P^m1 x P^m2 and the Euler class of each line class over it.
+
+    Shared by the 16 line specs of one grid point; the cache is bounded, so
+    a sweep over any grid holds at most a few grid points' rings.
+    """
+    base = ring_truncated(
+        f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
+    )
+    ring_x = ring_adjoin_x(base, n)
+    eulers = {
+        bits: euler_line_tensor_quotient(_line_class(ring_x, bits), n, ring_x)
+        for bits in _LINE_BITS
+    }
+    return base, eulers
+
+
 def oracle_umkehr_product(
     m1: int, m2: int, n: int, line_spec: tuple[tuple[int, int], tuple[int, int]]
 ) -> bool:
@@ -571,15 +590,16 @@ def oracle_umkehr_product(
     P^n fibre, the direct image of the product of the two rank-n Euler
     classes must equal the degree-n part of the inverse class of the rank-2
     sum of the two lines.  Returns True iff both routes agree exactly.
+    The rings and the four line Euler classes are shared per (m1, m2, n);
+    the product, its direct image and the inverse class are not.
     """
     if m1 < 0 or m2 < 0 or n < 1:
         raise ValueError("need m1, m2 >= 0 and n >= 1")
-    base = ring_truncated(
-        f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
-    )
-    ring_x = ring_adjoin_x(base, n)
-    e1 = euler_line_tensor_quotient(_line_class(ring_x, line_spec[0]), n, ring_x)
-    e2 = euler_line_tensor_quotient(_line_class(ring_x, line_spec[1]), n, ring_x)
+    base, eulers = _product_rings(m1, m2, n)
+    try:
+        e1, e2 = (eulers[tuple(bits)] for bits in line_spec)
+    except KeyError:
+        raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}") from None
     lhs = umkehr_px(e1 * e2, n)
     total = (base.one() + _line_class(base, line_spec[0])) * (
         base.one() + _line_class(base, line_spec[1])

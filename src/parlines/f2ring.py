@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, lt, mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -65,7 +66,7 @@ class Monomial:
         return {n: e for n, e in zip(self.ring.gen_names, self.exps) if e}
 
     def degree(self) -> int:
-        return sum(e * d for e, d in zip(self.exps, self.ring.gen_degrees))
+        return _mono_degree(self.ring.gen_degrees, self.exps)
 
     def __str__(self) -> str:
         if not any(self.exps):
@@ -176,10 +177,7 @@ class RingPresentation:
         self._caps = tuple(caps)
 
     def _trunc_dead(self, exps: tuple[int, ...]) -> bool:
-        for e, b in zip(exps, self._bounds):
-            if e >= b:
-                return True
-        return False
+        return not all(map(lt, exps, self._bounds))
 
     def _is_normal_mono(self, exps: tuple[int, ...]) -> bool:
         if self._trunc_dead(exps):
@@ -200,7 +198,7 @@ class RingPresentation:
                 rest[i] -= 2
                 acc: set[tuple[int, ...]] = set()
                 for rexps in rep.terms:
-                    combined = tuple(a + b for a, b in zip(rest, rexps))
+                    combined = tuple(map(add, rest, rexps))
                     for t in self._reduce_mono(combined):
                         if t in acc:
                             acc.discard(t)
@@ -259,7 +257,7 @@ class RingPresentation:
 
 
 def _mono_degree(degs: tuple[int, ...], exps: tuple[int, ...]) -> int:
-    return sum(e * d for e, d in zip(exps, degs))
+    return sum(map(mul, exps, degs))
 
 
 class RingElement:
@@ -295,18 +293,19 @@ class RingElement:
             reduce = ring._reduce_mono
             for a in self.terms:
                 for b in other.terms:
-                    raw = tuple(x + y for x, y in zip(a, b))
-                    for t in reduce(raw):
+                    for t in reduce(tuple(map(add, a, b))):
                         if t in acc:
                             acc.discard(t)
                         else:
                             acc.add(t)
         else:
-            is_zero = ring._trunc_dead
+            # No rewrites: a product monomial is either normal or truncated
+            # to zero, so the bound test is the whole normal form.
+            bounds = ring._bounds
             for a in self.terms:
                 for b in other.terms:
-                    raw = tuple(x + y for x, y in zip(a, b))
-                    if is_zero(raw):
+                    raw = tuple(map(add, a, b))
+                    if not all(map(lt, raw, bounds)):
                         continue
                     if raw in acc:
                         acc.discard(raw)

@@ -197,9 +197,9 @@ def _build_affine_graph(m: int) -> Coords:
 def builtin_map(name: str, params: dict | None = None, seed: int | None = None) -> MapDescriptor:
     """Construct one of the named example maps.
 
-    * ``affine_graph`` (m): x -> (1, x) from R^(m+1) to R^(m+2); every
-      difference of distinct values is non-parallel to every other, so
-      parallel-pair searches on it can only close at coincident points.
+    * ``affine_graph`` (m): x -> (1, x) from R^(m+1) to R^(m+2); it sends
+      parallel domain chords to parallel image chords, so case a and b
+      searches find genuine witnesses on it.
     * ``parabola``: t -> (t, t^2), the standard 1-d witness example.
     * ``moment`` (m, n): the first n+1 monomials of degree >= 1 over m+1
       variables, ordered by total degree.

@@ -171,6 +171,26 @@ def test_product_direct_image_oracle():
     )
 
 
+def test_oracle_grid_budget():
+    # The benchmark's oracle grid: the rings and line Euler classes are
+    # shared per grid point, so the 7,840 product instances stay cheap.
+    argv = ["oracles", "--m1-max", "6", "--m2-max", "6", "--n-max", "10",
+            "--dual-k", "24", "--dual-n-max", "20"]
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    summary = json.loads(out.getvalue().splitlines()[-2])
+    ok = code == 0 and summary["failures"] == 0 and elapsed < 2.5
+    criterion(
+        "oracles --m1-max 6 --m2-max 6 --n-max 10 --dual-k 24 --dual-n-max 20 in under 2.5 s",
+        ok,
+        f"{summary['product_instances']} + {summary['dual_instances']} instances, "
+        f"{summary['failures']} failures, {elapsed:.2f}s",
+    )
+
+
 def test_dual_power_identity():
     ok = all(oracle_umkehr_dual(20, n) for n in range(1, 17))
     criterion("umkehr dual identity t^(n+1) split, n = 1..16", ok)

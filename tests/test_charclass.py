@@ -49,6 +49,8 @@ from parlines.f2ring import (
     ring_y0,
     ring_yhat,
 )
+from parlines import charclass
+from parlines.charclass import _LINE_BITS, _line_class, _product_rings
 from parlines.charclass import _prop_q_series, _Rows, _series_data
 
 
@@ -375,6 +377,75 @@ def test_product_oracle_small_grid():
             for n in range(1, 4):
                 for spec in LINE_SPECS:
                     assert oracle_umkehr_product(m1, m2, n, spec), (m1, m2, n, spec)
+
+
+def test_product_comparison_is_not_vacuous(monkeypatch):
+    # With a wrong Euler class (the e^n term dropped) the shared rings must
+    # make the product oracle fail somewhere, so agreement is informative.
+    right = euler_line_tensor_quotient
+
+    def wrong(e_line, n, ring_x):
+        return right(e_line, n, ring_x) + e_line ** n
+
+    monkeypatch.setattr(charclass, "euler_line_tensor_quotient", wrong)
+    _product_rings.cache_clear()
+    try:
+        failing = [
+            (m1, m2, n, spec)
+            for m1 in range(3)
+            for m2 in range(3)
+            for n in range(1, 4)
+            for spec in LINE_SPECS
+            if not oracle_umkehr_product(m1, m2, n, spec)
+        ]
+    finally:
+        _product_rings.cache_clear()
+    assert failing
+    assert (1, 0, 1, ((1, 0), (0, 0))) in failing
+    # A zero line class has e^n = 0 (n >= 1), so specs of two zero lines agree.
+    assert all(spec != ((0, 0), (0, 0)) for *_, spec in failing)
+
+
+def test_euler_recurrence_matches_defining_sum():
+    for m1 in range(4):
+        for m2 in range(4):
+            base = ring_truncated(
+                f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
+            )
+            for n in range(1, 7):
+                ring_x = ring_adjoin_x(base, n)
+                x = ring_x.gen("x")
+                for bits in _LINE_BITS:
+                    e = _line_class(ring_x, bits)
+                    want = ring_x.zero()
+                    for j in range(n + 1):
+                        want = want + e ** j * x ** (n - j)
+                    got = euler_line_tensor_quotient(e, n, ring_x)
+                    assert got.terms == want.terms, (m1, m2, n, bits)
+
+
+def test_product_rings_cache_out_of_order():
+    fresh = {}
+    for key in ((1, 1, 2), (2, 1, 2), (1, 1, 3)):
+        _product_rings.cache_clear()
+        base, eulers = _product_rings(*key)
+        fresh[key] = (
+            base.name,
+            {b: e.terms for b, e in eulers.items()},
+            [oracle_umkehr_product(*key, spec) for spec in LINE_SPECS],
+        )
+    _product_rings.cache_clear()
+    for key in ((1, 1, 2), (2, 1, 2), (1, 1, 2), (1, 1, 3)):
+        results = [oracle_umkehr_product(*key, spec) for spec in LINE_SPECS]
+        base, eulers = _product_rings(*key)
+        assert (base.name, {b: e.terms for b, e in eulers.items()}, results) == fresh[key]
+    # The cache stays bounded however many grid points a sweep visits.
+    for n in range(1, 12):
+        oracle_umkehr_product(0, 0, n, LINE_SPECS[0])
+    info = _product_rings.cache_info()
+    assert info.currsize <= info.maxsize
+    with pytest.raises(ValueError):
+        oracle_umkehr_product(1, 1, 2, ((1, 2), (0, 0)))
 
 
 def test_dual_oracle_small_grid():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import parlines
-from parlines import charclass
+from parlines import charclass, cli
 from parlines.charclass import DimensionParams, all_checks
 from parlines.cli import main
 from parlines.jsonio import canonical_json
@@ -208,6 +208,37 @@ def test_oracles_narrow_grid(capsys):
     }
     assert len(lines) == 2  # no per-instance failure lines
     assert manifest["manifest"]["outcome"] == "ok"
+
+
+def test_oracles_failure_path(capsys, monkeypatch):
+    bad = (1, 0, 2, ((1, 0), (0, 1)))
+    real = cli.oracle_umkehr_product
+    monkeypatch.setattr(
+        cli,
+        "oracle_umkehr_product",
+        lambda m1, m2, n, spec: (m1, m2, n, spec) != bad and real(m1, m2, n, spec),
+    )
+    code, lines, _ = run_cli(
+        capsys, "oracles", "--m1-max", "1", "--m2-max", "1", "--n-max", "2",
+        "--dual-n-max", "4", "--dual-k", "6",
+    )
+    assert code == 1
+    failed = [line for line in lines if line.get("agrees") is False]
+    assert failed == [
+        {
+            "oracle": "umkehr_product",
+            "m1": 1,
+            "m2": 0,
+            "n": 2,
+            "line_spec": [[1, 0], [0, 1]],
+            "agrees": False,
+        }
+    ]
+    summary, manifest = lines[-2], lines[-1]
+    assert summary["failures"] == 1
+    assert summary["product_instances"] == 2 * 2 * 2 * 16
+    assert manifest["manifest"]["outcome"] == "failed"
+    assert len(lines) == 3
 
 
 # -- find-witness / verify-witness ---------------------------------------------------

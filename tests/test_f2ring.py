@@ -276,6 +276,46 @@ def test_ring_laws_sampled(make):
         assert p + p == ring.zero()
 
 
+def _with_dead_gen():
+    # z has bound 1, so it is zero and every monomial must carry z^0.
+    return ring_truncated("T", [("a", 1, 3), ("z", 1, 1), ("b", 2, 4)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _with_dead_gen,
+        lambda: ring_adjoin_x(_with_dead_gen(), 3),
+        lambda: ring_adjoin_x(ring_truncated("P2xP3", [("t1", 1, 3), ("t2", 1, 4)]), 4),
+        lambda: ring_yhat(3),
+        _bundle_then_x,
+    ],
+)
+def test_mul_matches_normal_form_route(make):
+    # The multiply is held to the generic route: every term pair's raw
+    # product monomial, reduced to normal form by _element_from.
+    ring = make()
+    basis = list(ring.basis())
+    rng = random.Random(5)
+
+    def sample():
+        return ring.element(*[mo for mo in basis if rng.random() < 0.3])
+
+    def via_normal_form(p, q):
+        return ring._element_from(
+            tuple(x + y for x, y in zip(a, b)) for a in p.terms for b in q.terms
+        )
+
+    samples = [ring.one(), ring.zero(), *ring.gens()] + [sample() for _ in range(30)]
+    for p in samples:
+        for q in samples[:8] + [sample()]:
+            assert (p * q).terms == via_normal_form(p, q).terms
+    if "z" in ring.gen_names:
+        z = ring.gen("z")
+        assert not z
+        assert all(not (p * z) for p in samples)
+
+
 def test_normal_form_closure_under_mul():
     ring = ring_yhat(4)
     basis = list(ring.basis())
