@@ -97,7 +97,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--max-iters", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zero-eps", type=float, default=1e-13)
     p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
     subs["find-witness"] = p
 
@@ -307,7 +306,6 @@ def _run_find_witness(args) -> int:
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
-        zero_eps=args.zero_eps,
     )
     guaranteed, note = theorem_guarantee(f, args.case)
     _emit(

@@ -14,7 +14,8 @@ exhibit one of four degeneracies:
   normalized images (the spherical variant).
 
 Residuals are scale-free squared singular-value ratios, so "witness found"
-means the residual is at or below a configurable tolerance.  Each case has
+means the residual is at or below a configurable tolerance; a norm at or
+below the fixed ``_ZERO_EPS`` counts as zero.  Each case has
 one residual, ``_residual_from_points`` on a stack of 4-tuples of points in
 record order; the search objective, the record, ``verify_witness``, the
 singularity estimate and the public one-row residuals all go through it.
@@ -31,7 +32,7 @@ an intermediate-value argument instead of optimizing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +76,11 @@ _ALIASES = {
 
 # Point-coincidence threshold used for the distinctness checks in records.
 _DISTINCT_EPS = 1e-9
+
+# A norm or singular value at or below this counts as zero in every residual:
+# the search, the record and verify_witness share it, so a record cannot be
+# found under one threshold and checked under another.
+_ZERO_EPS = 1e-13
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -137,8 +143,8 @@ class SearchConfig:
 
     ``restarts`` independent Nelder-Mead runs are seeded from streams
     derived from (seed, restart index); each run gets ``max_iters``
-    iterations per polish round, with the initial simplex scale starting at
-    ``step`` and shrinking by ``_SHRINK`` between rounds.  A residual at or
+    iterations in each of 3 rounds, with the initial simplex scale starting
+    at 0.5 and shrinking by ``_SHRINK`` between rounds.  A residual at or
     below ``tol`` is a witness, and the search stops at the first one.
     """
 
@@ -147,21 +153,25 @@ class SearchConfig:
     restarts: int = 100
     max_iters: int = 400
     seed: int = 0
-    zero_eps: float = 1e-13
-    step: float = 0.5
-    polish_rounds: int = 2
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
-        for name in ("tol", "zero_eps", "step"):
-            _require_positive(name, getattr(self, name))
+        _require_positive("tol", self.tol)
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.polish_rounds < 0:
-            raise ValueError("polish_rounds must be >= 0")
+
+
+def _json_typed(data: dict, key: str, kind: type):
+    """``data[key]`` if it is a JSON boolean (``kind`` bool) or integer
+    (``kind`` int, which a boolean is not); a TypeError otherwise."""
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = "a boolean" if kind is bool else "an integer"
+        raise TypeError(f"{key} must be {name}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -198,17 +208,17 @@ class WitnessRecord:
         try:
             return cls(
                 case=canonical_case(data["case"]),
-                found=bool(data["found"]),
+                found=_json_typed(data, "found", bool),
                 points=[np.array(p, dtype=float) for p in data["points"]],
                 residual=float(data["residual"]),
                 min_pairwise_distance=float(data["min_pairwise_distance"]),
-                pair_sets_distinct=bool(data["pair_sets_distinct"]),
+                pair_sets_distinct=_json_typed(data, "pair_sets_distinct", bool),
                 config=None
                 if data.get("config") is None
                 else Configuration.from_json_dict(data["config"]),
                 map_digest=str(data["map_digest"]),
-                seed=int(data["seed"]),
-                restarts_used=int(data["restarts_used"]),
+                seed=_json_typed(data, "seed", int),
+                restarts_used=_json_typed(data, "restarts_used", int),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed witness record: {exc}") from exc
@@ -263,11 +273,11 @@ class CollinearityAmbiguity(RuntimeError):
 # -- residuals ---------------------------------------------------------------
 
 
-def parallel_residual(a, b, zero_eps: float = 1e-13) -> float:
+def parallel_residual(a, b) -> float:
     """Normalized Gram determinant of two vectors, in [0, 1].
 
     (|a|^2 |b|^2 - <a,b>^2) / (|a|^2 |b|^2): zero iff the vectors are
-    parallel; by convention also zero when either norm is <= zero_eps.
+    parallel; by convention also zero when either norm is <= _ZERO_EPS.
     NaN if the vectors or their products are not finite.
     """
     a = np.asarray(a, dtype=float)
@@ -275,10 +285,10 @@ def parallel_residual(a, b, zero_eps: float = 1e-13) -> float:
     # The chords of the images (0, a, 0, b) are a and b bit for bit.
     imgs = np.stack([zero, a, zero, np.asarray(b, dtype=float)])
     with np.errstate(all="ignore"):
-        return float(_residual_rows("parallel_b", imgs[None], zero_eps)[0])
+        return float(_residual_rows("parallel_b", imgs[None])[0])
 
 
-def collinear_residual(q0, q1, q2, q3, zero_eps: float = 1e-13) -> float:
+def collinear_residual(q0, q1, q2, q3) -> float:
     """(sigma_3 / sigma_1)^2 of the difference matrix [q1-q0, q2-q0, q3-q0].
 
     Zero iff the four IMAGE points affinely span at most 2 dimensions (they
@@ -287,20 +297,20 @@ def collinear_residual(q0, q1, q2, q3, zero_eps: float = 1e-13) -> float:
     """
     imgs = np.asarray((q0, q1, q2, q3), dtype=float)
     with np.errstate(all="ignore"):
-        return float(_residual_rows("collinear", imgs[None], zero_eps)[0])
+        return float(_residual_rows("collinear", imgs[None])[0])
 
 
-def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor, zero_eps: float = 1e-13) -> float:
+def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor) -> float:
     """(sigma_4 / sigma_1)^2 of the normalized image matrix of four DOMAIN points.
 
     Images are normalized onto the unit sphere before the test (a zero image
     makes the family dependent outright, hence residual 0).  NaN if an
     image or its norm is not finite.
     """
-    return float(_residual_from_points("linear_dependence", f, [(p0, p1, p2, p3)], zero_eps)[0])
+    return float(_residual_from_points("linear_dependence", f, [(p0, p1, p2, p3)])[0])
 
 
-def _residual_rows(case: str, imgs: np.ndarray, zero_eps: float) -> np.ndarray:
+def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     """The case residual of each row of an (M, 4, c) stack of images.
 
     Every residual is computed here, one row at a time or many: each row
@@ -319,12 +329,12 @@ def _residual_rows(case: str, imgs: np.ndarray, zero_eps: float) -> np.ndarray:
         # Clamped at 0 from below; val <= prod / prod rounds to at most 1,
         # so it needs no clamp from above.
         out = np.where(val > 0.0, val, 0.0)
-        out[np.minimum(a2, b2) <= zero_eps * zero_eps] = 0.0
+        out[np.minimum(a2, b2) <= _ZERO_EPS * _ZERO_EPS] = 0.0
         # A non-finite chord norm, or their product overflowing, gives NaN.
         return np.where(prod < np.inf, out, np.nan)
     if case == "collinear":
         # The SVD takes each (c, 3) matrix of columns q1-q0, q2-q0, q3-q0.
-        return _sv_ratio(np.swapaxes(imgs[:, 1:] - imgs[:, :1], 1, 2), zero_eps)
+        return _sv_ratio(np.swapaxes(imgs[:, 1:] - imgs[:, :1], 1, 2))
     if case == "linear_dependence":
         norms = np.linalg.norm(imgs, axis=2)
         finite = np.isfinite(norms)
@@ -335,17 +345,17 @@ def _residual_rows(case: str, imgs: np.ndarray, zero_eps: float) -> np.ndarray:
             norms[big] = scale * np.linalg.norm(imgs[big] / scale[:, None], axis=1)
         out = np.full(len(imgs), np.nan)
         ok = np.isfinite(norms).all(axis=1)
-        zero = ok & (norms <= zero_eps).any(axis=1)
+        zero = ok & (norms <= _ZERO_EPS).any(axis=1)
         out[zero] = 0.0
         ok &= ~zero
-        out[ok] = _sv_ratio(np.swapaxes(imgs[ok] / norms[ok][:, :, None], 1, 2), zero_eps)
+        out[ok] = _sv_ratio(np.swapaxes(imgs[ok] / norms[ok][:, :, None], 1, 2))
         return out
     raise ValueError(f"unknown case {case!r}")
 
 
-def _sv_ratio(mats: np.ndarray, zero_eps: float) -> np.ndarray:
+def _sv_ratio(mats: np.ndarray) -> np.ndarray:
     """(sigma_min / sigma_1)^2 of each (c, k) matrix, with sigma_min the
-    k-th singular value: 0 if c < k or sigma_1 <= zero_eps, NaN if the
+    k-th singular value: 0 if c < k or sigma_1 <= _ZERO_EPS, NaN if the
     matrix is not finite."""
     k = mats.shape[2]
     ok = np.isfinite(mats).all(axis=(1, 2))
@@ -357,7 +367,7 @@ def _sv_ratio(mats: np.ndarray, zero_eps: float) -> np.ndarray:
     # records' bits: numpy's vectorised **2 (x*x) differs in the last bit
     # for about 0.1% of inputs.
     ratio = [r**2 for r in (s[:, k - 1] / s[:, 0]).tolist()]
-    out[ok] = np.where(s[:, 0] <= zero_eps, 0.0, ratio)
+    out[ok] = np.where(s[:, 0] <= _ZERO_EPS, 0.0, ratio)
     return out
 
 
@@ -401,7 +411,7 @@ def record_points(case: str, c: Configuration) -> list:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _residual_from_points(case: str, f: MapDescriptor, pts, zero_eps: float) -> np.ndarray:
+def _residual_from_points(case: str, f: MapDescriptor, pts) -> np.ndarray:
     """The case residual of each 4-tuple of points in record order: the one
     residual kernel.
 
@@ -413,7 +423,7 @@ def _residual_from_points(case: str, f: MapDescriptor, pts, zero_eps: float) -> 
     m, _, d = pts.shape
     with np.errstate(all="ignore"):
         imgs = eval_map(f, pts.reshape(4 * m, d)).reshape(m, 4, f.codomain_dim)
-        return _residual_rows(case, imgs, zero_eps)
+        return _residual_rows(case, imgs)
 
 
 def _pair_sets_distinct(pts, eps: float = _DISTINCT_EPS) -> bool:
@@ -665,13 +675,14 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
     )
 
 
-def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, stop: float,
-                 prune: bool = False):
-    """A few rounds of Nelder-Mead with a shrinking initial simplex, for a
-    (K, N) stack of starts in lockstep.
+def _nelder_mead(objective, z0s: np.ndarray, max_iters: int, step: float, rounds: int,
+                 stop: float, prune: bool = False):
+    """``rounds`` rounds of Nelder-Mead with a shrinking initial simplex, for
+    a (K, N) stack of starts in lockstep.
 
     Each lane follows one start's schedule: every round restarts from the
-    lane's best point with a simplex of scale step * _SHRINK**round, and a
+    lane's best point with a simplex of scale step * _SHRINK**round and
+    ``max_iters`` iterations (4 * ``max_iters`` evaluations), and a
     lane leaves in the round that brings its value to ``stop`` or below,
     at the end of that iteration (see :func:`minimize`).  With ``prune``
     the lanes behind the first lane at or below ``stop`` leave too, and
@@ -681,14 +692,13 @@ def _nelder_mead(objective, z0s: np.ndarray, cfg: SearchConfig, stop: float,
     xs = np.array(z0s, dtype=float)
     fxs = objective(xs)
     live = np.arange(len(xs))
-    step = cfg.step
-    for _ in range(1 + cfg.polish_rounds):
+    for _ in range(rounds):
         base = xs[live, None]
         res = minimize(
             objective,
             np.concatenate([base, base + step * np.eye(xs.shape[1])], axis=1),
-            maxiter=cfg.max_iters,
-            maxfev=4 * cfg.max_iters,
+            maxiter=max_iters,
+            maxfev=4 * max_iters,
             xatol=1e-14,
             fatol=1e-18,
             stop=stop,
@@ -764,7 +774,7 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
 
     def objective(zs):
         x, u, v, degenerate = project(zs)
-        vals = _residual_from_points(case, f, _points(case, x, u, v, cfg.delta), cfg.zero_eps)
+        vals = _residual_from_points(case, f, _points(case, x, u, v, cfg.delta))
         vals[degenerate | np.isnan(vals)] = 1.5
         return vals
 
@@ -779,7 +789,8 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     for start, stop in _batches(cfg.restarts, first):
         z0s = [np.random.default_rng([cfg.seed, idx]).standard_normal(ambient)
                for idx in range(start, stop)]
-        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg, cfg.tol, prune=True)):
+        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg.max_iters, 0.5, 3, cfg.tol,
+                                          prune=True)):
             executed += 1
             if val < best_val:
                 best_val, best_z = val, z
@@ -793,7 +804,7 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         raise RuntimeError("search collapsed onto a degenerate configuration")
     config = Configuration(x[0], u[0], v[0], cfg.delta)
     pts = _points(case, x[0], u[0], v[0], cfg.delta)
-    res = float(_residual_from_points(case, f, pts[None], cfg.zero_eps)[0])
+    res = float(_residual_from_points(case, f, pts[None])[0])
     if not math.isfinite(res):
         raise ValueError(
             "no configuration tried has a finite residual: "
@@ -816,7 +827,8 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
 # -- verification ---------------------------------------------------------------
 
 
-def _config_norm_violations(case: str, c: Configuration, tol: float = 1e-9) -> list:
+def _config_norm_violations(case: str, c: Configuration) -> list:
+    tol = 1e-9
     msgs = []
     nx = float(np.linalg.norm(c.x))
     if abs(nx - 1.0) > tol:
@@ -855,6 +867,8 @@ def verify_witness(
     pts = [np.asarray(p, dtype=float) for p in rec.points]
     if len(pts) != 4 or any(p.shape != (f.domain_dim,) for p in pts):
         raise ValueError("record must contain 4 points of the map's domain dimension")
+    if rec.config is not None and rec.config.x.shape != (f.domain_dim,):
+        raise ValueError("record config must have the map's domain dimension")
 
     checks["digest_matches"] = rec.map_digest == map_digest(f)
     if not checks["digest_matches"]:
@@ -872,7 +886,7 @@ def verify_witness(
         if dev > 1e-9:
             messages.append(f"points deviate from configuration by {dev!r}")
 
-    residual = float(_residual_from_points(case, f, [pts], zero_eps=1e-13)[0])
+    residual = float(_residual_from_points(case, f, [pts])[0])
     checks["residual_agrees_with_record"] = abs(residual - rec.residual) <= 1e-12
     if not checks["residual_agrees_with_record"]:
         messages.append(
@@ -953,7 +967,6 @@ def find_1d(
     interval: tuple[float, float],
     tol: float = 1e-12,
     samples: int = 257,
-    zero_eps: float = 1e-13,
 ) -> WitnessRecord:
     """A guaranteed parallel chord pair for a map R -> R^2 on [a, b].
 
@@ -983,7 +996,7 @@ def find_1d(
     imgs = eval_map(f, ts[:, None])
     centered = imgs - imgs.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
-    flat = s[0] <= zero_eps
+    flat = s[0] <= _ZERO_EPS
     ratio = 0.0 if flat else float((s[1] / s[0]) ** 2)
 
     if flat or ratio <= tol:
@@ -1005,7 +1018,7 @@ def find_1d(
 
         heights = (imgs - imgs[i0]) @ e
         interior = heights[i0 + 1 : i1]
-        if interior.size == 0 or float(np.max(np.abs(interior))) <= zero_eps:
+        if interior.size == 0 or float(np.max(np.abs(interior))) <= _ZERO_EPS:
             raise CollinearityAmbiguity(
                 "no interior height extremum between the extremal samples"
             )
@@ -1033,7 +1046,7 @@ def find_1d(
             y0, y1 = y1, y0
         pts = [np.array([x0]), np.array([x1]), np.array([y0]), np.array([y1])]
 
-    residual = float(_residual_from_points("line_1d", f, [pts], zero_eps)[0])
+    residual = float(_residual_from_points("line_1d", f, [pts])[0])
     return WitnessRecord(
         case="line_1d",
         found=residual <= tol,
@@ -1088,24 +1101,20 @@ def estimate_singularity_dim(
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
     def objective(zs):
-        vals = _residual_from_points("collinear", f, zs.reshape(len(zs), 4, d), cfg.zero_eps)
+        vals = _residual_from_points("collinear", f, zs.reshape(len(zs), 4, d))
         vals[np.isnan(vals)] = 1.5
         return vals
 
     # Keep the re-minimization local: the simplex scale follows the noise,
     # otherwise samples drift along the solution set and the displacement
     # directions no longer reflect its dimension at the base point.
-    local_cfg = replace(
-        cfg,
-        step=min(cfg.step, 0.5 * noise_scale),
-        polish_rounds=max(cfg.polish_rounds, 3),
-    )
+    step = min(0.5, 0.5 * noise_scale)
     # The samples run as lanes in lockstep batches of _BATCH.
     solutions = []
     for start, stop in _batches(n_samples, _BATCH):
         z0s = [p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(p0.size)
                for i in range(start, stop)]
-        zs, vals = _nelder_mead(objective, np.array(z0s), local_cfg, cfg.tol**2)
+        zs, vals = _nelder_mead(objective, np.array(z0s), cfg.max_iters, step, 4, cfg.tol**2)
         solutions.extend(zs[vals <= cfg.tol])
 
     if solutions:

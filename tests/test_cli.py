@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,39 @@ README_MAP_FLAGS = (
 )
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_verify_witness_config_of_another_dimension_exits_2(tmp_path, capsys, dim):
+    # A config whose dimension is not the map's is bad input, whether it
+    # would broadcast against the points (1-d) or not (3-d).
+    f = linear_r2_r3()
+    data = exact_collinear_record_dict(f)
+    unit = [1.0] + [0.0] * (dim - 1)
+    data["config"] = {"x": unit, "u": unit, "v": unit, "delta": 0.25}
+    code, lines, _ = run_cli(
+        capsys, "verify-witness", "--map", write_json(tmp_path / "f.json", f.to_json_dict()),
+        "--record", write_json(tmp_path / "rec.json", data),
+    )
+    assert code == 2
+    assert lines[0] == {"error": "record config must have the map's domain dimension"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*README_MAP_FLAGS, "--case", "b", "--zero-eps", "100", "--restarts", "5"],
+        [*README_MAP_FLAGS, "--case", "collinear", "--zero-eps", "100", "--restarts", "5"],
+        ["--builtin", "parabola", "--case", "b", "--zero-eps", "1e-13"],
+    ],
+)
+def test_find_witness_has_no_zero_eps_option(capsys, argv):
+    # The zero threshold is fixed: the record does not carry it, so
+    # verify-witness could not recompute a residual taken under another.
+    with pytest.raises(SystemExit) as exc:
+        main(["find-witness", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_witness_nested_params_map_file(tmp_path, capsys):
     # The map-file form the README documents nests the builtin parameters.
     rec_file = tmp_path / "rec.json"
@@ -531,8 +565,7 @@ def test_singularity_rejects_wrong_case(tmp_path, capsys):
     [
         (["find-witness", "--builtin", "parabola", "--case", "b", "--tol", "nan"], "tol"),
         (["find-witness", "--builtin", "parabola", "--case", "b", "--tol", "inf"], "tol"),
-        (["find-witness", "--builtin", "parabola", "--case", "b", "--zero-eps", "nan"],
-         "zero_eps"),
+        (["singularity", "--tol", "inf"], "tol"),
         (["singularity", "--noise-scale", "nan"], "noise_scale"),
         (["singularity", "--noise-scale", "inf"], "noise_scale"),
         (["singularity", "--tol", "nan"], "tol"),
@@ -586,6 +619,35 @@ def test_cli_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"outcome":"ok"') == 4
+
+
+def _readme_cli_commands() -> list:
+    """The ``parlines ...`` lines of the README's CLI block, continuations
+    joined, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("parlines ")]
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # Each example in order, as the installed entry point runs it: a fresh
+    # interpreter calling console_main, whose exit code is main()'s.
+    commands = _readme_cli_commands()
+    assert [argv[0] for argv in commands] == [
+        "verify-classes", "table", "oracles", "find-witness", "verify-witness",
+        "find-1d", "find-witness", "singularity",
+    ]
+    src = str(Path(parlines.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from parlines.cli import console_main; console_main()",
+             *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stdout[-500:], proc.stderr)
+        assert '"outcome":"ok"' in proc.stdout.splitlines()[-1]
 
 
 # -- config file ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ runs with the contract defaults live in the acceptance suite.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -196,7 +197,7 @@ def test_residual_kernel_bitwise_equals_one_row_formulas(d, c, seed, rows, case)
     pts = rng.standard_normal((rows, 4, d)) * rng.choice([1e-7, 1.0, 30.0], (rows, 1, 1))
     pts[::3, 1] = pts[::3, 0]  # a zero chord
     pts[1::4, 3] = pts[1::4, 0]  # repeated points
-    got = _residual_from_points(case, f, pts, 1e-13)
+    got = _residual_from_points(case, f, pts)
     want = np.array([_old_residual(case, f, p) for p in pts])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     one = [lin_dep_residual(*p, f=f) if case == "linear_dependence" else
@@ -224,7 +225,7 @@ def test_non_finite_residuals_are_nan_not_zero():
     # The first row's images overflow; near 0 they stay finite.
     pts = np.array([[2.0, 0.0], [0.1, 0.2], [0.3, -0.1], [0.0, 0.5]]) * [[[1.0]], [[1e-70]]]
     for case in ("parallel_b", "collinear", "linear_dependence"):
-        got = _residual_from_points(case, huge, pts, 1e-13)
+        got = _residual_from_points(case, huge, pts)
         assert math.isnan(got[0]) and math.isfinite(got[1])
 
 
@@ -238,8 +239,8 @@ def test_lin_dep_residual_survives_overflowing_norms():
     pts[::5, 2] = pts[::5, 0]  # dependent rows, residual 0
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.linalg.norm(eval_map(big, pts[0]), axis=1)).any()
-    want = _residual_from_points("linear_dependence", f, pts, 1e-13)
-    got = _residual_from_points("linear_dependence", big, pts, 1e-13)
+    want = _residual_from_points("linear_dependence", f, pts)
+    got = _residual_from_points("linear_dependence", big, pts)
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -302,7 +303,7 @@ def test_record_points_residual_matches_objective_bitwise():
         c = Configuration(x, w[:3], w[3:], 0.25)
         pts = record_points("parallel_b", c)
         imgs = eval_map(f, np.stack(pts))
-        single_path = _residual_from_points("parallel_b", f, [pts], 1e-13)[0]
+        single_path = _residual_from_points("parallel_b", f, [pts])[0]
         assert parallel_residual(imgs[1] - imgs[0], imgs[3] - imgs[2]) == single_path
         # Case b's pairing {x+du, -x+dv}, {x-du, -x-dv} and case a's
         # {x±du}, {-x±dv}, taken in the collinear order, give the record's
@@ -310,7 +311,7 @@ def test_record_points_residual_matches_objective_bitwise():
         raw = eval_map(f, np.stack(record_points("collinear", c)))
         assert parallel_residual(raw[0] - raw[2], raw[1] - raw[3]) == single_path
         assert parallel_residual(raw[0] - raw[1], raw[2] - raw[3]) == \
-            _residual_from_points("parallel_a", f, [record_points("parallel_a", c)], 1e-13)[0]
+            _residual_from_points("parallel_a", f, [record_points("parallel_a", c)])[0]
 
     # Every search case stores exactly the residual that verify_witness
     # recomputes, because both evaluate the same path on the same points.
@@ -610,7 +611,7 @@ def test_objective_case_b_symmetries():
     rng = np.random.default_rng(2)
 
     def residual(c):
-        return _residual_from_points("parallel_b", f, [record_points("parallel_b", c)], 1e-13)[0]
+        return _residual_from_points("parallel_b", f, [record_points("parallel_b", c)])[0]
 
     for _ in range(10):
         x = rng.standard_normal(3)
@@ -633,7 +634,7 @@ def test_objective_case_a_norm_gate():
         pts = record_points("parallel_a", c)
         return WitnessRecord(
             case="parallel_a", found=True, points=pts,
-            residual=float(_residual_from_points("parallel_a", f, [pts], 1e-13)[0]),
+            residual=float(_residual_from_points("parallel_a", f, [pts])[0]),
             min_pairwise_distance=0.5, pair_sets_distinct=True, config=c,
             map_digest=map_digest(f), seed=0, restarts_used=0,
         )
@@ -666,12 +667,29 @@ def test_search_config_validation():
         {"restarts": 0},
         {"max_iters": 0},
         {"seed": -1},
-        {"zero_eps": -1.0},
-        {"step": 0.0},
-        {"polish_rounds": -1},
     ):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+
+def test_search_config_has_no_schedule_or_zero_knobs():
+    # The zero threshold and the Nelder-Mead schedule are constants: a
+    # record cannot carry them, so no caller may set them.
+    assert [fld.name for fld in dataclasses.fields(SearchConfig)] == [
+        "delta", "tol", "restarts", "max_iters", "seed",
+    ]
+    for kwargs in ({"zero_eps": 1e-13}, {"step": 0.5}, {"polish_rounds": 2}):
+        with pytest.raises(TypeError):
+            SearchConfig(**kwargs)
+    f = builtin_map("parabola")
+    with pytest.raises(TypeError):
+        parallel_residual([1.0, 0.0], [2.0, 0.0], zero_eps=1e-13)
+    with pytest.raises(TypeError):
+        collinear_residual(*np.eye(4, 3), zero_eps=1e-13)
+    with pytest.raises(TypeError):
+        lin_dep_residual(*np.eye(4, 1), f, zero_eps=1e-13)
+    with pytest.raises(TypeError):
+        find_1d(f, (-2.0, 2.0), zero_eps=1e-13)
 
 
 def test_search_rejects_line_1d():
@@ -766,6 +784,30 @@ def test_record_json_round_trip_byte_identical():
     assert back.canonical() == text
     with pytest.raises(ValueError, match="malformed"):
         WitnessRecord.from_json_dict({"case": "collinear"})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("found", "no"),
+        ("found", 1),
+        ("pair_sets_distinct", "false"),
+        ("pair_sets_distinct", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "3"),
+        ("restarts_used", 2.9),
+        ("restarts_used", 2.0),
+        ("restarts_used", False),
+    ],
+)
+def test_record_json_rejects_instead_of_coercing(key, value):
+    # A record field takes only its own JSON type, never a value coerced to
+    # it, and a bool is not an integer here.
+    data = _exact_collinear_record(_linear_map_r2_r3()).to_json_dict()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"malformed witness record: {key} must be"):
+        WitnessRecord.from_json_dict(data)
 
 
 # -- the 1-d construction --------------------------------------------------------
