@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -140,6 +141,12 @@ def _load_config_defaults(argv: list, subs: dict) -> None:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ValueError("config file must contain a JSON object")
+    # A key of another subcommand's option is allowed, so that one file can
+    # serve several subcommands; a key of no option at all is a mistake.
+    known = {a.dest for p in subs.values() for a in p._actions if a.dest != "help"}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
     for p in subs.values():
         # A default for one option of an exclusive group would be read next to
         # the other option given as a flag, so verify-classes' --m/--m-max
@@ -383,6 +390,9 @@ def main(argv: list | None = None) -> int:
     try:
         code = _RUNNERS[args.command](args)
         outcome = {0: "ok", 1: "failed"}[code]
+    except BrokenPipeError:
+        # The reader is gone: there is no one to tell, console_main ends it.
+        raise
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc)})
         code, outcome = 2, f"invalid input: {exc}"
@@ -402,4 +412,13 @@ def main(argv: list | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # Flush here, so that a closed pipe raises inside this try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, into the closed pipe: point
+        # it at devnull first, as the Python docs' recipe for SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

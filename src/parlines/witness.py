@@ -19,6 +19,9 @@ below the fixed ``_ZERO_EPS`` counts as zero.  Each case has
 one residual, ``_residual_from_points`` on a stack of 4-tuples of points in
 record order; the search objective, the record, ``verify_witness``, the
 singularity estimate and the public one-row residuals all go through it.
+Each case's manifold has one implementation too, ``_projector``: the
+search projects onto it, and ``verify_witness`` checks a stored
+configuration with that same projection.
 The search is a seeded multi-start local minimization (Nelder-Mead in
 ambient coordinates, re-projected onto the constraint manifold inside the
 objective); it is fully deterministic for a fixed seed and configuration.
@@ -675,56 +678,50 @@ def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: flo
     )
 
 
-def _nelder_mead(objective, z0s: np.ndarray, max_iters: int, step: float, rounds: int,
-                 stop: float, prune: bool = False):
-    """``rounds`` rounds of Nelder-Mead with a shrinking initial simplex, for
-    a (K, N) stack of starts in lockstep.
+def _multistart(objective, start, count: int, first: int, max_iters: int, step: float,
+                rounds: int, stop: float, prune: bool = False):
+    """Yield (point, value) for each of the starts ``start(0)``, ...,
+    ``start(count - 1)``, in order: the best of ``rounds`` rounds of
+    Nelder-Mead with a shrinking initial simplex.
 
-    Each lane follows one start's schedule: every round restarts from the
-    lane's best point with a simplex of scale step * _SHRINK**round and
-    ``max_iters`` iterations (4 * ``max_iters`` evaluations), and a
-    lane leaves in the round that brings its value to ``stop`` or below,
-    at the end of that iteration (see :func:`minimize`).  With ``prune``
-    the lanes behind the first lane at or below ``stop`` leave too, and
-    their results are not to be read.  Returns the lanes' best points and
-    values.
+    The starts run as lanes of lockstep batches: ``first`` lanes, then four
+    times as many each time, up to ``_BATCH``; a batch runs once the one
+    before it has been read.  Every round restarts a lane from its best
+    point with a simplex of scale step * _SHRINK**round and ``max_iters``
+    iterations (4 * ``max_iters`` evaluations), and a lane leaves in the
+    round that brings its value to ``stop`` or below, at the end of that
+    iteration (see :func:`minimize`).  With ``prune`` the lanes behind the
+    first lane at or below ``stop`` leave too, and their pairs are not to
+    be read.
     """
-    xs = np.array(z0s, dtype=float)
-    fxs = objective(xs)
-    live = np.arange(len(xs))
-    for _ in range(rounds):
-        base = xs[live, None]
-        res = minimize(
-            objective,
-            np.concatenate([base, base + step * np.eye(xs.shape[1])], axis=1),
-            maxiter=max_iters,
-            maxfev=4 * max_iters,
-            xatol=1e-14,
-            fatol=1e-18,
-            stop=stop,
-            prune=prune,
-        )
-        better = res.fun < fxs[live]
-        xs[live[better]] = res.x[better]
-        fxs[live[better]] = res.fun[better]
-        reached = fxs <= stop
-        live = live[~reached[live]]
-        if prune and reached.any():
-            live = live[live < np.flatnonzero(reached)[0]]
-        if not live.size:
-            break
-        step *= _SHRINK
-    return xs, fxs
-
-
-def _batches(total: int, first: int):
-    """(start, stop) of consecutive lane batches: ``first`` lanes, then
-    four times as many each time, up to ``_BATCH``."""
-    start, width = 0, min(first, _BATCH)
-    while start < total:
-        yield start, min(total, start + width)
-        start += width
-        width = min(4 * width, _BATCH)
+    lo, width = 0, min(first, _BATCH)
+    while lo < count:
+        xs = np.array([start(i) for i in range(lo, min(count, lo + width))], dtype=float)
+        fxs = objective(xs)
+        live = np.arange(len(xs))
+        for r in range(rounds):
+            base = xs[live, None]
+            res = minimize(
+                objective,
+                np.concatenate([base, base + step * _SHRINK**r * np.eye(xs.shape[1])], axis=1),
+                maxiter=max_iters,
+                maxfev=4 * max_iters,
+                xatol=1e-14,
+                fatol=1e-18,
+                stop=stop,
+                prune=prune,
+            )
+            better = res.fun < fxs[live]
+            xs[live[better]] = res.x[better]
+            fxs[live[better]] = res.fun[better]
+            reached = fxs <= stop
+            live = live[~reached[live]]
+            if prune and reached.any():
+                live = live[live < np.flatnonzero(reached)[0]]
+            if not live.size:
+                break
+        yield from zip(xs, fxs)
+        lo, width = lo + width, min(4 * width, _BATCH)
 
 
 def _projector(case: str, d: int):
@@ -778,24 +775,19 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         vals[degenerate | np.isnan(vals)] = 1.5
         return vals
 
-    best_val = math.inf
-    best_z = None
-    executed = 0
+    best_val, best_z = math.inf, None
     # Cases a and b mostly stop after a restart or two: their batches start
     # narrow.  The collinear and lindep batches start at full width: on 64
     # random cubics R^2 -> R^5, a one-lane start made collinear searches
     # about 10% slower and lindep ones about 45% faster: no gain in sum.
     first = 1 if case in ("parallel_b", "parallel_a") else _BATCH
-    for start, stop in _batches(cfg.restarts, first):
-        z0s = [np.random.default_rng([cfg.seed, idx]).standard_normal(ambient)
-               for idx in range(start, stop)]
-        for z, val in zip(*_nelder_mead(objective, np.array(z0s), cfg.max_iters, 0.5, 3, cfg.tol,
-                                          prune=True)):
-            executed += 1
-            if val < best_val:
-                best_val, best_z = val, z
-            if best_val <= cfg.tol:
-                break
+    restarts = _multistart(
+        objective, lambda i: np.random.default_rng([cfg.seed, i]).standard_normal(ambient),
+        cfg.restarts, first, cfg.max_iters, 0.5, 3, cfg.tol, prune=True,
+    )
+    for executed, (z, val) in enumerate(restarts, 1):
+        if val < best_val:
+            best_val, best_z = val, z
         if best_val <= cfg.tol:
             break
 
@@ -803,51 +795,32 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     if degenerate[0]:  # pragma: no cover - a degenerate optimum never wins
         raise RuntimeError("search collapsed onto a degenerate configuration")
     config = Configuration(x[0], u[0], v[0], cfg.delta)
-    pts = _points(case, x[0], u[0], v[0], cfg.delta)
-    res = float(_residual_from_points(case, f, pts[None])[0])
-    if not math.isfinite(res):
-        raise ValueError(
-            "no configuration tried has a finite residual: "
-            "the map's values overflow the float range"
-        )
+    rec = _record(case, f, record_points(case, config), cfg.tol, config, cfg.seed, executed)
+    if math.isnan(rec.residual):
+        raise ValueError("no configuration tried has a finite residual: "
+                         "the map's values overflow the float range")
+    return rec
+
+
+def _record(case: str, f: MapDescriptor, pts, tol: float, config: Configuration | None = None,
+            seed: int = 0, restarts_used: int = 0) -> WitnessRecord:
+    """The record of 4 points in record order, found if their residual is at or below tol."""
+    residual = float(_residual_from_points(case, f, [pts])[0])
     return WitnessRecord(
         case=case,
-        found=res <= cfg.tol,
+        found=residual <= tol,
         points=list(pts),
-        residual=res,
+        residual=residual,
         min_pairwise_distance=_min_pairwise(pts),
         pair_sets_distinct=_pair_sets_distinct(pts),
         config=config,
         map_digest=map_digest(f),
-        seed=cfg.seed,
-        restarts_used=executed,
+        seed=seed,
+        restarts_used=restarts_used,
     )
 
 
 # -- verification ---------------------------------------------------------------
-
-
-def _config_norm_violations(case: str, c: Configuration) -> list:
-    tol = 1e-9
-    msgs = []
-    nx = float(np.linalg.norm(c.x))
-    if abs(nx - 1.0) > tol:
-        msgs.append(f"||x|| = {nx!r} is not 1")
-    nu = float(np.linalg.norm(c.u))
-    nv = float(np.linalg.norm(c.v))
-    if case == "parallel_b":
-        joint = math.sqrt(nu * nu + nv * nv)
-        if abs(joint - 1.0) > tol:
-            msgs.append(f"||(u, v)|| = {joint!r} is not 1")
-    elif case == "parallel_a":
-        for name, n in (("u", nu), ("v", nv)):
-            if abs(n - _SQRT_HALF) > tol:
-                msgs.append(f"||{name}|| = {n!r} is not 1/sqrt(2)")
-    else:
-        for name, n in (("u", nu), ("v", nv)):
-            if abs(n - 1.0) > tol:
-                msgs.append(f"||{name}|| = {n!r} is not 1")
-    return msgs
 
 
 def verify_witness(
@@ -875,9 +848,17 @@ def verify_witness(
         messages.append("map digest differs from the supplied map")
 
     if rec.config is not None:
-        viols = _config_norm_violations(case, rec.config)
-        checks["config_norms"] = not viols
-        messages.extend(viols)
+        # The config must stay where the search's own projection puts it.
+        c = rec.config
+        *proj, degenerate = _projector(case, f.domain_dim)(np.concatenate([c.x, c.u, c.v])[None])
+        moves = {name: float(np.linalg.norm(p[0] - q))
+                 for name, p, q in zip("xuv", proj, (c.x, c.u, c.v))}
+        worst = max(moves, key=lambda name: (math.isnan(moves[name]), moves[name]))
+        checks["config_norms"] = not degenerate[0] and moves[worst] <= 1e-9
+        if degenerate[0]:
+            messages.append(f"the config has a zero block: it has no point on the {case} manifold")
+        elif not checks["config_norms"]:
+            messages.append(f"{worst} lies {moves[worst]:.2g} off the {case} manifold")
         expected = record_points(case, rec.config)
         dev = max(
             float(np.max(np.abs(np.asarray(e) - p))) for e, p in zip(expected, pts)
@@ -993,7 +974,10 @@ def find_1d(
         raise ValueError("need at least 8 samples")
 
     ts = np.linspace(a, b, samples)
-    imgs = eval_map(f, ts[:, None])
+    with np.errstate(all="ignore"):
+        imgs = eval_map(f, ts[:, None])
+    if not np.isfinite(imgs).all():
+        raise ValueError("a sampled image is not finite: the map's values overflow the float range")
     centered = imgs - imgs.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     flat = s[0] <= _ZERO_EPS
@@ -1046,19 +1030,7 @@ def find_1d(
             y0, y1 = y1, y0
         pts = [np.array([x0]), np.array([x1]), np.array([y0]), np.array([y1])]
 
-    residual = float(_residual_from_points("line_1d", f, [pts])[0])
-    return WitnessRecord(
-        case="line_1d",
-        found=residual <= tol,
-        points=pts,
-        residual=residual,
-        min_pairwise_distance=_min_pairwise(pts),
-        pair_sets_distinct=_pair_sets_distinct(pts),
-        config=None,
-        map_digest=map_digest(f),
-        seed=0,
-        restarts_used=0,
-    )
+    return _record("line_1d", f, pts, tol)
 
 
 # -- singularity dimension estimate ----------------------------------------------
@@ -1080,11 +1052,13 @@ def estimate_singularity_dim(
     ratio_threshold * sigma_1.  The comparison value is the covering bound
     4(m+1) - (n-1) for maps R^(m+1) -> R^(n+1).
 
-    ``cfg.tol`` is the bound the base record must verify at and that a
-    sample must reach to count; each sample stops once its residual is at
-    or below ``cfg.tol**2``.  The residual is a squared singular-value
-    ratio, so a sample's relative error is about its square root, cfg.tol,
-    far below any useful ``ratio_threshold``.
+    Of ``cfg`` it reads ``tol``, ``seed`` and ``max_iters``.  ``cfg.tol`` is
+    the bound the base record must verify at and that a sample must reach
+    to count; each sample stops once its residual is at or below
+    ``cfg.tol**2``.  The residual is a squared singular-value ratio, so a
+    sample's relative error is about its square root, cfg.tol, far below any
+    useful ``ratio_threshold``.  ``cfg.seed`` seeds the perturbations, and
+    each sample runs 4 rounds of ``cfg.max_iters`` iterations.
     """
     cfg = cfg or SearchConfig()
     if canonical_case(base.case) != "collinear":
@@ -1110,12 +1084,11 @@ def estimate_singularity_dim(
     # directions no longer reflect its dimension at the base point.
     step = min(0.5, 0.5 * noise_scale)
     # The samples run as lanes in lockstep batches of _BATCH.
-    solutions = []
-    for start, stop in _batches(n_samples, _BATCH):
-        z0s = [p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(p0.size)
-               for i in range(start, stop)]
-        zs, vals = _nelder_mead(objective, np.array(z0s), cfg.max_iters, step, 4, cfg.tol**2)
-        solutions.extend(zs[vals <= cfg.tol])
+    solutions = [z for z, val in _multistart(
+        objective,
+        lambda i: p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d),
+        n_samples, _BATCH, cfg.max_iters, step, 4, cfg.tol**2,
+    ) if val <= cfg.tol]
 
     if solutions:
         mat = np.array(solutions)

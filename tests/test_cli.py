@@ -650,6 +650,23 @@ def test_readme_cli_block_runs(tmp_path):
         assert '"outcome":"ok"' in proc.stdout.splitlines()[-1]
 
 
+def test_closed_pipe_ends_without_traceback(tmp_path):
+    # A reader that stops early (as "| head -c 100" does) closes the pipe;
+    # the CLI then exits 1 quietly instead of printing a BrokenPipeError.
+    src = str(Path(parlines.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from parlines.cli import console_main; console_main()",
+         "verify-classes", "--m-max", "300"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err.decode() and err == b""
+
+
 # -- config file ------------------------------------------------------------------------
 
 
@@ -711,6 +728,20 @@ def test_config_file_supplies_required_options(tmp_path, capsys):
     assert code == 0 and lines[1]["case"] == "collinear"
     code, lines, _ = run_cli(capsys, "--config", cfg, "verify-witness")
     assert code == 0 and lines[0]["passed"] is True
+
+
+def test_config_file_rejects_keys_of_no_option(tmp_path, capsys):
+    # A misspelt or stale key exits 2; a key of another subcommand's option
+    # is allowed, so one file can serve several subcommands.
+    cfg = write_json(tmp_path / "cfg.json", {"zero_eps": 100, "restart": 2})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "find-witness", "--builtin", "parabola",
+                             "--case", "b")
+    assert code == 2 and len(lines) == 1
+    assert lines[0]["error"] == "bad config file: unknown keys ['restart', 'zero_eps']"
+    cfg = write_json(tmp_path / "shared.json", {"restarts": 2, "m_max": 3, "record": "r.json"})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "find-witness", "--builtin", "parabola",
+                             "--case", "b")
+    assert code == 0 and lines[1]["restarts_used"] <= 2
 
 
 def test_config_file_leaves_verify_classes_group_to_the_command_line(tmp_path, capsys):

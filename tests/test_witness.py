@@ -653,7 +653,72 @@ def test_objective_case_a_norm_gate():
     ver = verify_witness(record(bad), f, tol=1.0)
     assert ver.checks["config_norms"] is False
     assert not ver.passed
-    assert any("1/sqrt(2)" in msg for msg in ver.messages)
+    assert "u lies 0.29 off the parallel_a manifold" in ver.messages
+
+
+# Per case, the radius of u and v on the search's manifold, None where
+# (u, v) lies jointly on the unit sphere.
+_OFFSET_RADIUS = {"parallel_b": None, "parallel_a": 1 / math.sqrt(2),
+                  "collinear": 1.0, "linear_dependence": 1.0}
+
+
+def _config_on_manifold(case: str) -> Configuration:
+    rng = np.random.default_rng(3)
+    x, u, v = (a / np.linalg.norm(a) for a in rng.standard_normal((3, 3)))
+    if _OFFSET_RADIUS[case] is None:
+        w = np.concatenate([u, 2.0 * v])
+        u, v = np.split(w / np.linalg.norm(w), 2)
+    else:
+        u, v = _OFFSET_RADIUS[case] * u, _OFFSET_RADIUS[case] * v
+    return Configuration(x, u, v, 0.25)
+
+
+def _config_norms(case: str, c: Configuration):
+    f = builtin_map("random_poly", {"m": 2, "n": 4, "degree": 2}, seed=1)
+    pts = record_points(case, c)
+    rec = WitnessRecord(
+        case=case, found=True, points=pts,
+        residual=float(_residual_from_points(case, f, [pts])[0]),
+        min_pairwise_distance=0.5, pair_sets_distinct=True, config=c,
+        map_digest=map_digest(f), seed=0, restarts_used=0,
+    )
+    return verify_witness(rec, f, tol=1.0)
+
+
+@pytest.mark.parametrize("case", ["parallel_b", "parallel_a", "collinear", "linear_dependence"])
+@pytest.mark.parametrize("shift, passes", [(1e-6, False), (1e-12, True)])
+def test_verify_config_norms_use_the_search_projection(case, shift, passes):
+    # Each block moved radially by ``shift`` off its manifold; for case b
+    # the (u, v) pair off its joint sphere.
+    c = _config_on_manifold(case)
+    assert _config_norms(case, c).checks["config_norms"] is True
+    scaled = lambda a: a * (1 + shift / np.linalg.norm(a))  # noqa: E731
+    joint = 1 + shift
+    moved = [Configuration(scaled(c.x), c.u, c.v, 0.25)]
+    if _OFFSET_RADIUS[case] is None:
+        moved.append(Configuration(c.x, joint * c.u, joint * c.v, 0.25))
+    else:
+        moved += [Configuration(c.x, scaled(c.u), c.v, 0.25),
+                  Configuration(c.x, c.u, scaled(c.v), 0.25)]
+    for m in moved:
+        ver = _config_norms(case, m)
+        assert ver.checks["config_norms"] is passes
+        if not passes:
+            assert any(f"off the {case} manifold" in msg for msg in ver.messages)
+    zero_x = _config_norms(case, Configuration(np.zeros(3), c.u, c.v, 0.25))
+    assert zero_x.checks["config_norms"] is False and not zero_x.passed
+    assert f"the config has a zero block: it has no point on the {case} manifold" in zero_x.messages
+
+
+def test_verify_config_norms_case_b_zero_u():
+    # u = 0 with |v| = 1 lies on case b's joint sphere: no zero block there.
+    # Its points x + du and x - du coincide, but they lie in different pairs
+    # {x+du, -x+dv} and {x-du, -x-dv}, so both pairs stay nondegenerate.
+    ver = _config_norms("parallel_b", Configuration(
+        np.array([1.0, 0.0, 0.0]), np.zeros(3), np.array([0.0, 1.0, 0.0]), 0.25))
+    assert ver.checks["config_norms"] is True
+    assert ver.checks["pairs_nondegenerate"] is True
+    assert ver.checks["pair_sets_distinct"] is True
 
 
 # -- search ------------------------------------------------------------------------
@@ -887,6 +952,15 @@ def test_find_1d_ambiguity_zone():
     nearly_flat = MapDescriptor(1, 2, (((1.0, (1,)),), ((3e-6, (2,)),)))
     with pytest.raises(CollinearityAmbiguity):
         find_1d(nearly_flat, (-2.0, 2.0))
+
+
+def test_find_1d_overflowing_map_is_invalid_input():
+    # Sampled images beyond the float range are refused before the SVD,
+    # with no warning on the way (filterwarnings = error would raise it).
+    f = MapDescriptor.from_json_dict(
+        {"coords": [[{"c": 1e308, "e": [3]}], [{"c": 1.0, "e": [2]}]]})
+    with pytest.raises(ValueError, match="the map's values overflow the float range"):
+        find_1d(f, (-2.0, 2.0))
 
 
 def test_find_1d_validation():
