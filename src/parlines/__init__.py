@@ -20,8 +20,6 @@ from .charclass import (
     VerificationReport,
     all_checks,
     alpha_of,
-    binom_mod2,
-    binom_mod2_negative,
     check_corollary,
     check_prelude,
     check_prop_q,
@@ -34,8 +32,6 @@ from .charclass import (
     hurwitz_radon,
     oracle_umkehr_dual,
     oracle_umkehr_product,
-    q_of,
-    r_of,
     umkehr_proj_bundle,
     umkehr_px,
     w_minus,

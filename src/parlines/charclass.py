@@ -7,17 +7,15 @@ returns a :class:`VerificationReport` that records the dimension parameters,
 the key monomial whose coefficient carries the statement, and the witness
 monomials found.  The reports feed both the test suite and the command line.
 
-The series behind the theorem, corollary and sharpness checks are computed
-in a bit-packed row form instead of through the generic set engine: one
-Python int per row, bit ``i`` standing for ``t^i``, so that ``(1+t)^-1`` is
-a prefix XOR and a coefficient is one bit test.  The set engine remains the
-route of the prelude and the oracles, and the reference the tests hold the
-rows to.
-
-All binomial coefficients are taken mod 2.  The closed form (Lucas):
-``C(n, k)`` is odd iff every binary digit of ``k`` is at most the matching
-digit of ``n``; for negative upper index, ``C(-a, k) = (-1)^k C(a+k-1, k)``,
-so mod 2 the sign drops.
+The series behind the theorem, corollary and sharpness checks are read
+from bit-packed rows instead of the generic set engine: one Python int per
+row, bit ``i`` standing for ``t^i``, so that ``(1+t)^-1`` is a prefix XOR
+and a coefficient is one bit test.  The four t,y,x checks share one table
+per r, the rows ``(1+t)^-(j+1)`` truncated at ``t^(2^r)``, which every m
+with that r reads below ``t^(m+1)``; the table is cross-checked once, by
+multiplying it back.  The set engine remains the route of the prelude and
+the oracles, and the reference the tests hold the table to, beside the
+Pascal triangle mod 2.
 
 The two ``oracle_*`` functions re-derive direct-image (Umkehr) formulas used
 by the checks from brute-force expansions in explicit product rings, so that
@@ -44,10 +42,6 @@ from .f2ring import (
 )
 
 __all__ = [
-    "binom_mod2",
-    "binom_mod2_negative",
-    "r_of",
-    "q_of",
     "DimensionParams",
     "BundleClass",
     "w_minus",
@@ -71,30 +65,6 @@ __all__ = [
     "all_checks",
     "expected_outcome",
 ]
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """C(n, k) mod 2 for n, k >= 0, by Lucas' theorem."""
-    if n < 0 or k < 0:
-        raise ValueError("binom_mod2 needs non-negative arguments")
-    return int(k & n == k)
-
-
-def binom_mod2_negative(a: int, k: int) -> int:
-    """C(-a, k) mod 2 for a >= 1, k >= 0, via C(-a, k) = ±C(a+k-1, k)."""
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    return binom_mod2(a + k - 1, k)
-
-
-def r_of(m: int) -> int:
-    """The number of binary digits of m+1: 2^(r-1) <= m+1 < 2^r."""
-    return DimensionParams(m).r
-
-
-def q_of(m: int) -> int:
-    """The 2-adic valuation of m+1 (largest q with 2^q | m+1)."""
-    return DimensionParams(m).q
 
 
 @dataclass(frozen=True)
@@ -259,84 +229,52 @@ def _prefix_xor(a: int, width: int) -> int:
     return a & ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """An element of the t,y,x ring of ``ring_yhat(m)`` in row form.
-
-    ``rows[e][j]`` is the polynomial in t multiplying y^j x^e, bit i
-    standing for t^i, for 0 <= i, j <= m and e in {0, 1}.
-    """
-
-    m: int
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def _mask(self) -> int:
-        return (1 << (self.m + 1)) - 1
-
-    def times_t(self) -> "_Rows":
-        mask = self._mask()
-        return _Rows(self.m, tuple(tuple((a << 1) & mask for a in r) for r in self.rows))
-
-    def times_one_plus_x(self) -> "_Rows":
-        # (a0 + a1 x)(1 + x) = (a0 + y a1) + (a0 + a1 + t a1) x, by x^2 = y + t x.
-        a0, a1 = self.rows
-        mask = self._mask()
-        return _Rows(self.m, (
-            tuple(p ^ q for p, q in zip(a0, (0,) + a1[:-1])),
-            tuple(p ^ q ^ ((q << 1) & mask) for p, q in zip(a0, a1)),
-        ))
-
-    def times_one_plus_t_plus_x(self) -> "_Rows":
-        # (a0 + a1 x)(1 + t + x) = (a0 + t a0 + y a1) + (a0 + a1) x.
-        a0, a1 = self.rows
-        mask = self._mask()
-        return _Rows(self.m, (
-            tuple(p ^ ((p << 1) & mask) ^ q for p, q in zip(a0, (0,) + a1[:-1])),
-            tuple(p ^ q for p, q in zip(a0, a1)),
-        ))
-
-    def coefficient(self, i: int, j: int, e: int) -> int:
-        """The coefficient of t^i y^j x^e; 0 off the basis (i or j > m)."""
-        return self.rows[e][j] >> i & 1 if j <= self.m else 0
-
-    def part(self, d: int) -> list[tuple[int, int, int]]:
-        """The exponents (i, j, e) present in degree d = i + 2j + e, in the
-        (degree, exponents) order of ``RingElement.support``."""
-        out = []
-        for i in range(max(0, d - 2 * self.m - 1), min(self.m, d) + 1):
-            j, e = divmod(d - i, 2)
-            if self.rows[e][j] >> i & 1:
-                out.append((i, j, e))
-        return out
-
-
-# A sweep touches each m once; the small bound keeps long sweeps flat in memory.
+# Every m of one r reads the same table; a sweep crosses few values of r.
 @lru_cache(maxsize=4)
-def _series_data(m: int) -> tuple[RingPresentation, _Rows, _Rows, _Rows]:
-    """Shared series in the t,y,x ring: (ring, S, w, inv_ty) where
-    inv_ty = (1+t+y)^-1, w = (1+t)^-1 inv_ty and S = w (1+x), in the row
-    form of ``ring = ring_yhat(m)``, which names their monomials.
+def _inverse_rows(r: int) -> tuple[int, ...]:
+    """The rows u_j = (1+t)^-(j+1) mod t^(2^r), 0 <= j < 2^r, bit i
+    standing for t^i, built by u_j = (1+t)^-1 u_(j-1).
 
-    inv_ty follows the row recurrence u_j = (1+t)^-1 (delta_j0 + u_(j-1)),
-    and is cross-checked by inv_ty (1+x) (1+t+x) = 1, which holds because
-    (1+x)(1+t+x) = 1+t+y by x^2 = y + t*x.
+    Truncation is a ring map, so for every m with 2^(r-1) <= m+1 < 2^r the
+    bits i <= m of u_j are (1+t)^-(j+1) in the t,y,x ring of
+    ``ring_yhat(m)``, and the series read from them are
+    inv_ty = (1+t+y)^-1 = sum_j u_j y^j, w = (1+t)^-1 inv_ty with row j
+    equal to u_(j+1), and S = w (1+x) = w + w x.
+
+    The table is cross-checked by multiplying back: inv_ty (1+x) (1+t+x) = 1,
+    since (1+x)(1+t+x) = 1+t+y by x^2 = y + t*x, and on an x-free series
+    that says u_j (1+t) + u_(j-1) = delta_j0 row by row.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    width = m + 1
+    width = 1 << r
     u = [_prefix_xor(1, width)]
-    for _ in range(m):
+    for _ in range(width - 1):
         u.append(_prefix_xor(u[-1], width))
-    zero = (0,) * width
-    inv_ty = _Rows(m, (tuple(u), zero))
-    # Row j of w is (1+t)^-1 u_j, which the recurrence already made u_(j+1).
-    w = _Rows(m, (tuple(u[1:]) + (_prefix_xor(u[m], width),), zero))
-    s = w.times_one_plus_x()
-    if inv_ty.times_one_plus_x().times_one_plus_t_plus_x() != _Rows(
-        m, ((1,) + zero[1:], zero)
-    ):
+    mask = (1 << width) - 1
+    if any((a ^ a << 1 ^ b) & mask != (j == 0) for j, (a, b) in enumerate(zip(u, [0] + u))):
         raise RingError("series routes for the inverse class disagree")
-    return ring_yhat(m), s, w, inv_ty
+    return tuple(u)
+
+
+# A series read from the table, as (row, shift, x_exp): the element
+# t^shift (sum_j u_(j+row) y^j) (1+x)^x_exp.
+_INV_TY = (0, 0, 0)
+_W = (1, 0, 0)
+_S = (1, 0, 1)
+_T_S = (1, 1, 1)
+
+
+def _part(m: int, series: tuple[int, int, int], d: int) -> list[tuple[int, int, int]]:
+    """The exponents (i, j, e) of ``series`` present in degree
+    d = i + 2j + e, in the (degree, exponents) order of
+    ``RingElement.support``; no bit past t^m is read."""
+    row, shift, x_exp = series
+    u = _inverse_rows(DimensionParams(m).r)
+    out = []
+    for i in range(max(shift, d - 2 * m - 1), min(m, d) + 1):
+        k = d - i  # = 2j + e
+        if k & 1 <= x_exp and u[(k >> 1) + row] >> (i - shift) & 1:
+            out.append((i, k >> 1, k & 1))
+    return out
 
 
 def check_prelude(m: int, n: int) -> VerificationReport:
@@ -369,18 +307,21 @@ def check_prelude(m: int, n: int) -> VerificationReport:
 
 
 def _series_report(
-    check: str, ring: RingPresentation, rows: _Rows, t_offset: int, x_exp: int
+    check: str, m: int, series: tuple[int, int, int], t_offset: int
 ) -> VerificationReport:
     """The report of one series check, which passes when the key
-    t^(n-2m-1+t_offset) y^m x^x_exp of ``rows`` has coefficient 1 and the
+    t^(n-2m-1+t_offset) y^m x^x_exp of ``series`` has coefficient 1 and the
     part in the key's own degree, n-1+t_offset+x_exp, is nonzero (as the
-    key alone already makes it)."""
-    m = rows.m
+    key alone already makes it).  ``ring_yhat(m)`` names the monomials."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     p = DimensionParams(m)
+    ring = ring_yhat(m)
+    x_exp = series[2]
     key = ring.monomial(t=p.n - 2 * m - 1 + t_offset, y=m, x=x_exp)
     degree = p.n - 1 + t_offset + x_exp
-    part = rows.part(degree)
-    coeff = rows.coefficient(*key.exps)
+    part = _part(m, series, degree)
+    coeff = int(key.exps in part)
     return VerificationReport(
         check=check,
         m=m,
@@ -401,8 +342,7 @@ def check_theorem_b(m: int) -> VerificationReport:
     lies in [0, m] for every m >= 1), which forces a dimension-(3m+1) pair of
     parallel chords for maps R^(m+1) -> R^(n+1) with antipodal-mixed pairs.
     """
-    ring, s, _, _ = _series_data(m)
-    return _series_report("theorem_b", ring, s, t_offset=0, x_exp=1)
+    return _series_report("theorem_b", m, _S, t_offset=0)
 
 
 def check_theorem_a(m: int) -> VerificationReport:
@@ -412,8 +352,7 @@ def check_theorem_a(m: int) -> VerificationReport:
     m+1 != 2^(r-1)); at the boundary the class t*S vanishes in that degree
     and the report carries a not-applicable note.
     """
-    ring, s, _, _ = _series_data(m)
-    rep = _series_report("theorem_a", ring, s.times_t(), t_offset=1, x_exp=1)
+    rep = _series_report("theorem_a", m, _T_S, t_offset=1)
     boundary = DimensionParams(m).boundary
     note = "; not applicable: m+1 = 2^(r-1)" if boundary else ""
     return replace(
@@ -429,10 +368,10 @@ def check_theorem_a_v2(m: int) -> VerificationReport:
     Only defined off the boundary; raises ValueError when m+1 = 2^(r-1)
     (there the exponent leaves the basis range and the statement is empty).
     """
-    ring, _, _, inv_ty = _series_data(m)
+    rep = _series_report("theorem_a_v2", m, _INV_TY, t_offset=1)
     if DimensionParams(m).boundary:
         raise ValueError("not applicable: m+1 = 2^(r-1)")
-    return _series_report("theorem_a_v2", ring, inv_ty, t_offset=1, x_exp=0)
+    return rep
 
 
 def check_corollary(m: int) -> VerificationReport:
@@ -441,8 +380,7 @@ def check_corollary(m: int) -> VerificationReport:
     This is the degree-(n-1) non-vanishing that forces four distinct points
     with collinear images for maps R^(m+1) -> R^n, n = m + 2^r - 1.
     """
-    ring, _, w, _ = _series_data(m)
-    return _series_report("corollary", ring, w, t_offset=0, x_exp=0)
+    return _series_report("corollary", m, _W, t_offset=0)
 
 
 @lru_cache(maxsize=4)
@@ -454,7 +392,7 @@ def _prop_q_series(m: int) -> tuple[RingPresentation, tuple[int, ...]]:
     There t0 + x0 = s, so w = (1+t0)^-1 (1+s)^-1.  (1+s)^-1 is one row of
     2m+2 bits, and (1+t0)^-1 = sum_a t0^a copies it into every row.
     """
-    q = q_of(m)
+    q = DimensionParams(m).q
     return ring_y0(q, m), (_prefix_xor(1, 2 * m + 2),) * (1 << q)
 
 
@@ -531,7 +469,7 @@ def alpha_of(m: int) -> int:
 
 def hurwitz_comparison(m: int) -> dict:
     """Side-by-side of the Hurwitz-Radon exponent bound and the sharp one."""
-    q = q_of(m)
+    q = DimensionParams(m).q
     alpha = alpha_of(m)
     return {
         "m": m,

@@ -324,17 +324,26 @@ def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     """
     if case in ("parallel_b", "parallel_a", "line_1d"):
         chords = imgs[:, 1::2] - imgs[:, 0::2]
-        # Stacked (1, c) @ (c, 1) matmuls are BLAS ddot per row, as a @ b.
-        a2, b2 = (chords[:, :, None, :] @ chords[:, :, :, None])[:, :, 0, 0].T
-        ab = (chords[:, 0, None, :] @ chords[:, 1, :, None])[:, 0, 0]
+        a2, b2, ab = _chord_products(chords)
+        zero = np.minimum(a2, b2) <= _ZERO_EPS * _ZERO_EPS
         prod = a2 * b2
+        finite = prod < np.inf
+        if not finite.all():
+            # Squares overflow above about 1e154: where the product does and
+            # the chords are finite, scale each chord by its largest |entry|,
+            # which leaves the residual as it is.
+            big = ~finite & np.isfinite(chords).all(axis=(1, 2))
+            scale = np.abs(chords[big]).max(axis=2, keepdims=True)
+            a2[big], b2[big], ab[big] = _chord_products(chords[big] / np.where(scale > 0, scale, 1.0))
+            prod[big] = a2[big] * b2[big]
+            finite |= big
         val = (prod - ab * ab) / prod
         # Clamped at 0 from below; val <= prod / prod rounds to at most 1,
         # so it needs no clamp from above.
         out = np.where(val > 0.0, val, 0.0)
-        out[np.minimum(a2, b2) <= _ZERO_EPS * _ZERO_EPS] = 0.0
-        # A non-finite chord norm, or their product overflowing, gives NaN.
-        return np.where(prod < np.inf, out, np.nan)
+        out[zero] = 0.0
+        # A non-finite chord gives NaN.
+        return np.where(finite, out, np.nan)
     if case == "collinear":
         # The SVD takes each (c, 3) matrix of columns q1-q0, q2-q0, q3-q0.
         return _sv_ratio(np.swapaxes(imgs[:, 1:] - imgs[:, :1], 1, 2))
@@ -354,6 +363,14 @@ def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
         out[ok] = _sv_ratio(np.swapaxes(imgs[ok] / norms[ok][:, :, None], 1, 2))
         return out
     raise ValueError(f"unknown case {case!r}")
+
+
+def _chord_products(chords: np.ndarray):
+    """|a|^2, |b|^2 and <a, b> of each (2, c) pair of chords a, b."""
+    # Stacked (1, c) @ (c, 1) matmuls are BLAS ddot per row, as a @ b.
+    a2, b2 = (chords[:, :, None, :] @ chords[:, :, :, None])[:, :, 0, 0].T
+    ab = (chords[:, 0, None, :] @ chords[:, 1, :, None])[:, 0, 0]
+    return a2, b2, ab
 
 
 def _sv_ratio(mats: np.ndarray) -> np.ndarray:
@@ -911,6 +928,8 @@ def verify_witness(
 
 # Entries of the pairwise chord table find_1d computes at a time.
 _CHORD_BLOCK = 1 << 18
+# The largest |image| find_1d works with unscaled.
+_HUGE_IMAGE = 2.0 ** 500
 
 
 def _widest_chord(imgs: np.ndarray) -> tuple[int, int]:
@@ -978,6 +997,11 @@ def find_1d(
         imgs = eval_map(f, ts[:, None])
     if not np.isfinite(imgs).all():
         raise ValueError("a sampled image is not finite: the map's values overflow the float range")
+    # Squares of images above about 1e154 overflow.  Scaling by a power of
+    # two is exact, so below _HUGE_IMAGE (scale 1) no bit changes.
+    top = float(np.abs(imgs).max())
+    scale = 2.0 ** -math.frexp(top)[1] if top > _HUGE_IMAGE else 1.0
+    imgs = imgs * scale
     centered = imgs - imgs.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     flat = s[0] <= _ZERO_EPS
@@ -998,7 +1022,7 @@ def find_1d(
         e = np.array([-chord[1], chord[0]]) / float(np.linalg.norm(chord))
 
         def rho(t: float) -> float:
-            return float((eval_map(f, np.array([t])) - imgs[i0]) @ e)
+            return float((eval_map(f, np.array([t])) * scale - imgs[i0]) @ e)
 
         heights = (imgs - imgs[i0]) @ e
         interior = heights[i0 + 1 : i1]

@@ -19,6 +19,7 @@ import pytest
 
 from parlines.charclass import (
     LINE_SPECS,
+    DimensionParams,
     check_corollary,
     check_prelude,
     check_theorem_a,
@@ -28,8 +29,6 @@ from parlines.charclass import (
     oracle_umkehr_dual,
     oracle_umkehr_product,
     prop_q_max_degree,
-    q_of,
-    r_of,
 )
 from parlines.cli import main
 from parlines.maps import builtin_map
@@ -76,7 +75,7 @@ def test_separated_pairs_boundary_and_agreement():
     ok = True
     for m in range(1, 65):
         rep = check_theorem_a(m)
-        boundary = (m + 1) == (1 << (r_of(m) - 1))
+        boundary = (m + 1) == (1 << (DimensionParams(m).r - 1))
         ok = ok and rep.passed == (not boundary)
         if boundary:
             with pytest.raises(ValueError):
@@ -108,7 +107,7 @@ def test_prelude_biconditional():
 
 def test_sharpness_top_degree():
     ok = all(
-        prop_q_max_degree(m) == 2 * m + (1 << q_of(m)) for m in range(1, 32)
+        prop_q_max_degree(m) == 2 * m + (1 << DimensionParams(m).q) for m in range(1, 32)
     )
     criterion("prop_q top nonzero degree = 2m + 2^q, m+1 = 2..32", ok)
 
@@ -150,6 +149,15 @@ def test_table_top_sweep_budget():
     rows = out.getvalue().splitlines()[1:-1]
     ok = code == 0 and len(rows) == 1024 and elapsed < 8.0
     criterion("table --m-max 1024 exits 0 in under 8 s", ok, f"{len(rows)} rows, {elapsed:.2f}s")
+    # The top of the accepted range: every m of one r reads one shared table.
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["table", "--m-max", "4096"])
+    elapsed = time.perf_counter() - start
+    rows = out.getvalue().splitlines()[1:-1]
+    ok = code == 0 and len(rows) == 4096 and elapsed < 10.0
+    criterion("table --m-max 4096 exits 0 in under 10 s", ok, f"{len(rows)} rows, {elapsed:.2f}s")
 
 
 def test_product_direct_image_oracle():

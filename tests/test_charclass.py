@@ -18,8 +18,6 @@ from parlines.charclass import (
     DimensionParams,
     all_checks,
     alpha_of,
-    binom_mod2,
-    binom_mod2_negative,
     check_corollary,
     check_prelude,
     check_prop_q,
@@ -33,8 +31,6 @@ from parlines.charclass import (
     oracle_umkehr_dual,
     oracle_umkehr_product,
     prop_q_max_degree,
-    q_of,
-    r_of,
     umkehr_proj_bundle,
     umkehr_px,
     w_minus,
@@ -51,41 +47,32 @@ from parlines.f2ring import (
 )
 from parlines import charclass
 from parlines.charclass import _LINE_BITS, _line_class, _product_rings
-from parlines.charclass import _prop_q_series, _Rows, _series_data
+from parlines.charclass import _INV_TY, _S, _T_S, _W, _inverse_rows, _part, _prop_q_series
 
 
 # -- binomials and dimension bookkeeping --------------------------------------
 
 
-def test_binom_mod2_matches_pascal():
-    for n in range(65):
-        for k in range(65):
-            assert binom_mod2(n, k) == binom2(n, k), (n, k)
-
-
-def test_binom_mod2_rejects_negative():
-    with pytest.raises(ValueError):
-        binom_mod2(-1, 0)
-    with pytest.raises(ValueError):
-        binom_mod2(3, -1)
-    with pytest.raises(ValueError):
-        binom_mod2_negative(0, 2)
-
-
 def test_binom_negative_identity():
-    # C(-a, k) = (-1)^k C(a+k-1, k), so mod 2 they agree.
-    for a in range(1, 13):
-        for k in range(13):
-            assert binom_mod2_negative(a, k) == binom2(a + k - 1, k), (a, k)
-    # C(-1, k) = (-1)^k is odd for every k.
-    assert all(binom_mod2_negative(1, k) == 1 for k in range(20))
+    # Row j of the table is (1+t)^-(j+1), whose t^i coefficient is
+    # C(-(j+1), i) = (-1)^i C(i+j, i); mod 2 the sign drops, and by Lucas
+    # C(i+j, i) is odd iff i and j share no binary digit.
+    for r in range(1, 7):
+        rows = _inverse_rows(r)
+        assert len(rows) == 1 << r
+        for j, row in enumerate(rows):
+            assert row >> (1 << r) == 0
+            for i in range(1 << r):
+                assert row >> i & 1 == binom2(i + j, i) == int(i & j == 0), (r, i, j)
+        # C(-1, i) = (-1)^i is odd for every i, and (1+t)^(2^r) = 1 + t^(2^r).
+        assert rows[0] == (1 << (1 << r)) - 1 and rows[-1] == 1
 
 
 def test_r_q_match_definitions():
     for m in range(301):
-        r = r_of(m)
+        r = DimensionParams(m).r
         assert (1 << (r - 1)) <= m + 1 < (1 << r)
-        q = q_of(m)
+        q = DimensionParams(m).q
         assert (m + 1) % (1 << q) == 0
         assert (m + 1) % (1 << (q + 1)) != 0
 
@@ -121,53 +108,56 @@ def test_dimension_params_validation():
             check(0)
 
 
-# -- series supports: row engine, set engine and Pascal oracle -----------------
+# -- series supports: the row table, set engine and Pascal oracle --------------
 
 
-def row_support(el: _Rows) -> set:
-    """The exponents (i, j, e) present in a row-form element."""
-    return {
-        (i, j, e)
-        for e, rows in enumerate(el.rows)
-        for j, row in enumerate(rows)
-        for i in range(el.m + 1)
-        if row >> i & 1
-    }
+SERIES = {"inv_ty": _INV_TY, "w": _W, "S": _S, "t*S": _T_S}
 
 
-def to_ring(el: _Rows, ring) -> RingElement:
-    """A row-form element as a set-engine element of ``ring_yhat(el.m)``."""
-    assert len(el.rows[0]) == len(el.rows[1]) == el.m + 1
-    assert all(row >> (el.m + 1) == 0 for rows in el.rows for row in rows), "bits past t^m"
-    return RingElement(ring, frozenset(row_support(el)))
+def table_element(m: int, series, ring) -> RingElement:
+    """A series read from the table, as a set-engine element of ``ring_yhat(m)``."""
+    return RingElement(ring, frozenset(e for d in range(3 * m + 2) for e in _part(m, series, d)))
 
 
-def set_engine_series(m: int):
-    """(S, w, inv_ty) through the generic set engine: ring_yhat + invert."""
+def set_engine_series(m: int) -> dict:
+    """The four series through the generic set engine: ring_yhat + invert."""
     ring = ring_yhat(m)
     t, y, x = ring.gens()
     one = ring.one()
     inv_ty = invert(one + t + y)
     w = invert(one + t) * inv_ty
-    return w * (one + x), w, inv_ty
+    s = w * (one + x)
+    return {"inv_ty": inv_ty, "w": w, "S": s, "t*S": t * s}
+
+
+def pascal_series(m: int) -> dict:
+    """The four supports from the Pascal closed form."""
+    w = {(i, j, 0) for i, j in series_inv_ty(m, 2)}
+    s = {(i, j, e) for i, j, _ in w for e in (0, 1)}  # S = w + w*x
+    return {
+        "inv_ty": {(i, j, 0) for i, j in series_inv_ty(m, 1)},
+        "w": w,
+        "S": s,
+        "t*S": {(i + 1, j, e) for i, j, e in s if i < m},
+    }
 
 
 def assert_three_routes_agree(m: int) -> None:
-    _, *rows = _series_data(m)
-    pascal_w = {(i, j, 0) for i, j in series_inv_ty(m, 2)}
-    pascal = (
-        {(i, j, e) for i, j, _ in pascal_w for e in (0, 1)},  # S = w + w*x
-        pascal_w,
-        {(i, j, 0) for i, j in series_inv_ty(m, 1)},
-    )
-    for name, el, ref, closed in zip(("S", "w", "inv_ty"), rows, set_engine_series(m), pascal):
-        assert row_support(el) == set(ref.terms) == closed, (m, name)
+    closed = pascal_series(m)
+    for name, ref in set_engine_series(m).items():
+        by_degree = {}
+        for mo in ref.support():
+            by_degree.setdefault(mo.degree(), []).append(mo.exps)
+        for d in range(3 * m + 2):
+            got = _part(m, SERIES[name], d)
+            assert got == by_degree.get(d, []), (m, name, d)
+            assert set(got) == {e for e in closed[name] if e[0] + 2 * e[1] + e[2] == d}, (m, name, d)
 
 
 @pytest.mark.parametrize("m", [*range(1, 11), 63, 64, 127, 128])
 def test_series_supports_match_oracle(m):
-    _, _, w, inv_ty = _series_data(m)
-    got_inv_ty, got_w = row_support(inv_ty), row_support(w)
+    inv_ty, w = (table_element(m, SERIES[k], ring_yhat(m)) for k in ("inv_ty", "w"))
+    got_inv_ty, got_w = set(inv_ty.terms), set(w.terms)
     assert all(e == 0 for (_, _, e) in got_inv_ty | got_w)
     assert {(i, j) for (i, j, _) in got_inv_ty} == series_inv_ty(m, 1)
     assert {(i, j) for (i, j, _) in got_w} == series_inv_ty(m, 2)
@@ -180,46 +170,59 @@ def test_series_three_routes_random_m(m):
     assert_three_routes_agree(m)
 
 
-@st.composite
-def row_elements(draw):
-    m = draw(st.integers(min_value=1, max_value=8))
-    bits = st.integers(min_value=0, max_value=(1 << (m + 1)) - 1)
-    rows = tuple(
-        tuple(draw(st.lists(bits, min_size=m + 1, max_size=m + 1))) for _ in range(2)
-    )
-    return _Rows(m, rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(row_elements())
-def test_row_ops_match_set_engine(el):
-    # Elements with an x part exercise the x^2 = y + t*x rewrite, which the
-    # series themselves (all x-free until S) barely touch.
-    ring = ring_yhat(el.m)
-    t, y, x = ring.gens()
-    one = ring.one()
-    a = to_ring(el, ring)
-    assert to_ring(el.times_t(), ring) == t * a
-    assert to_ring(el.times_one_plus_x(), ring) == a * (one + x)
-    assert to_ring(el.times_one_plus_t_plus_x(), ring) == a * (one + t + x)
-    for d in range(3 * el.m + 3):
-        assert el.part(d) == [mo.exps for mo in a.homogeneous_part(d).support()], d
-    for i in range(el.m + 2):
-        for j in range(el.m + 2):
-            for e in (0, 1):
-                assert el.coefficient(i, j, e) == int((i, j, e) in a.terms)
-
-
 def test_series_data_internal_identities():
-    ring, s_rows, w_rows, inv_ty_rows = _series_data(6)
-    s, w, inv_ty = (to_ring(el, ring) for el in (s_rows, w_rows, inv_ty_rows))
+    m = 6
+    ring = ring_yhat(m)
+    s, w, inv_ty, t_s = (table_element(m, SERIES[k], ring) for k in ("S", "w", "inv_ty", "t*S"))
     one = ring.one()
     t, y, x = ring.gens()
     assert s == w * (one + x)
     assert inv_ty * (one + t + y) == one
     assert w * (one + t) * (one + t + y) == one
-    assert s_rows == w_rows.times_one_plus_x()
-    assert to_ring(s_rows.times_t(), ring) == t * s
+    assert inv_ty * (one + x) * (one + t + x) == one
+    assert t_s == t * s
+
+
+def test_every_m_of_one_r_reads_one_table():
+    _inverse_rows.cache_clear()
+    try:
+        for m in range(63, 127):  # r = 7: 64 <= m+1 < 128
+            all_checks(m)
+        info = _inverse_rows.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
+        # A long sweep keeps the cache bounded.
+        for m in (1, 2, 5, 10, 20, 40, 80, 160):
+            check_corollary(m)
+        info = _inverse_rows.cache_info()
+        assert info.currsize <= info.maxsize
+    finally:
+        _inverse_rows.cache_clear()
+
+
+def test_reports_read_no_bit_past_t_m(monkeypatch):
+    # Setting every table bit above t^m must leave all reports of m as they are.
+    for m in (1, 2, 3, 6, 12, 63, 64):
+        want = all_checks(m)
+        rows = _inverse_rows(DimensionParams(m).r)
+        junk = ((1 << len(rows)) - 1) ^ ((1 << (m + 1)) - 1)
+        monkeypatch.setattr(charclass, "_inverse_rows", lambda r, rows=rows: tuple(u | junk for u in rows))
+        assert all_checks(m) == want, m
+        monkeypatch.undo()
+
+
+def test_corrupted_table_fails_the_multiply_back(monkeypatch):
+    right = charclass._prefix_xor
+    for flip in (1, 1 << 5):
+        monkeypatch.setattr(charclass, "_prefix_xor", lambda a, width, flip=flip: right(a, width) ^ flip)
+        _inverse_rows.cache_clear()
+        try:
+            with pytest.raises(RingError, match="series routes for the inverse class disagree"):
+                check_theorem_b(20)
+        finally:
+            monkeypatch.undo()
+            _inverse_rows.cache_clear()
+    assert check_theorem_b(20).passed
 
 
 # -- the non-vanishing checks --------------------------------------------------
@@ -238,7 +241,7 @@ def test_prelude_iff_n_le_m():
 def test_theorem_b_sweep():
     for m in range(1, 25):
         rep = check_theorem_b(m)
-        r = r_of(m)
+        r = DimensionParams(m).r
         e = (1 << r) - m - 2
         assert 0 <= e <= m
         assert rep.passed
@@ -255,7 +258,7 @@ def test_theorem_b_sweep():
 def test_theorem_a_boundary_pattern():
     for m in range(1, 25):
         rep = check_theorem_a(m)
-        boundary = (m + 1) == (1 << (r_of(m) - 1))
+        boundary = (m + 1) == (1 << (DimensionParams(m).r - 1))
         assert rep.passed == (not boundary), m
         assert ("not applicable" in rep.detail) == boundary
         # Off the boundary the key is t * (the corollary's key) x; on it,
@@ -265,7 +268,7 @@ def test_theorem_a_boundary_pattern():
 
 def test_theorem_a_v2_agrees_off_boundary():
     for m in range(1, 25):
-        boundary = (m + 1) == (1 << (r_of(m) - 1))
+        boundary = (m + 1) == (1 << (DimensionParams(m).r - 1))
         if boundary:
             with pytest.raises(ValueError):
                 check_theorem_a_v2(m)
@@ -273,7 +276,7 @@ def test_theorem_a_v2_agrees_off_boundary():
         rep = check_theorem_a_v2(m)
         assert rep.passed and rep.key_coefficient == 1
         assert rep.passed == check_theorem_a(m).passed
-        e1 = (1 << r_of(m)) - m - 1
+        e1 = (1 << DimensionParams(m).r) - m - 1
         assert (e1, m) in series_inv_ty(m, 1)
 
 
@@ -281,7 +284,7 @@ def test_corollary_sweep():
     for m in range(1, 25):
         rep = check_corollary(m)
         assert rep.passed and rep.key_coefficient == 1
-        e = (1 << r_of(m)) - m - 2
+        e = (1 << DimensionParams(m).r) - m - 2
         assert (e, m) in series_inv_ty(m, 2)
 
 
@@ -289,7 +292,7 @@ def test_prop_q_support_is_full_rectangle():
     # x0 = t0 + s turns (1+t0)^-1 (1+t0+x0)^-1 into (1+t0)^-1 (1+s)^-1,
     # whose support is every t0^i s^j with i < 2^q and j < 2m+2.
     for m in range(1, 13):
-        q = q_of(m)
+        q = DimensionParams(m).q
         ring = ring_y0(q, m)
         t0, s = ring.gens()
         one = ring.one()
@@ -303,7 +306,7 @@ def test_prop_q_support_is_full_rectangle():
 
 def test_prop_q_rows_match_set_engine():
     for m in range(1, 65):
-        q = q_of(m)
+        q = DimensionParams(m).q
         ring = ring_y0(q, m)
         t0, s = ring.gens()
         one = ring.one()
@@ -324,7 +327,7 @@ def test_prop_q_rows_match_set_engine():
 
 def test_check_prop_q_iff_below_bound():
     for m in (1, 2, 3, 6, 7):
-        bound = 2 * m + (1 << q_of(m))
+        bound = 2 * m + (1 << DimensionParams(m).q)
         for n in range(bound + 3):
             rep = check_prop_q(m, n)
             assert rep.passed == (n <= bound), (m, n)
@@ -342,7 +345,7 @@ def test_hurwitz_radon_frozen_values():
 
 def test_alpha_at_most_q():
     for m in range(301):
-        assert alpha_of(m) <= q_of(m)
+        assert alpha_of(m) <= DimensionParams(m).q
 
 
 def test_hurwitz_comparison_keys():

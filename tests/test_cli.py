@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from parlines import charclass, cli
 from parlines.charclass import DimensionParams, all_checks
 from parlines.cli import main
 from parlines.jsonio import canonical_json
-from parlines.maps import MapDescriptor, eval_map, map_digest
+from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
 from parlines.witness import Configuration, collinear_residual, record_points
 
 
@@ -421,14 +423,14 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, content):
     assert lines[-1]["manifest"]["outcome"].startswith("invalid input: ")
 
 
-def _overflow_map(power: int) -> dict:
-    # R^2 -> R^5 with first coordinate 1e308 (x^p + y^p): finite values, but
+def _overflow_map(power: int, coeff: float = 1e308) -> dict:
+    # R^2 -> R^5 with first coordinate coeff (x^p + y^p): finite values, but
     # chord norms, or near the unit circle the images, overflow.
     return {
         "domain_dim": 2,
         "codomain_dim": 5,
         "coords": [
-            [{"c": 1e308, "e": [power, 0]}, {"c": 1e308, "e": [0, power]}],
+            [{"c": coeff, "e": [power, 0]}, {"c": coeff, "e": [0, power]}],
             [{"c": 1.0, "e": [1, 0]}],
             [{"c": 1.0, "e": [0, 1]}],
             [{"c": 1.0, "e": [1, 1]}],
@@ -437,13 +439,38 @@ def _overflow_map(power: int) -> dict:
     }
 
 
+def exact_parallel_residual(f: MapDescriptor, pts) -> Fraction:
+    """The parallel residual of the chords f(p1)-f(p0), f(p3)-f(p2), in
+    rational arithmetic: floats are rationals, and the map a polynomial."""
+    def image(p):
+        return [sum(Fraction(c) * math.prod(Fraction(x) ** e for x, e in zip(p, exps))
+                    for c, exps in coord) for coord in f.coords]
+
+    q = [image(p) for p in pts]
+    a = [y - x for x, y in zip(q[0], q[1])]
+    b = [y - x for x, y in zip(q[2], q[3])]
+    a2, b2, ab = (sum(s * t for s, t in zip(u, v)) for u, v in ((a, a), (b, b), (a, b)))
+    return (a2 * b2 - ab * ab) / (a2 * b2)
+
+
 def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
+    # The chords of _overflow_map(2) are finite, but their squared norms
+    # overflow.  Scaled by their largest entries they give the true
+    # residual: the case b record's float residual is 0, and its exact one
+    # is below 1e-600, so the 0 is no overflow clamped to 0.
     path = write_json(tmp_path / "map.json", _overflow_map(2))
+    out = str(tmp_path / "found.json")
     code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "b",
-                             "--restarts", "3")
-    assert code == 2
-    assert lines[1]["error"].startswith("no configuration tried has a finite residual")
-    # The record an overflow clamped to 0 used to produce and pass.
+                             "--restarts", "3", "--out", out)
+    assert code == 0
+    rec = lines[1]
+    assert rec["found"] is True and rec["residual"] <= 1e-10
+    f = MapDescriptor.from_json_dict(_overflow_map(2))
+    assert exact_parallel_residual(f, rec["points"]) < Fraction(1, 10**600)
+    code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", out)
+    assert code == 0 and lines[0]["passed"] is True
+    # Images beyond the float range still give NaN, never 0: at 1.5e308 the
+    # first two points of this record overflow to inf.
     false_witness = {
         "case": "parallel_b", "found": True,
         "points": [[-0.83563077822540421, 0.82306917254444234],
@@ -455,9 +482,12 @@ def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
         "config": {"x": [0.68941379762428523, -0.72436773509403429],
                    "u": [0.6992422635909683, 0.11453466756411267],
                    "v": [-0.58486792240447594, 0.39480574980163219], "delta": 0.25},
-        "map_digest": "865c4c8f8be776836bba72f7fcd43d262be3427ea727c4bf1ec3ec21f0162e73",
+        "map_digest": "",
         "seed": 0, "restarts_used": 1,
     }
+    huge = _overflow_map(2, 1.5e308)
+    path = write_json(tmp_path / "huge.json", huge)
+    false_witness["map_digest"] = map_digest(MapDescriptor.from_json_dict(huge))
     record = write_json(tmp_path / "rec.json", false_witness)
     code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", record)
     assert code == 1
@@ -466,6 +496,23 @@ def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
     assert report["checks"]["digest_matches"] is True
     assert report["checks"]["residual_within_tol"] is False
     assert any("not finite" in msg for msg in report["messages"])
+
+
+def test_case_b_on_a_map_beyond_1e154(tmp_path, capsys):
+    # random_poly(1, 4, 3) with every coefficient times 1e160: the squared
+    # chord norms overflow, yet the search finds and verifies a witness.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    big = {"domain_dim": 2, "codomain_dim": 5, "coords": [
+        [{"c": c * 1e160, "e": list(e)} for c, e in coord] for coord in f.coords]}
+    path = write_json(tmp_path / "map.json", big)
+    out = str(tmp_path / "rec.json")
+    code, lines, _ = run_cli(capsys, "find-witness", "--map", path, "--case", "b",
+                             "--seed", "7", "--out", out)
+    assert code == 0
+    rec = lines[1]
+    assert rec["found"] is True and rec["residual"] <= 1e-10
+    code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", out)
+    assert code == 0 and lines[0]["passed"] is True
 
 
 def test_overflowing_images_do_not_abort_the_search(tmp_path, capsys):
@@ -500,6 +547,17 @@ def test_find_1d_parabola_cli(capsys):
     assert rec["case"] == "line_1d" and rec["found"]
     xs = [p[0] for p in rec["points"]]
     assert xs[0] < xs[2] < xs[3] < xs[1]
+
+
+@pytest.mark.parametrize("coeff", [1e160, 1e200, 1e307])
+def test_find_1d_maps_beyond_1e154(tmp_path, capsys, coeff):
+    # Their squared images overflow; unscaled, 1e307 * t gave overflow
+    # warnings and 1e200 * t a non-finite residual.
+    path = write_json(tmp_path / "map.json",
+                      {"coords": [[{"c": coeff, "e": [1]}], [{"c": 1.0, "e": [2]}]]})
+    code, lines, _ = run_cli(capsys, "find-1d", "--map", path)
+    assert code == 0
+    assert lines[0]["found"] is True and lines[0]["residual"] == 0
 
 
 def test_find_1d_ambiguity_exit_code(tmp_path, capsys):

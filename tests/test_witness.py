@@ -210,12 +210,16 @@ def test_residual_kernel_bitwise_equals_one_row_formulas(d, c, seed, rows, case)
 def test_non_finite_residuals_are_nan_not_zero():
     # Overflowing norms used to be clamped to 0, a false witness; an SVD of
     # inf or NaN used to abort the search.  No warning may escape either.
-    assert math.isnan(parallel_residual([1e200, 0.0], [1e200, 1.0]))
     assert math.isnan(parallel_residual([math.inf, 0.0], [1.0, 0.0]))
     assert math.isnan(parallel_residual([math.nan, 0.0], [0.0, 0.0]))
-    # A zero chord gives 0, unless the other chord's norm overflows.
+    # Finite chords whose squared norms overflow are scaled first and get
+    # their true residual: these meet at angles 1e-200, 90 and 45 degrees.
+    assert parallel_residual([1e200, 0.0], [1e200, 1.0]) == 0.0
+    assert parallel_residual([1e200, 0.0], [0.0, 1e200]) == 1.0
+    assert parallel_residual([1e200, 1e200], [1e200, 0.0]) == 0.5
+    # A zero chord gives 0, also where the other chord's norm overflows.
     assert parallel_residual([0.0, 0.0], [1e150, 1.0]) == 0.0
-    assert math.isnan(parallel_residual([0.0, 0.0], [1e200, 1.0]))
+    assert parallel_residual([0.0, 0.0], [1e200, 1.0]) == 0.0
     q = np.eye(4)[:, :3]
     assert math.isnan(collinear_residual(q[0], q[1], q[2], [math.inf, 0.0, 0.0]))
     # Finite images whose difference overflows.
@@ -243,6 +247,25 @@ def test_lin_dep_residual_survives_overflowing_norms():
     got = _residual_from_points("linear_dependence", big, pts)
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_parallel_residual_survives_overflowing_norms():
+    # As for lindep: scaling by 2**600 is exact, and the squared chord norms
+    # overflow; scaled by their largest entries, the chords give the
+    # residual of the unscaled map.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    big = MapDescriptor(f.domain_dim, f.codomain_dim,
+                        tuple(tuple((c * 2.0**600, e) for c, e in coord) for coord in f.coords))
+    pts = np.random.default_rng(5).standard_normal((20, 4, 2))
+    pts[::5, 3] = pts[::5, 2]  # a zero chord, residual 0
+    with np.errstate(over="ignore"):
+        imgs = eval_map(big, pts[1])
+        assert not np.isfinite(np.linalg.norm(imgs[1::2] - imgs[::2], axis=1)).any()
+    for case in ("parallel_b", "parallel_a"):
+        want = _residual_from_points(case, f, pts)
+        got = _residual_from_points(case, big, pts)
+        assert np.isfinite(got).all() and (got[::5] == 0).all()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # -- configurations -------------------------------------------------------------
@@ -961,6 +984,21 @@ def test_find_1d_overflowing_map_is_invalid_input():
         {"coords": [[{"c": 1e308, "e": [3]}], [{"c": 1.0, "e": [2]}]]})
     with pytest.raises(ValueError, match="the map's values overflow the float range"):
         find_1d(f, (-2.0, 2.0))
+
+
+@pytest.mark.parametrize("power", [600, 1000])
+def test_find_1d_huge_images_scale_exactly(power):
+    # Images beyond 1e154 are scaled by a power of two, which is exact: the
+    # points are those of the unscaled map bit for bit, and no overflow
+    # warning escapes (filterwarnings = error would raise it).
+    f = MapDescriptor.from_json_dict(
+        {"coords": [[{"c": 1.0, "e": [1]}, {"c": 0.3, "e": [3]}], [{"c": 1.0, "e": [2]}]]})
+    big = MapDescriptor(1, 2, tuple(tuple((c * 2.0**power, e) for c, e in coord)
+                                    for coord in f.coords))
+    want, got = find_1d(f, (-1.0, 1.5)), find_1d(big, (-1.0, 1.5))
+    assert got.found and want.found
+    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+    assert got.residual == pytest.approx(want.residual, abs=1e-12)
 
 
 def test_find_1d_validation():
