@@ -8,14 +8,14 @@ the key monomial whose coefficient carries the statement, and the witness
 monomials found.  The reports feed both the test suite and the command line.
 
 The series behind the theorem, corollary and sharpness checks are read
-from bit-packed rows instead of the generic set engine: one Python int per
+from bit-packed rows instead of the generic ring engine: one Python int per
 row, bit ``i`` standing for ``t^i``, so that ``(1+t)^-1`` is a prefix XOR
 and a coefficient is one bit test.  The four t,y,x checks share one table
 per r, the rows ``(1+t)^-(j+1)`` truncated at ``t^(2^r)``, which every m
 with that r reads below ``t^(m+1)``; the table is cross-checked once, by
-multiplying it back.  The set engine remains the route of the prelude and
-the oracles, and the reference the tests hold the table to, beside the
-Pascal triangle mod 2.
+multiplying it back.  The generic ring engine remains the route of the
+prelude and the oracles, and the reference the tests hold the table to,
+beside the Pascal triangle mod 2.
 
 The two ``oracle_*`` functions re-derive direct-image (Umkehr) formulas used
 by the checks from brute-force expansions in explicit product rings, so that
@@ -152,14 +152,9 @@ def _gen_power_coefficient(
     p: RingElement, gen: str, power: int
 ) -> RingElement:
     """Coefficient of gen**power in an extension ring, as a base element."""
-    ring = p.ring
-    base = ring.base
-    if base is None:
-        raise RingError("element does not live in an extension ring")
-    if ring.gen_names[-1] != gen or len(ring.gen_names) != len(base.gen_names) + 1:
-        raise RingError(f"{ring.name} is not an extension by {gen!r}")
-    i = len(base.gen_names)
-    return ring._lower_to_base(t for t in p.terms if t[i] == power)
+    if p.ring.gen_names[-1] != gen:
+        raise RingError(f"{p.ring.name} is not an extension by {gen!r}")
+    return p.ring.base_coefficient(p, power)
 
 
 def umkehr_px(p: RingElement, n: int) -> RingElement:
@@ -201,9 +196,8 @@ class VerificationReport:
 
 
 def _coeff_raw(p: RingElement, mono: Monomial) -> int:
-    # Membership query without the normal-form gate; a non-basis monomial
-    # simply has coefficient 0.
-    return int(mono.exps in p.terms)
+    # A monomial outside the basis (truncated away) has coefficient 0.
+    return p.coefficient(mono) if p.ring._is_normal_mono(mono.exps) else 0
 
 
 def _witnesses(ring: RingPresentation, part: list, limit: int = 6) -> str:

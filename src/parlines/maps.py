@@ -74,7 +74,8 @@ class MapDescriptor:
             self._powers = exps[0]
             self._columns = (np.zeros(1, dtype=np.intp),)
         else:
-            self._powers = np.union1d(0, exps)
+            # np.union1d would import numpy.ma on the first map built.
+            self._powers = np.array(sorted({0}.union(*exp_rows)), dtype=np.int64)
             self._columns = tuple(
                 k * self._powers.size + np.searchsorted(self._powers, exps[:, k])
                 for k in range(self.domain_dim)

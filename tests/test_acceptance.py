@@ -138,9 +138,27 @@ def test_verify_classes_top_of_cli_range():
     )
 
 
+def test_verify_classes_sweep_budget():
+    # Each m's prelude inverts 1 + t in P^m on the ring engine, by squaring.
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-classes", "--m-max", "1024"])
+    elapsed = time.perf_counter() - start
+    checks = [rep for rep in map(json.loads, out.getvalue().splitlines()) if "check" in rep]
+    ok = code == 0 and len(checks) == 6 * 1024 and elapsed < 8.0 and all(
+        rep["passed"] == expected_outcome(rep["check"], rep["m"]) for rep in checks
+    )
+    criterion(
+        "verify-classes --m-max 1024 exits 0 in under 8 s",
+        ok,
+        f"{len(checks)} reports, {elapsed:.2f}s",
+    )
+
+
 def test_table_top_sweep_budget():
     # table prints four columns per m, so it must not pay for the reports it
-    # leaves out (the prelude's set-engine inverse above all).
+    # leaves out (the prelude's ring-engine inverse above all).
     start = time.perf_counter()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -108,19 +108,19 @@ def test_dimension_params_validation():
             check(0)
 
 
-# -- series supports: the row table, set engine and Pascal oracle --------------
+# -- series supports: the row table, ring engine and Pascal oracle -------------
 
 
 SERIES = {"inv_ty": _INV_TY, "w": _W, "S": _S, "t*S": _T_S}
 
 
 def table_element(m: int, series, ring) -> RingElement:
-    """A series read from the table, as a set-engine element of ``ring_yhat(m)``."""
-    return RingElement(ring, frozenset(e for d in range(3 * m + 2) for e in _part(m, series, d)))
+    """A series read from the table, as an element of ``ring_yhat(m)``."""
+    return ring._element_from(e for d in range(3 * m + 2) for e in _part(m, series, d))
 
 
 def set_engine_series(m: int) -> dict:
-    """The four series through the generic set engine: ring_yhat + invert."""
+    """The four series through the generic ring engine: ring_yhat + invert."""
     ring = ring_yhat(m)
     t, y, x = ring.gens()
     one = ring.one()
@@ -479,6 +479,17 @@ def test_umkehr_px_examples():
     assert umkehr_px(u * x, 3) == base.zero()
     with pytest.raises(RingError):
         umkehr_px(base.gen("u"), 3)  # not an extension-ring element
+    # Base generators of two radices: the direct image reads x's digit alone.
+    base = ring_truncated("B", [("u", 1, 3), ("v", 2, 2)])
+    ring_x = ring_adjoin_x(base, 4)
+    u, v, x = ring_x.gens()
+    p = u * x ** 2 + v * x ** 2 + x ** 4 + u * u * v
+    assert umkehr_px(p, 2) == base.gen("u") + base.gen("v")
+    assert umkehr_px(p, 4) == base.one()
+    assert umkehr_px(p, 1) == base.zero()
+    assert ring_x.base_coefficient(p, 0) == base.gen("u") ** 2 * base.gen("v")
+    with pytest.raises(RingError):
+        base.base_coefficient(base.gen("u"), 0)  # base is not an extension
 
 
 def test_euler_class_of_tensor():

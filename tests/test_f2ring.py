@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parlines.charclass import _product_rings
 from parlines.f2ring import (
+    Monomial,
     RingError,
+    RingPresentation,
     invert,
     ring_adjoin_x,
     ring_proj_bundle,
@@ -289,6 +295,11 @@ def _with_dead_gen():
         lambda: ring_adjoin_x(ring_truncated("P2xP3", [("t1", 1, 3), ("t2", 1, 4)]), 4),
         lambda: ring_yhat(3),
         _bundle_then_x,
+        # The oracles' rings: P^3 x P^2 [x;5], and the W_4 projective bundle.
+        lambda: _product_rings(3, 2, 5)[1][(1, 1)].ring,
+        lambda: ring_proj_bundle(
+            *(lambda b: (b, *b.gens()))(ring_truncated("W4", [("w1", 1, 4), ("w2", 2, 4)]))
+        ),
     ],
 )
 def test_mul_matches_normal_form_route(make):
@@ -337,3 +348,120 @@ def test_lift_from_base_is_multiplicative():
     assert lift(base.one()) == ring.one()
     with pytest.raises(RingError):
         base.lift_from_base(t)
+
+
+# -- the packed layout against the tuple route ----------------------------------
+
+
+def _mono_degree(ring, exps):
+    return sum(e * d for e, d in zip(exps, ring.gen_degrees))
+
+
+@st.composite
+def small_rings(draw):
+    """A ring of 1-3 generators, each truncated at a bound 1..6, except at
+    most one that takes a random rewrite of its square instead."""
+    k = draw(st.integers(1, 3))
+    degrees = [draw(st.integers(1, 3)) for _ in range(k)]
+    bounds = [draw(st.integers(1, 6)) for _ in range(k)]
+    names = ["a", "b", "c"][:k]
+    rewrite_at = draw(st.sampled_from([None, *range(k)]))
+    rewrites = {}
+    if rewrite_at is not None:
+        want = 2 * degrees[rewrite_at]
+        candidates = [
+            exps
+            for exps in itertools.product(*(range(want // d + 1) for d in degrees))
+            if exps[rewrite_at] <= 1 and sum(e * d for e, d in zip(exps, degrees)) == want
+        ]
+        terms = st.lists(st.sampled_from(candidates), max_size=4) if candidates else st.just([])
+        rewrites[names[rewrite_at]] = draw(terms)
+    ring = RingPresentation(
+        "R",
+        list(zip(names, degrees)),
+        truncations={n: b for i, (n, b) in enumerate(zip(names, bounds)) if i != rewrite_at},
+        rewrites=rewrites,
+    )
+    return ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_engine_matches_tuple_route(data):
+    ring = data.draw(small_rings())
+    basis = [mo.exps for mo in ring.basis()]
+    pick = st.sets(st.sampled_from(basis), max_size=len(basis))
+    left, right = data.draw(pick), data.draw(pick)
+    p = ring._element_from(left)
+    q = ring._element_from(right)
+    assert p.terms == left and q.terms == right
+    # The product: every pair's raw monomial through _reduce_mono, by tuples.
+    want = set()
+    for a in left:
+        for b in right:
+            want ^= ring._reduce_mono(tuple(x + y for x, y in zip(a, b)))
+    assert (p * q).terms == want
+    for d in range(-1, ring.top_degree() + 2):
+        assert p.homogeneous_part(d).terms == {e for e in left if _mono_degree(ring, e) == d}
+    for exps in basis:
+        assert p.coefficient(Monomial(ring, exps)) == (exps in left)
+    ordered = sorted(left, key=lambda e: (_mono_degree(ring, e), e))
+    assert [mo.exps for mo in p.support()] == ordered
+    assert p.max_nonzero_degree() == max((_mono_degree(ring, e) for e in left), default=-1)
+
+
+def test_building_a_large_ring_allocates_nothing_ring_sized():
+    # At m = 4096 the rewrite x^2 = y + t*x reaches bit 1.3e8 of the packed
+    # layout: building the ring, and naming its monomials, must not pack it.
+    tracemalloc.start()
+    try:
+        ring = ring_yhat(4096)
+        assert str(ring.monomial(t=4096, y=4096, x=1)) == "t^4096*y^4096*x"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_every_generator_needs_exactly_one_relation():
+    with pytest.raises(RingError, match="truncation or a rewrite"):
+        RingPresentation("U", [("a", 1), ("b", 1)], truncations={"a": 3})
+    with pytest.raises(RingError, match="truncation or a rewrite"):
+        RingPresentation(
+            "U", [("a", 1), ("b", 2)], truncations={"a": 3, "b": 2}, rewrites={"a": [(0, 1)]}
+        )
+    with pytest.raises(RingError, match="unknown generators"):
+        RingPresentation("U", [("a", 1)], truncations={"a": 3}, rewrites={"z": []})
+    with pytest.raises(RingError, match="lower the generator"):
+        RingPresentation("U", [("a", 1), ("b", 2)], truncations={"b": 2}, rewrites={"a": [(2, 0)]})
+    with pytest.raises(RingError, match="wrong degree"):
+        RingPresentation("U", [("a", 1), ("b", 2)], truncations={"b": 2}, rewrites={"a": [(1, 0)]})
+
+
+def test_rewrites_that_could_cycle_are_rejected():
+    # a^2 -> a*b and b^2 -> a*b would rewrite a^2*b -> a*b^2 -> a^2*b forever.
+    with pytest.raises(RingError, match="later rewrite generator"):
+        RingPresentation("C", [("a", 1), ("b", 1)], rewrites={"a": [(1, 1)], "b": [(1, 1)]})
+    # A rewrite may use an earlier rewrite generator: s^2 = w^2, t^2 = s*t + w*s.
+    ring = RingPresentation(
+        "D",
+        [("w", 1), ("s", 1), ("t", 1)],
+        truncations={"w": 4},
+        rewrites={"s": [(2, 0, 0)], "t": [(0, 1, 1), (1, 1, 0)]},
+    )
+    w, s, t = ring.gens()
+    assert t * t == s * t + w * s
+    assert (t * t) * (t * s) == t * (t * (t * s))
+
+
+def test_base_must_be_a_prefix_with_the_same_relations():
+    base = ring_projective(3)
+    ok = RingPresentation("E", [("t", 1), ("x", 1)], truncations={"t": 4, "x": 3}, base=base)
+    assert ok.lift_from_base(base.gen("t") ** 2) == ok.gen("t") ** 2
+    for gens, trunc in (
+        ([("t", 1), ("x", 1)], {"t": 5, "x": 3}),  # another bound for t
+        ([("x", 1), ("t", 1)], {"t": 4, "x": 3}),  # t not first
+        ([("t", 2), ("x", 1)], {"t": 4, "x": 3}),  # another degree for t
+    ):
+        with pytest.raises(RingError, match="must come first"):
+            RingPresentation("E", gens, truncations=trunc, base=base)

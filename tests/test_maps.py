@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from conftest import reference_eval_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parlines
 from parlines.jsonio import canonical_json
 from parlines.maps import (
     BUILTIN_NAMES,
@@ -298,3 +302,26 @@ def test_from_json_rejects_malformed():
                                       "codomain_dim": 1})
     with pytest.raises(ValueError):
         MapDescriptor.from_json_dict({"builtin": "nonesuch"})
+
+
+_NO_MASKED_ARRAYS_SCRIPT = """
+import sys
+import numpy as np
+from parlines.maps import builtin_map, eval_map
+f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+g = builtin_map("parabola")
+eval_map(f, np.zeros((3, 2)))
+eval_map(g, np.zeros((3, 1)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_building_maps_imports_no_masked_arrays():
+    # np.union1d goes through np.unique, which imports numpy.ma: about 15 ms
+    # per witness command.  A fresh interpreter, as the tests load numpy.ma.
+    src = str(Path(parlines.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
