@@ -15,7 +15,9 @@ per r, the rows ``(1+t)^-(j+1)`` truncated at ``t^(2^r)``, which every m
 with that r reads below ``t^(m+1)``; the table is cross-checked once, by
 multiplying it back.  The generic ring engine remains the route of the
 prelude and the oracles, and the reference the tests hold the table to,
-beside the Pascal triangle mod 2.
+beside the Pascal triangle mod 2.  One builder, ``_report``, makes every
+report and names its monomials straight from exponent tuples, so no check
+but the prelude builds a ring.
 
 The two ``oracle_*`` functions re-derive direct-image (Umkehr) formulas used
 by the checks from brute-force expansions in explicit product rings, so that
@@ -28,18 +30,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .f2ring import (
-    Monomial,
     RingElement,
     RingError,
     RingPresentation,
     invert,
+    monomial_name,
     ring_adjoin_x,
     ring_proj_bundle,
     ring_projective,
     ring_truncated,
-    ring_y0,
-    ring_yhat,
 )
+# Unused here: clibench's tracer wraps ring builders by their name in this module.
+from .f2ring import ring_y0, ring_yhat  # noqa: F401
 
 __all__ = [
     "DimensionParams",
@@ -195,16 +197,31 @@ class VerificationReport:
         }
 
 
-def _coeff_raw(p: RingElement, mono: Monomial) -> int:
-    # A monomial outside the basis (truncated away) has coefficient 0.
-    return p.coefficient(mono) if p.ring._is_normal_mono(mono.exps) else 0
+def _report(
+    check: str, m: int, n: int, names: tuple[str, ...], key: tuple[int, ...] | None,
+    coeff: int, passed: bool, detail: str,
+) -> VerificationReport:
+    """The report of one check at m; ``key`` holds the key monomial's
+    exponents, aligned with ``names``, or None where there is no key."""
+    p = DimensionParams(m)
+    return VerificationReport(
+        check=check,
+        m=m,
+        r=p.r,
+        q=p.q,
+        n=n,
+        key_monomial="" if key is None else monomial_name(names, key),
+        key_coefficient=coeff,
+        passed=passed,
+        detail=detail,
+    )
 
 
-def _witnesses(ring: RingPresentation, part: list, limit: int = 6) -> str:
+def _witnesses(names: tuple[str, ...], part: list, limit: int = 6) -> str:
     """The first ``limit`` exponent tuples of a graded part, printed."""
     if not part:
         return "none"
-    monos = [str(Monomial(ring, exps)) for exps in part[:limit]]
+    monos = [monomial_name(names, exps) for exps in part[:limit]]
     if len(part) > limit:
         monos.append(f"... ({len(part)} total)")
     return ", ".join(monos)
@@ -250,7 +267,8 @@ def _inverse_rows(r: int) -> tuple[int, ...]:
 
 
 # A series read from the table, as (row, shift, x_exp): the element
-# t^shift (sum_j u_(j+row) y^j) (1+x)^x_exp.
+# t^shift (sum_j u_(j+row) y^j) (1+x)^x_exp, in the generators _TYX.
+_TYX = ("t", "y", "x")
 _INV_TY = (0, 0, 0)
 _W = (1, 0, 0)
 _S = (1, 0, 1)
@@ -279,24 +297,12 @@ def check_prelude(m: int, n: int) -> VerificationReport:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    p = DimensionParams(m)
     ring = ring_projective(m)
-    t = ring.gen("t")
-    w = invert(ring.one() + t)
-    part = w.homogeneous_part(n)
-    key = ring.monomial(t=n)
-    expected = n <= m
-    return VerificationReport(
-        check="prelude",
-        m=m,
-        r=p.r,
-        q=p.q,
-        n=n,
-        key_monomial=str(key),
-        key_coefficient=_coeff_raw(w, key),
-        passed=bool(part),
-        detail=f"expected nonzero iff n <= m (here {expected}); "
-        f"witnesses: {_witnesses(ring, [mo.exps for mo in part.support()])}",
+    w = invert(ring.one() + ring.gen("t"))
+    part = [mo.exps for mo in w.homogeneous_part(n).support()]
+    return _report(
+        "prelude", m, n, ("t",), (n,), int((n,) in part), bool(part),
+        f"expected nonzero iff n <= m (here {n <= m}); witnesses: {_witnesses(('t',), part)}",
     )
 
 
@@ -306,26 +312,18 @@ def _series_report(
     """The report of one series check, which passes when the key
     t^(n-2m-1+t_offset) y^m x^x_exp of ``series`` has coefficient 1 and the
     part in the key's own degree, n-1+t_offset+x_exp, is nonzero (as the
-    key alone already makes it).  ``ring_yhat(m)`` names the monomials."""
+    key alone already makes it)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = DimensionParams(m)
-    ring = ring_yhat(m)
+    n = DimensionParams(m).n
     x_exp = series[2]
-    key = ring.monomial(t=p.n - 2 * m - 1 + t_offset, y=m, x=x_exp)
-    degree = p.n - 1 + t_offset + x_exp
+    key = (n - 2 * m - 1 + t_offset, m, x_exp)
+    degree = n - 1 + t_offset + x_exp
     part = _part(m, series, degree)
-    coeff = int(key.exps in part)
-    return VerificationReport(
-        check=check,
-        m=m,
-        r=p.r,
-        q=p.q,
-        n=p.n,
-        key_monomial=str(key),
-        key_coefficient=coeff,
-        passed=bool(part) and coeff == 1,
-        detail=f"witnesses in degree {degree}: {_witnesses(ring, part)}",
+    coeff = int(key in part)
+    return _report(
+        check, m, n, _TYX, key, coeff, bool(part) and coeff == 1,
+        f"witnesses in degree {degree}: {_witnesses(_TYX, part)}",
     )
 
 
@@ -378,16 +376,14 @@ def check_corollary(m: int) -> VerificationReport:
 
 
 @lru_cache(maxsize=4)
-def _prop_q_series(m: int) -> tuple[RingPresentation, tuple[int, ...]]:
-    """(ring, w) with w = (1+t0)^-1 (1+t0+x0)^-1 in ``ring = ring_y0(q, m)``,
-    in row form: row a is the polynomial in s multiplying t0^a (a < 2^q),
-    bit b standing for s^b.
+def _prop_q_series(m: int) -> tuple[int, ...]:
+    """w = (1+t0)^-1 (1+t0+x0)^-1 in ``ring_y0(q, m)``, in row form: row a
+    is the polynomial in s multiplying t0^a (a < 2^q), bit b standing for s^b.
 
     There t0 + x0 = s, so w = (1+t0)^-1 (1+s)^-1.  (1+s)^-1 is one row of
     2m+2 bits, and (1+t0)^-1 = sum_a t0^a copies it into every row.
     """
-    q = DimensionParams(m).q
-    return ring_y0(q, m), (_prefix_xor(1, 2 * m + 2),) * (1 << q)
+    return (_prefix_xor(1, 2 * m + 2),) * (1 << DimensionParams(m).q)
 
 
 def _top_degree(rows: tuple[int, ...]) -> int:
@@ -405,25 +401,18 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
     """
     if m < 1 or n < 0:
         raise ValueError("m must be >= 1 and n >= 0")
-    p = DimensionParams(m)
-    q = p.q
-    ring, rows = _prop_q_series(m)
+    q = DimensionParams(m).q
+    rows = _prop_q_series(m)
     bound = 2 * m + (1 << q)
     top = _top_degree(rows)
     first = next(
         ((a, n - a) for a, row in enumerate(rows[: n + 1]) if row >> (n - a) & 1), None
     )
     hc = hurwitz_comparison(m)
-    return VerificationReport(
-        check="prop_q",
-        m=m,
-        r=p.r,
-        q=q,
-        n=n,
-        key_monomial=str(Monomial(ring, first)) if first is not None else "",
-        key_coefficient=1 if first is not None else 0,
-        passed=first is not None and top == bound,
-        detail=f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {top}; "
+    return _report(
+        "prop_q", m, n, ("t0", "s"), first, int(first is not None),
+        first is not None and top == bound,
+        f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {top}; "
         f"alpha = {hc['alpha']} <= q = {q}: exponent bound 2^alpha-1 = "
         f"{hc['remark_exponent']} vs sharp 2^q-1 = {hc['sharp_exponent']}",
     )
@@ -433,7 +422,7 @@ def prop_q_max_degree(m: int) -> int:
     """The top nonzero degree of the q-reduced inverse class (= 2m + 2^q)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _top_degree(_prop_q_series(m)[1])
+    return _top_degree(_prop_q_series(m))
 
 
 def hurwitz_radon(n: int) -> int:
@@ -569,17 +558,7 @@ def all_checks(m: int) -> list[VerificationReport]:
     reports = [check_prelude(m, m), check_theorem_b(m), check_theorem_a(m)]
     if p.boundary:
         reports.append(
-            VerificationReport(
-                check="theorem_a_v2",
-                m=m,
-                r=p.r,
-                q=p.q,
-                n=p.n,
-                key_monomial="",
-                key_coefficient=0,
-                passed=False,
-                detail="not applicable: m+1 = 2^(r-1)",
-            )
+            _report("theorem_a_v2", m, p.n, _TYX, None, 0, False, "not applicable: m+1 = 2^(r-1)")
         )
     else:
         reports.append(check_theorem_a_v2(m))

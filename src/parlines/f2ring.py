@@ -27,7 +27,7 @@ All values are immutable and every operation is pure; two elements may only
 be combined when they belong to the *same* presentation object (there is no
 implicit coercion between isomorphic rings).
 
-The constructors at the bottom build the specific rings used by the
+The constructors at the bottom build the specific rings of the
 characteristic-class checks: truncated polynomial rings, the ring with the
 quadratic relation ``x**2 = y + t*x``, and two generic extensions (adjoining
 a truncated generator, and a projective-bundle extension
@@ -45,6 +45,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "RingError",
     "Monomial",
+    "monomial_name",
     "RingElement",
     "RingPresentation",
     "invert",
@@ -59,6 +60,14 @@ __all__ = [
 
 class RingError(ValueError):
     """A presentation violation, or an operation mixing distinct rings."""
+
+
+def monomial_name(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
+    """The printed monomial, such as ``t^3*y*x``, for exponents aligned with
+    generator names; "1" when every exponent is 0."""
+    if not any(exps):
+        return "1"
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e > 0)
 
 
 @dataclass(frozen=True)
@@ -82,15 +91,7 @@ class Monomial:
         return _mono_degree(self.ring.gen_degrees, self.exps)
 
     def __str__(self) -> str:
-        if not any(self.exps):
-            return "1"
-        parts = []
-        for name, e in zip(self.ring.gen_names, self.exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return monomial_name(self.ring.gen_names, self.exps)
 
 
 def _positions(bits: int) -> list[int]:

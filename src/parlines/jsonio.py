@@ -3,7 +3,9 @@
 Records that must replay byte-identically are serialized here instead of
 through ``json.dumps``: floats are always rendered with ``%.17g`` (which
 round-trips every IEEE double), keys keep their insertion order, and there
-is no whitespace variation.  Non-finite floats are rejected.
+is no whitespace variation.  Non-finite floats are rejected.  On the way
+in, ``json_typed`` reads one field of a parsed JSON object as its own type,
+never coerced.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from typing import get_args, get_origin
 
-__all__ = ["format_float", "canonical_json", "sha256_of"]
+__all__ = ["format_float", "canonical_json", "sha256_of", "json_typed"]
 
 
 def format_float(x: float) -> str:
@@ -60,3 +63,34 @@ def canonical_json(obj) -> str:
 
 def sha256_of(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def json_typed(data: dict, key: str, kind):
+    """``data[key]`` if it is a JSON value of ``kind``, a TypeError otherwise.
+
+    ``kind`` is bool; int, which a bool is not; float, which takes any number
+    but a bool and returns it as a float, so an integer beyond the float
+    range is refused; str; or ``list[k]`` of such a kind, returned as a list.
+    """
+    return _typed(data[key], kind, key)
+
+
+def _typed(value, kind, where: str):
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise TypeError(f"{where} must be a list, got {value!r}")
+        (item,) = get_args(kind)
+        return [_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise TypeError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"{where} must be a number in the float range") from None

@@ -10,11 +10,12 @@ taken over the explicit form, so both spellings of the same map agree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import canonical_json, sha256_of
+from .jsonio import canonical_json, json_typed, sha256_of
 
 __all__ = ["MapDescriptor", "eval_map", "map_digest", "builtin_map", "BUILTIN_NAMES"]
 
@@ -45,8 +46,8 @@ class MapDescriptor:
             for c, exps in coord:
                 if len(exps) != self.domain_dim:
                     raise ValueError("exponent tuple length must equal domain_dim")
-                if any(e < 0 for e in exps):
-                    raise ValueError("exponents must be >= 0")
+                if any(not 0 <= e < 2**63 for e in exps):
+                    raise ValueError("exponents must lie in 0..2^63-1")
                 if not np.isfinite(c):
                     raise ValueError("coefficients must be finite")
         self.coords = coords
@@ -120,15 +121,19 @@ class MapDescriptor:
                 )
             params.update(nested)
             try:
-                return builtin_map(data["builtin"], params, seed=data.get("seed"))
+                seed = None if data.get("seed") is None else json_typed(data, "seed", int)
+                return builtin_map(data["builtin"], params, seed=seed)
             except TypeError as exc:
                 raise ValueError(f"malformed map descriptor: {exc}") from exc
         try:
             coords = tuple(
-                tuple((term["c"], tuple(term["e"])) for term in coord)
+                tuple((json_typed(term, "c", float), tuple(json_typed(term, "e", list[int])))
+                      for term in coord)
                 for coord in data["coords"]
             )
-            domain_dim = data.get("domain_dim")
+            dims = {k: json_typed(data, k, int) for k in ("domain_dim", "codomain_dim")
+                    if data.get(k) is not None}
+            domain_dim = dims.get("domain_dim")
             if domain_dim is None:
                 lengths = sorted({len(exps) for coord in coords for _, exps in coord})
                 if len(lengths) != 1:
@@ -140,7 +145,7 @@ class MapDescriptor:
                 domain_dim = lengths[0]
             return cls(
                 domain_dim=domain_dim,
-                codomain_dim=data.get("codomain_dim", len(coords)),
+                codomain_dim=dims.get("codomain_dim", len(coords)),
                 coords=coords,
             )
         except (KeyError, TypeError) as exc:
@@ -195,6 +200,11 @@ def _build_affine_graph(m: int) -> Coords:
     return tuple(rows)
 
 
+# A builtin is built term by term in memory: it may hold at most this many
+# exponents, its number of terms times its domain dimension.
+_MAX_EXPONENTS = 10**6
+
+
 def builtin_map(name: str, params: dict | None = None, seed: int | None = None) -> MapDescriptor:
     """Construct one of the named example maps.
 
@@ -206,6 +216,9 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
       variables, ordered by total degree.
     * ``random_poly`` (m, n, degree, seed): dense polynomial coordinates with
       coefficients drawn uniformly from [-1, 1); deterministic in the seed.
+
+    Parameters are JSON integers, never coerced, and a map may hold at most
+    ``_MAX_EXPONENTS`` exponents.
     """
     params = dict(params or {})
 
@@ -217,12 +230,20 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
                 f"builtin {name!r} takes parameters {list(keys)}; "
                 f"missing {missing}, unexpected {extra}"
             )
-        return [int(params[k]) for k in keys]
+        return [json_typed(params, k, int) for k in keys]
+
+    def fits(terms: int, d: int) -> None:
+        if terms * d > _MAX_EXPONENTS:
+            raise ValueError(
+                f"builtin {name!r} with {params} would hold more than "
+                f"{_MAX_EXPONENTS} exponents (terms times domain dimension)"
+            )
 
     if name == "affine_graph":
         (m,) = want("m")
         if m < 0:
             raise ValueError("m must be >= 0")
+        fits(m + 2, m + 1)
         coords = _build_affine_graph(m)
         return MapDescriptor(m + 1, m + 2, coords, builtin={"builtin": name, "m": m})
 
@@ -236,6 +257,7 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
         if m < 0 or n < 0:
             raise ValueError("m and n must be >= 0")
         d = m + 1
+        fits(n + 1, d)
         gen = (
             e
             for deg in itertools.count(1)
@@ -251,6 +273,10 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
         if seed is None:
             raise ValueError("random_poly requires a seed")
         d = m + 1
+        # Each coordinate has at least degree + 1 terms; checking that first
+        # keeps the binomial below cheap.
+        fits((n + 1) * (degree + 1), d)
+        fits((n + 1) * math.comb(d + degree, degree), d)
         exps = _monomial_exponents(d, range(0, degree + 1))
         rng = np.random.default_rng(seed)
         coords = tuple(

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .charclass import DimensionParams
-from .jsonio import canonical_json
+from .jsonio import canonical_json, json_typed
 from .maps import MapDescriptor, eval_map, map_digest
 
 __all__ = [
@@ -132,12 +132,8 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
-        return cls(
-            x=np.array(data["x"], dtype=float),
-            u=np.array(data["u"], dtype=float),
-            v=np.array(data["v"], dtype=float),
-            delta=float(data["delta"]),
-        )
+        x, u, v = (np.array(json_typed(data, k, list[float])) for k in "xuv")
+        return cls(x=x, u=u, v=v, delta=json_typed(data, "delta", float))
 
 
 @dataclass
@@ -165,16 +161,6 @@ class SearchConfig:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def _json_typed(data: dict, key: str, kind: type):
-    """``data[key]`` if it is a JSON boolean (``kind`` bool) or integer
-    (``kind`` int, which a boolean is not); a TypeError otherwise."""
-    value = data[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = "a boolean" if kind is bool else "an integer"
-        raise TypeError(f"{key} must be {name}, got {value!r}")
-    return value
 
 
 @dataclass
@@ -211,17 +197,17 @@ class WitnessRecord:
         try:
             return cls(
                 case=canonical_case(data["case"]),
-                found=_json_typed(data, "found", bool),
-                points=[np.array(p, dtype=float) for p in data["points"]],
-                residual=float(data["residual"]),
-                min_pairwise_distance=float(data["min_pairwise_distance"]),
-                pair_sets_distinct=_json_typed(data, "pair_sets_distinct", bool),
+                found=json_typed(data, "found", bool),
+                points=[np.array(p) for p in json_typed(data, "points", list[list[float]])],
+                residual=json_typed(data, "residual", float),
+                min_pairwise_distance=json_typed(data, "min_pairwise_distance", float),
+                pair_sets_distinct=json_typed(data, "pair_sets_distinct", bool),
                 config=None
                 if data.get("config") is None
                 else Configuration.from_json_dict(data["config"]),
-                map_digest=str(data["map_digest"]),
-                seed=_json_typed(data, "seed", int),
-                restarts_used=_json_typed(data, "restarts_used", int),
+                map_digest=json_typed(data, "map_digest", str),
+                seed=json_typed(data, "seed", int),
+                restarts_used=json_typed(data, "restarts_used", int),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed witness record: {exc}") from exc
@@ -846,8 +832,9 @@ def verify_witness(
     """Re-derive everything checkable about a record from the map itself.
 
     Recomputes the residual from the stored points (and its agreement with
-    the stored value), the config-to-points consistency, the per-case
-    distinctness requirements, and the map digest.
+    the stored value), the stored minimum distance and pair-set flag, the
+    config-to-points consistency, the per-case distinctness requirements,
+    and the map digest.
     """
     _require_positive("tol", tol)
     case = canonical_case(rec.case)
@@ -883,6 +870,17 @@ def verify_witness(
         checks["points_match_config"] = dev <= 1e-9
         if dev > 1e-9:
             messages.append(f"points deviate from configuration by {dev!r}")
+
+    stored = (rec.min_pairwise_distance, rec.pair_sets_distinct)
+    recomputed = (_min_pairwise(pts), _pair_sets_distinct(pts))
+    checks["distances_agree_with_record"] = (
+        abs(stored[0] - recomputed[0]) <= 1e-12 and stored[1] == recomputed[1]
+    )
+    if not checks["distances_agree_with_record"]:
+        messages.append(
+            f"recomputed (min_pairwise_distance, pair_sets_distinct) {recomputed!r} "
+            f"vs recorded {stored!r}"
+        )
 
     residual = float(_residual_from_points(case, f, [pts])[0])
     checks["residual_agrees_with_record"] = abs(residual - rec.residual) <= 1e-12
@@ -928,6 +926,9 @@ def verify_witness(
 
 # Entries of the pairwise chord table find_1d computes at a time.
 _CHORD_BLOCK = 1 << 18
+# The widest-chord scan takes time quadratic in the samples: find-1d took
+# 3.4 s at this many on a 2-vCPU VM.
+_MAX_1D_SAMPLES = 32768
 # The largest |image| find_1d works with unscaled.
 _HUGE_IMAGE = 2.0 ** 500
 
@@ -989,8 +990,8 @@ def find_1d(
     if not (a < b):
         raise ValueError("interval must satisfy a < b")
     _require_positive("tol", tol)
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
+    if not 8 <= samples <= _MAX_1D_SAMPLES:
+        raise ValueError(f"samples must lie in 8..{_MAX_1D_SAMPLES}, got {samples}")
 
     ts = np.linspace(a, b, samples)
     with np.errstate(all="ignore"):

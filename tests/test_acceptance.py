@@ -156,6 +156,25 @@ def test_verify_classes_sweep_budget():
     )
 
 
+def test_verify_classes_whole_accepted_range_budget():
+    # The top of the accepted range: no series check builds a ring, so the
+    # prelude's inverse is the only ring-engine work.
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-classes", "--m-max", "4096"])
+    elapsed = time.perf_counter() - start
+    checks = [rep for rep in map(json.loads, out.getvalue().splitlines()) if "check" in rep]
+    ok = code == 0 and len(checks) == 6 * 4096 and elapsed < 12.0 and all(
+        rep["passed"] == expected_outcome(rep["check"], rep["m"]) for rep in checks
+    )
+    criterion(
+        "verify-classes --m-max 4096 exits 0 in under 12 s",
+        ok,
+        f"{len(checks)} reports, {elapsed:.2f}s",
+    )
+
+
 def test_table_top_sweep_budget():
     # table prints four columns per m, so it must not pay for the reports it
     # leaves out (the prelude's ring-engine inverse above all).

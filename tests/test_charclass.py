@@ -35,9 +35,11 @@ from parlines.charclass import (
     umkehr_px,
     w_minus,
 )
+from parlines.cli import main
 from parlines.f2ring import (
     RingElement,
     RingError,
+    RingPresentation,
     invert,
     ring_adjoin_x,
     ring_proj_bundle,
@@ -311,7 +313,7 @@ def test_prop_q_rows_match_set_engine():
         t0, s = ring.gens()
         one = ring.one()
         w = invert(one + t0) * invert(one + t0 + (t0 + s))
-        rows = _prop_q_series(m)[1]
+        rows = _prop_q_series(m)
         assert len(rows) == 1 << q
         assert all(row >> (2 * m + 2) == 0 for row in rows)
         got = {(a, b) for a, row in enumerate(rows) for b in range(2 * m + 2) if row >> b & 1}
@@ -539,6 +541,27 @@ def test_all_checks_shape_and_frozen_keys():
     assert [rep.key_monomial for rep in reports] == [
         "t^2", "y^2*x", "t*y^2*x", "t*y^2", "y^2", "s^5"
     ]
+
+
+def test_only_the_prelude_builds_a_ring(monkeypatch, capsys):
+    # Every other report names its monomials from exponent tuples, so
+    # all_checks builds the prelude's P^m and table's checks build nothing.
+    built = []
+    init = RingPresentation.__init__
+
+    def counting_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(RingPresentation, "__init__", counting_init)
+    for m in (1, 2, 3, 6, 7, 12, 64):
+        built.clear()
+        all_checks(m)
+        assert built == [f"P{m}"], m
+    built.clear()
+    assert main(["table", "--m-max", "20"]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_all_checks_boundary_substitution():

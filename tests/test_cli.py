@@ -423,6 +423,95 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, content):
     assert lines[-1]["manifest"]["outcome"].startswith("invalid input: ")
 
 
+def _exit_2_with(capsys, argv, message: str) -> None:
+    """main(argv) exits 2 with one error line holding ``message``, then the
+    manifest, and nothing on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2
+    assert message in lines[0]["error"]
+    assert len(lines) == 2 and lines[1]["manifest"]["outcome"].startswith("invalid input")
+    assert captured.err == ""
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+_PLANE = '[{"c": 1.0, "e": [2]}]'  # a second coordinate, so the map is R -> R^2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (f'{{"coords": [[{{"c": {_HUGE}, "e": [1]}}], {_PLANE}]}}',
+         "c must be a number in the float range"),
+        (f'{{"coords": [[{{"c": 1.0, "e": [{10**30}]}}], {_PLANE}]}}',
+         "exponents must lie in 0..2^63-1"),
+        (f'{{"builtin": "moment", "m": {10**30}, "n": 1}}', "more than 1000000 exponents"),
+        (f'{{"builtin": "affine_graph", "m": {10**30}}}', "more than 1000000 exponents"),
+        (f'{{"coords": [[{{"c": 1.0, "e": [1.5]}}], {_PLANE}]}}',
+         "e[0] must be an integer, got 1.5"),
+        (f'{{"coords": [[{{"c": true, "e": [1]}}], {_PLANE}]}}', "c must be a number, got True"),
+        ('{"builtin": "affine_graph", "m": 0.5}', "m must be an integer, got 0.5"),
+        (f'{{"domain_dim": true, "coords": [[{{"c": 1.0, "e": [1]}}], {_PLANE}]}}',
+         "domain_dim must be an integer, got True"),
+    ],
+    ids=["huge-coefficient", "huge-exponent", "huge-moment", "huge-affine-graph",
+         "float-exponent", "bool-coefficient", "float-builtin-param", "bool-dimension"],
+)
+def test_map_file_numbers_are_neither_coerced_nor_overflowing(tmp_path, capsys, content, message):
+    path = tmp_path / "map.json"
+    path.write_text(content, encoding="utf-8")
+    _exit_2_with(capsys, ["find-1d", "--map", str(path)], message)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("points", "points[0][0] must be a number in the float range"),
+        ("residual", "residual must be a number in the float range"),
+        ("delta", "delta must be a number in the float range"),
+    ],
+)
+def test_record_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, field, message):
+    f = linear_r2_r3()
+    data = exact_collinear_record_dict(f)
+    if field == "points":
+        data["points"][0][0] = 10**400
+    elif field == "delta":
+        data["config"]["delta"] = 10**400
+    else:
+        data[field] = 10**400
+    _exit_2_with(capsys, [
+        "verify-witness", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
+        "--record", write_json(tmp_path / "rec.json", data),
+    ], f"malformed witness record: {message}")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("min_pairwise_distance", 123.0), ("pair_sets_distinct", False)],
+)
+def test_verify_witness_recomputes_the_stored_distances(tmp_path, capsys, field, value):
+    rec_file = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        capsys, "find-witness", *README_MAP_FLAGS, "--case", "b", "--seed", "7",
+        "--out", str(rec_file),
+    )
+    assert code == 0
+    code, lines, _ = run_cli(capsys, "verify-witness", *README_MAP_FLAGS,
+                             "--record", str(rec_file))
+    assert code == 0 and lines[0]["checks"]["distances_agree_with_record"] is True
+    data = json.loads(rec_file.read_text(encoding="utf-8"))
+    data[field] = value
+    tampered = write_json(tmp_path / "tampered.json", data)
+    code, lines, _ = run_cli(capsys, "verify-witness", *README_MAP_FLAGS, "--record", tampered)
+    assert code == 1
+    checks = lines[0]["checks"]
+    assert checks.pop("distances_agree_with_record") is False
+    assert all(checks.values())
+    assert "vs recorded" in lines[0]["messages"][0]
+
+
 def _overflow_map(power: int, coeff: float = 1e308) -> dict:
     # R^2 -> R^5 with first coordinate coeff (x^p + y^p): finite values, but
     # chord norms, or near the unit circle the images, overflow.
@@ -572,6 +661,13 @@ def test_find_1d_ambiguity_exit_code(tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "find-1d", "--map", path)
     assert code == 1
     assert "ambiguity" in lines[0]["error"]
+
+
+@pytest.mark.parametrize("samples", ["32769", "10000000000000"])
+def test_find_1d_samples_are_capped(capsys, samples):
+    # The widest-chord scan is quadratic in the samples.
+    _exit_2_with(capsys, ["find-1d", "--builtin", "parabola", "--samples", samples],
+                 "samples must lie in 8..32768")
 
 
 def test_find_1d_wrong_shape_map(capsys):

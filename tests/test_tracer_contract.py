@@ -14,6 +14,7 @@ import numpy as np
 
 from parlines import witness
 from parlines.cli import main
+from parlines.f2ring import RingElement
 
 TRACER = Path(__file__).resolve().parents[1] / "clibench" / "tracer.py"
 
@@ -81,3 +82,20 @@ def test_tracer_sees_the_checks_table_runs(capsys):
         tr.uninstall()
     capsys.readouterr()
     assert tr.calls["charclass.check"] > 0
+
+
+def test_verify_classes_multiplies_on_the_ring_engine(capsys, monkeypatch):
+    # The self-test's "count metrics repeat exactly" case needs positive
+    # f2ring.mul counts from verify-classes --m-max 4; the prelude's
+    # inverse of 1 + t is where they come from.
+    calls = []
+    mul = RingElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    assert main(["verify-classes", "--m-max", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) > 0

@@ -658,7 +658,8 @@ def test_objective_case_a_norm_gate():
         return WitnessRecord(
             case="parallel_a", found=True, points=pts,
             residual=float(_residual_from_points("parallel_a", f, [pts])[0]),
-            min_pairwise_distance=0.5, pair_sets_distinct=True, config=c,
+            # Each pair lies 2 delta |u| = 2 * 0.25 / sqrt(2) apart.
+            min_pairwise_distance=0.5 * root_half, pair_sets_distinct=True, config=c,
             map_digest=map_digest(f), seed=0, restarts_used=0,
         )
 
@@ -887,6 +888,10 @@ def test_record_json_round_trip_byte_identical():
         ("restarts_used", 2.9),
         ("restarts_used", 2.0),
         ("restarts_used", False),
+        ("residual", True),
+        ("min_pairwise_distance", "0.5"),
+        ("points", [[1.25, "0"], [0.75, 0.0], [-0.75, 0.0], [-1.25, 0.0]]),
+        ("map_digest", 5),
     ],
 )
 def test_record_json_rejects_instead_of_coercing(key, value):
@@ -894,7 +899,7 @@ def test_record_json_rejects_instead_of_coercing(key, value):
     # it, and a bool is not an integer here.
     data = _exact_collinear_record(_linear_map_r2_r3()).to_json_dict()
     data[key] = value
-    with pytest.raises(ValueError, match=f"malformed witness record: {key} must be"):
+    with pytest.raises(ValueError, match=rf"malformed witness record: {key}(\[\d+\])* must be"):
         WitnessRecord.from_json_dict(data)
 
 
