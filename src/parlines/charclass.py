@@ -468,9 +468,9 @@ def hurwitz_comparison(m: int) -> dict:
 # The four line classes in the span of t1, t2 over a product of two
 # projective spaces, and all 16 ways of assigning two of them.
 _LINE_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
-LINE_SPECS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
-    (a, b) for a in _LINE_BITS for b in _LINE_BITS
-)
+_Spec = tuple[tuple[int, int], tuple[int, int]]
+LINE_SPECS: tuple[_Spec, ...] = tuple((a, b) for a in _LINE_BITS for b in _LINE_BITS)
+_SPECS = frozenset(LINE_SPECS)
 
 
 def _line_class(ring: RingPresentation, bits: tuple[int, int]) -> RingElement:
@@ -482,51 +482,81 @@ def _line_class(ring: RingPresentation, bits: tuple[int, int]) -> RingElement:
     return el
 
 
+# One column (m1, m2) of a grid serves every n, and a sweep visits columns
+# one after another.
 @lru_cache(maxsize=4)
-def _product_rings(
-    m1: int, m2: int, n: int
-) -> tuple[RingPresentation, dict[tuple[int, int], RingElement]]:
-    """The base P^m1 x P^m2 and the Euler class of each line class over it.
-
-    Shared by the 16 line specs of one grid point; the cache is bounded, so
-    a sweep over any grid holds at most a few grid points' rings.
-    """
+def _product_base(m1: int, m2: int) -> tuple[RingPresentation, dict[_Spec, RingElement]]:
+    """The base P^m1 x P^m2 and, for each line spec, the inverse class of
+    the rank-2 sum of its two lines, (1+l1)^-1 (1+l2)^-1, over that base."""
     base = ring_truncated(
         f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
     )
+    one = base.one()
+    inverses = {
+        spec: w_minus(BundleClass(
+            2, (one + _line_class(base, spec[0])) * (one + _line_class(base, spec[1]))
+        ))
+        for spec in LINE_SPECS
+    }
+    return base, inverses
+
+
+@lru_cache(maxsize=4)
+def _product_rings(m1: int, m2: int, n: int) -> tuple[
+    RingPresentation, dict[tuple[int, int], RingElement], dict[_Spec, RingElement]
+]:
+    """The base P^m1 x P^m2, the Euler class of each line class over it
+    with a P^n fibre, and the column's inverse classes.
+
+    The inverse classes come in the same entry as the Euler classes, so
+    the two sides of a comparison always live over one base object, even
+    after the column's own entry was evicted and rebuilt.  Both caches are
+    bounded, so a sweep over any grid holds at most a few grid points'
+    rings.
+    """
+    base, inverses = _product_base(m1, m2)
     ring_x = ring_adjoin_x(base, n)
     eulers = {
         bits: euler_line_tensor_quotient(_line_class(ring_x, bits), n, ring_x)
         for bits in _LINE_BITS
     }
-    return base, eulers
+    return base, eulers, inverses
 
 
-def oracle_umkehr_product(
-    m1: int, m2: int, n: int, line_spec: tuple[tuple[int, int], tuple[int, int]]
-) -> bool:
+def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     """Brute-force check of the direct-image product formula.
 
     Over a base with two truncated degree-1 classes t1, t2 and a trivial
     P^n fibre, the direct image of the product of the two rank-n Euler
     classes must equal the degree-n part of the inverse class of the rank-2
     sum of the two lines.  Returns True iff both routes agree exactly.
-    The rings and the four line Euler classes are shared per (m1, m2, n);
-    the product, its direct image and the inverse class are not.
+    The base ring and the 16 inverse classes are shared per column
+    (m1, m2), and the ring with x and the four line Euler classes per grid
+    point (m1, m2, n); each call still forms its own product e1*e2, takes
+    its direct image and compares it with the degree-n part of its spec's
+    inverse class.  ``line_spec`` is two 0/1 pairs, as tuples or lists.
     """
     if m1 < 0 or m2 < 0 or n < 1:
         raise ValueError("need m1, m2 >= 0 and n >= 1")
-    base, eulers = _product_rings(m1, m2, n)
     try:
-        e1, e2 = (eulers[tuple(bits)] for bits in line_spec)
-    except KeyError:
-        raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}") from None
-    lhs = umkehr_px(e1 * e2, n)
-    total = (base.one() + _line_class(base, line_spec[0])) * (
-        base.one() + _line_class(base, line_spec[1])
-    )
-    rhs = w_minus(BundleClass(2, total)).homogeneous_part(n)
-    return lhs == rhs
+        spec = tuple(tuple(bits) for bits in line_spec)
+        valid = spec in _SPECS
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}")
+    _, eulers, inverses = _product_rings(m1, m2, n)
+    lhs = umkehr_px(eulers[spec[0]] * eulers[spec[1]], n)
+    return lhs == inverses[spec].homogeneous_part(n)
+
+
+@lru_cache(maxsize=4)
+def _dual_rings(k: int) -> tuple[RingPresentation, RingElement, RingElement]:
+    """The projective bundle base[t] over W_k = GF(2)[w1, w2]/(w1^k, w2^k),
+    with w2 and wbar = (1+w1+w2)^-1 in W_k; shared by every n."""
+    base = ring_truncated(f"W{k}", [("w1", 1, k), ("w2", 2, k)])
+    w1, w2 = base.gens()
+    return ring_proj_bundle(base, w1, w2), w2, invert(base.one() + w1 + w2)
 
 
 def oracle_umkehr_dual(k: int, n: int) -> bool:
@@ -537,15 +567,13 @@ def oracle_umkehr_dual(k: int, n: int) -> bool:
     pieces against the inverse class of 1 + w1 + w2:
 
         t^(n+1) = wbar_n * t + w2 * wbar_(n-1),  wbar = (1+w1+w2)^-1.
+
+    The rings and wbar are shared per k; each call expands its own t^(n+1).
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    base = ring_truncated(f"W{k}", [("w1", 1, k), ("w2", 2, k)])
-    w1, w2 = base.gens()
-    ring_t = ring_proj_bundle(base, w1, w2)
-    t = ring_t.gen("t")
-    tn1 = t ** (n + 1)
-    wbar = invert(base.one() + w1 + w2)
+    ring_t, w2, wbar = _dual_rings(k)
+    tn1 = ring_t.gen("t") ** (n + 1)
     c1 = umkehr_proj_bundle(tn1)
     c0 = _gen_power_coefficient(tn1, "t", 0)
     return c1 == wbar.homogeneous_part(n) and c0 == w2 * wbar.homogeneous_part(n - 1)

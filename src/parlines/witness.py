@@ -1145,6 +1145,17 @@ def theorem_guarantee(f: MapDescriptor, case: str) -> tuple[bool, str]:
     pairs and collinearity are guaranteed into codomains of dimension at most
     n + 1 (separated pairs only off the boundary m+1 = 2^(r-1)), linear
     dependence into one more, and the 1-d construction exactly for R -> R^2.
+
+    Coplanar 4-tuples (``collinear``) are forced into R^(n+1) on the
+    boundary too, because they follow from Theorem B, which holds for every
+    m.  Theorem B gives x0 != x1, y0 != y1 and {x0, x1} != {y0, y1} with
+    f(x1) - f(x0) parallel to f(y1) - f(y0), so at most one coincidence
+    among the four points.  If all four are distinct, the chords from f(x0)
+    are v = f(x1) - f(x0), w = f(y0) - f(x0) and w + lambda v, which span
+    at most a plane.  If two coincide, that shared point p has parallel
+    chords to the other two, so the three images lie on one line, and any
+    fourth point of the domain gives a 4-tuple whose images span at most
+    that line and one more direction: coplanar again.
     """
     case = canonical_case(case)
     m = f.domain_dim - 1

@@ -48,7 +48,8 @@ from parlines.f2ring import (
     ring_yhat,
 )
 from parlines import charclass
-from parlines.charclass import _LINE_BITS, _line_class, _product_rings
+from parlines.charclass import _LINE_BITS, _dual_rings, _line_class, _product_base, _product_rings
+from parlines.cli import main
 from parlines.charclass import _INV_TY, _S, _T_S, _W, _inverse_rows, _part, _prop_q_series
 
 
@@ -433,7 +434,7 @@ def test_product_rings_cache_out_of_order():
     fresh = {}
     for key in ((1, 1, 2), (2, 1, 2), (1, 1, 3)):
         _product_rings.cache_clear()
-        base, eulers = _product_rings(*key)
+        base, eulers, _ = _product_rings(*key)
         fresh[key] = (
             base.name,
             {b: e.terms for b, e in eulers.items()},
@@ -442,7 +443,7 @@ def test_product_rings_cache_out_of_order():
     _product_rings.cache_clear()
     for key in ((1, 1, 2), (2, 1, 2), (1, 1, 2), (1, 1, 3)):
         results = [oracle_umkehr_product(*key, spec) for spec in LINE_SPECS]
-        base, eulers = _product_rings(*key)
+        base, eulers, _ = _product_rings(*key)
         assert (base.name, {b: e.terms for b, e in eulers.items()}, results) == fresh[key]
     # The cache stays bounded however many grid points a sweep visits.
     for n in range(1, 12):
@@ -451,6 +452,75 @@ def test_product_rings_cache_out_of_order():
     assert info.currsize <= info.maxsize
     with pytest.raises(ValueError):
         oracle_umkehr_product(1, 1, 2, ((1, 2), (0, 0)))
+
+
+def test_product_cache_entries_share_one_base():
+    # A grid point's Euler classes and the column's inverse classes must
+    # live over one base object, or every comparison reads False: revisit
+    # a grid point after its column's entry may have been rebuilt, and
+    # again after only the grid-point cache was cleared.
+    _product_base.cache_clear()
+    _product_rings.cache_clear()
+    for key in ((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 0, 1)):
+        assert all(oracle_umkehr_product(*key, spec) for spec in LINE_SPECS), key
+    _product_rings.cache_clear()
+    assert all(oracle_umkehr_product(0, 0, 1, spec) for spec in LINE_SPECS)
+    base, eulers, inverses = _product_rings(1, 2, 3)
+    assert all(e.ring.base is base for e in eulers.values())
+    assert all(w.ring is base for w in inverses.values())
+
+
+def test_product_oracle_accepts_list_specs():
+    for m1, m2, n in ((0, 0, 1), (2, 1, 3), (1, 2, 2)):
+        for spec in LINE_SPECS:
+            as_lists = [list(bits) for bits in spec]
+            assert oracle_umkehr_product(m1, m2, n, as_lists) == oracle_umkehr_product(
+                m1, m2, n, spec
+            ), (m1, m2, n, spec)
+
+
+@pytest.mark.parametrize(
+    "spec", [((1, 2), (0, 0)), [[1, 0]], ((1, 0), (0, 1), (1, 1)), ((1, 0), 1), None]
+)
+def test_product_oracle_bad_spec_leaves_no_cache_entry(spec):
+    _product_base.cache_clear()
+    _product_rings.cache_clear()
+    with pytest.raises(ValueError, match="line_spec"):
+        oracle_umkehr_product(3, 4, 5, spec)
+    assert _product_base.cache_info().currsize == 0
+    assert _product_rings.cache_info().currsize == 0
+
+
+def test_oracles_invert_once_per_column_spec(capsys, monkeypatch):
+    # Counts, not times: the product grid inverts one class per
+    # (m1, m2, line spec) and builds one base ring per (m1, m2), the dual
+    # one of each per k, however many n each serves.
+    inverted, built = [], []
+    real_invert, real_truncated = charclass.invert, charclass.ring_truncated
+
+    def counting_invert(u):
+        inverted.append(u.ring.name)
+        return real_invert(u)
+
+    def counting_truncated(name, gens):
+        built.append(name)
+        return real_truncated(name, gens)
+
+    monkeypatch.setattr(charclass, "invert", counting_invert)
+    monkeypatch.setattr(charclass, "ring_truncated", counting_truncated)
+    for cache in (_product_base, _product_rings, _dual_rings):
+        cache.cache_clear()
+    argv = ["oracles", "--m1-max", "2", "--m2-max", "2", "--n-max", "4",
+            "--dual-k", "4", "--dual-n-max", "3"]
+    try:
+        assert main(argv) == 0
+    finally:
+        for cache in (_product_base, _product_rings, _dual_rings):
+            cache.cache_clear()
+    capsys.readouterr()
+    columns = [f"P{m1}xP{m2}" for m1 in range(3) for m2 in range(3)]
+    assert sorted(inverted) == sorted(columns * len(LINE_SPECS) + ["W4"])
+    assert sorted(built) == sorted(columns + ["W4"])
 
 
 def test_dual_oracle_small_grid():

@@ -244,6 +244,40 @@ def test_oracles_failure_path(capsys, monkeypatch):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # 16 * 625 product instances + 1 dual instance: one past the cap.
+        ("--m1-max", "0", "--m2-max", "0", "--n-max", "625", "--dual-n-max", "1"),
+        ("--m1-max", "0", "--m2-max", "0", "--n-max", "1", "--dual-n-max", "9985"),
+        ("--m1-max", "4", "--m2-max", "4", "--n-max", "25", "--dual-n-max", "1"),
+        ("--dual-k", str(cli._ORACLE_DUAL_K_CAP + 1)),
+    ],
+)
+def test_oracles_refuses_grids_above_the_caps(capsys, monkeypatch, grid):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    for name in ("ring_truncated", "ring_adjoin_x", "ring_proj_bundle"):
+        monkeypatch.setattr(charclass, name, no_ring)
+    monkeypatch.setattr(cli, "oracle_umkehr_product", no_ring)
+    monkeypatch.setattr(cli, "oracle_umkehr_dual", no_ring)
+    code, lines, _ = run_cli(capsys, "oracles", *grid)
+    assert code == 2 and len(lines) == 2
+    cap = "dual-k" if "--dual-k" in grid else str(cli._ORACLE_INSTANCE_CAP)
+    assert cap in lines[0]["error"]
+    assert lines[1]["manifest"]["outcome"].startswith("invalid input")
+
+
+def test_oracles_default_grid_lies_inside_the_caps(capsys):
+    code, lines, _ = run_cli(capsys, "oracles")
+    assert code == 0
+    assert lines[-2] == {
+        "check": "oracles", "product_instances": 6 * 6 * 8 * 16, "dual_instances": 16,
+        "failures": 0,
+    }
+
+
 # -- find-witness / verify-witness ---------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from parlines import witness
+from parlines import charclass, witness
 from parlines.cli import main
 from parlines.f2ring import RingElement
 
@@ -99,3 +99,24 @@ def test_verify_classes_multiplies_on_the_ring_engine(capsys, monkeypatch):
     assert main(["verify-classes", "--m-max", "4"]) == 0
     capsys.readouterr()
     assert len(calls) > 0
+
+
+def test_tracer_counts_one_invert_per_column_spec(capsys):
+    # f2ring.invert_calls reads one call per (m1, m2, line spec) of the
+    # product grid and one per k of the dual, as the untraced count test
+    # in test_charclass finds.
+    caches = (charclass._product_base, charclass._product_rings, charclass._dual_rings)
+    for cache in caches:
+        cache.cache_clear()
+    tr = _load_tracer().Tracer()
+    tr.install()
+    try:
+        assert main(["oracles", "--m1-max", "2", "--m2-max", "2", "--n-max", "4",
+                     "--dual-k", "4", "--dual-n-max", "3"]) == 0
+    finally:
+        tr.uninstall()
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()
+    assert tr.calls["f2ring.invert"] == 3 * 3 * 16 + 1
+    assert tr.calls["f2ring.ring_build"] == 3 * 3 + 3 * 3 * 4 + 2

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parlines import witness
+from parlines.charclass import DimensionParams
 from parlines.jsonio import canonical_json
 from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
 from parlines.witness import (
@@ -1077,6 +1078,25 @@ def test_theorem_guarantee_classification():
 
     ok, _ = theorem_guarantee(f_b, "lindep")
     assert ok
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_coplanar_guarantee_holds_on_the_boundary(m):
+    # m+1 = 2^(r-1): separated pairs are not forced, but Theorem B still
+    # forces a coplanar 4-tuple into R^(n+1), n = m + 2^r - 1.
+    p = DimensionParams(m)
+    assert p.boundary
+
+    def label(case, codomain):
+        return theorem_guarantee(builtin_map("moment", {"m": m, "n": codomain - 1}), case)
+
+    ok, msg = label("collinear", p.n + 1)
+    assert ok and msg.startswith("guaranteed")
+    ok, msg = label("collinear", p.n + 2)
+    assert not ok and msg.startswith("exploratory")
+    for codomain in (p.n + 1, p.n + 2):
+        ok, msg = label("parallel_a", codomain)
+        assert not ok and "separated pairs are not forced" in msg
 
 
 @pytest.mark.parametrize("above", [0, 1])
