@@ -1061,6 +1061,11 @@ def find_1d(
 # -- singularity dimension estimate ----------------------------------------------
 
 
+# Each sample is a re-minimization, so the estimate's time grows with the
+# samples: singularity took 5.4-6.5 s at this many on a 2-vCPU VM.
+_MAX_SINGULARITY_SAMPLES = 1024
+
+
 def estimate_singularity_dim(
     f: MapDescriptor,
     base: WitnessRecord,
@@ -1083,18 +1088,21 @@ def estimate_singularity_dim(
     ``cfg.tol**2``.  The residual is a squared singular-value ratio, so a
     sample's relative error is about its square root, cfg.tol, far below any
     useful ``ratio_threshold``.  ``cfg.seed`` seeds the perturbations, and
-    each sample runs 4 rounds of ``cfg.max_iters`` iterations.
+    each sample runs 4 rounds of ``cfg.max_iters`` iterations.  At most
+    1024 samples are taken (ValueError above that).
     """
     cfg = cfg or SearchConfig()
     if canonical_case(base.case) != "collinear":
         raise ValueError("the base record must be a collinear witness")
     _require_positive("noise_scale", noise_scale)
     _require_positive("ratio_threshold", ratio_threshold)
+    if not 1 <= n_samples <= _MAX_SINGULARITY_SAMPLES:
+        raise ValueError(
+            f"samples must lie in 1..{_MAX_SINGULARITY_SAMPLES}, got {n_samples}"
+        )
     ver = verify_witness(base, f, tol=cfg.tol)
     if not ver.passed:
         raise ValueError(f"base record fails verification: {ver.messages}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
 
     d = f.domain_dim
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])

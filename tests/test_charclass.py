@@ -48,7 +48,14 @@ from parlines.f2ring import (
     ring_yhat,
 )
 from parlines import charclass
-from parlines.charclass import _LINE_BITS, _dual_rings, _line_class, _product_base, _product_rings
+from parlines.charclass import (
+    _LINE_BITS,
+    _dual_rings,
+    _line_class,
+    _line_powers,
+    _product_base,
+    _product_rings,
+)
 from parlines.cli import main
 from parlines.charclass import _INV_TY, _S, _T_S, _W, _inverse_rows, _part, _prop_q_series
 
@@ -412,22 +419,47 @@ def test_product_comparison_is_not_vacuous(monkeypatch):
     assert all(spec != ((0, 0), (0, 0)) for *_, spec in failing)
 
 
+def _euler_by_defining_sum(e, n, ring_x):
+    x = ring_x.gen("x")
+    want = ring_x.zero()
+    for j in range(n + 1):
+        want = want + e ** j * x ** (n - j)
+    return want
+
+
 def test_euler_recurrence_matches_defining_sum():
-    for m1 in range(4):
-        for m2 in range(4):
-            base = ring_truncated(
-                f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
-            )
-            for n in range(1, 7):
-                ring_x = ring_adjoin_x(base, n)
-                x = ring_x.gen("x")
-                for bits in _LINE_BITS:
-                    e = _line_class(ring_x, bits)
-                    want = ring_x.zero()
-                    for j in range(n + 1):
-                        want = want + e ** j * x ** (n - j)
-                    got = euler_line_tensor_quotient(e, n, ring_x)
-                    assert got.terms == want.terms, (m1, m2, n, bits)
+    # The powers of a line class are cached per base and grow as larger n
+    # ask for them, so visit n out of order, and again over fresh bases and
+    # with the powers cache cleared.
+    def check():
+        for m1 in range(4):
+            for m2 in range(4):
+                base = _product_base(m1, m2)[0]
+                for n in (9, 2, 12, *range(1, 13)):
+                    ring_x = ring_adjoin_x(base, n)
+                    for bits in _LINE_BITS:
+                        e = _line_class(ring_x, bits)
+                        got = euler_line_tensor_quotient(e, n, ring_x)
+                        want = _euler_by_defining_sum(e, n, ring_x)
+                        assert got.terms == want.terms, (m1, m2, n, bits)
+
+    check()
+    _product_base.cache_clear()
+    check()
+    _line_powers.cache_clear()
+    check()
+
+
+def test_euler_class_with_x_truncated_below_the_rank():
+    # x^k = 0 for k past x's bound drops the low powers of e from the sum.
+    base = _product_base(3, 2)[0]
+    for k in range(1, 6):
+        ring_x = ring_adjoin_x(base, k)
+        for n in range(8):
+            for bits in _LINE_BITS:
+                e = _line_class(ring_x, bits)
+                got = euler_line_tensor_quotient(e, n, ring_x)
+                assert got == _euler_by_defining_sum(e, n, ring_x), (k, n, bits)
 
 
 def test_product_rings_cache_out_of_order():
@@ -523,6 +555,33 @@ def test_oracles_invert_once_per_column_spec(capsys, monkeypatch):
     assert sorted(built) == sorted(columns + ["W4"])
 
 
+def test_oracles_multiply_in_the_rings_with_x_once_per_instance(capsys, monkeypatch):
+    # Counts, not times: in a ring with x the product grid multiplies only
+    # each instance's own e1*e2; the Euler classes take their powers of the
+    # line class in the base.
+    in_x_rings = []
+    real_mul = RingElement.__mul__
+
+    def counting_mul(self, other):
+        if "x" in self.ring.gen_names:
+            in_x_rings.append(self.ring.name)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    caches = (_product_base, _product_rings, _dual_rings, _line_powers)
+    for cache in caches:
+        cache.cache_clear()
+    argv = ["oracles", "--m1-max", "2", "--m2-max", "2", "--n-max", "4",
+            "--dual-k", "4", "--dual-n-max", "3"]
+    try:
+        assert main(argv) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()
+    assert len(in_x_rings) == 3 * 3 * 4 * len(LINE_SPECS)
+
+
 def test_dual_oracle_small_grid():
     for k in (4, 8):
         for n in range(1, 9):
@@ -574,6 +633,25 @@ def test_euler_class_of_tensor():
     assert euler_line_tensor_quotient(ring_x.zero(), 2, ring_x) == x ** 2
     with pytest.raises(RingError):
         euler_line_tensor_quotient(u * u, 2, ring_x)
+
+
+def test_euler_class_needs_a_line_class_of_the_base():
+    base = ring_truncated("P2xP1", [("t1", 1, 3), ("t2", 1, 2)])
+    ring_x = ring_adjoin_x(base, 3)
+    t1, t2, x = ring_x.gens()
+    for e_line in (x, t1 + x, t2 + x, t1 * x, x * x):
+        with pytest.raises(RingError, match="no x term"):
+            euler_line_tensor_quotient(e_line, 3, ring_x)
+    with pytest.raises(RingError, match="degree 1"):
+        euler_line_tensor_quotient(t1 * t2, 3, ring_x)
+    with pytest.raises(RingError, match="degree 1"):
+        euler_line_tensor_quotient(ring_x.one(), 3, ring_x)
+    # A ring without x, or with x not adjoined last, is refused.
+    with pytest.raises(RingError, match="generator x"):
+        euler_line_tensor_quotient(base.gen("t1"), 3, base)
+    ring_xt = ring_truncated("XT", [("x", 1, 4), ("t", 1, 3)])
+    with pytest.raises(RingError, match="generator x"):
+        euler_line_tensor_quotient(ring_xt.gen("t"), 3, ring_xt)
 
 
 def test_bundle_class_validation():
