@@ -124,51 +124,36 @@ def w_minus(b: BundleClass) -> RingElement:
     return invert(b.total_sw)
 
 
-# Each column (m1, m2) reads the powers of its four line classes at every
-# n, so 16 entries keep those of the four columns _product_base keeps.
-@lru_cache(maxsize=16)
-def _line_powers(base: RingPresentation, bits: int) -> list[int]:
-    """The bits of l^0, l^1, ... in ``base``, for the base element l with
-    these bits.  The list grows in place as larger n ask for more powers,
-    and stops growing at its first zero power."""
-    return [1]
-
-
 def euler_line_tensor_quotient(
     e_line: RingElement, n: int, ring_x: RingPresentation
 ) -> RingElement:
     """Mod-2 Euler class of (line bundle) ⊗ (trivial^(n+1) / tautological).
 
-    ``ring_x`` extends a base ring by one truncated generator ``x``, as
+    ``ring_x`` extends a base ring by one generator ``x``, truncated as
     ``ring_adjoin_x`` makes it.  ``e_line``, the Euler class of the line
     bundle, is given in ``ring_x`` but comes from the base: it must have no
     x term and be homogeneous of degree 1 (``RingError`` otherwise).  The
     Euler class of the rank-n tensor is sum_j e^j x^(n-j).  The powers e^j
-    are taken in the base and cached per base object and line class, so
-    every n over one base shares them.  x is the top digit of the packed
-    layout, so placing e^j at x^(n-j) is a shift of its bits.
+    are taken in the base, up to the first zero one, and set at x^(n-j) by
+    ``from_base_coefficients``: the ring with x does no multiply.
     """
     if e_line.ring is not ring_x:
         raise RingError("e_line must live in ring_x")
-    if ring_x.gen_names[-1] != "x" or ring_x._bounds[-1] is None:
-        raise RingError("ring_x must extend its base by a truncated generator x")
+    if ring_x.gen_names[-1] != "x":
+        raise RingError("ring_x must extend its base by the generator x")
     if n < 0:
         raise ValueError("n must be >= 0")
     line = ring_x.base_coefficient(e_line, 0)
-    if line.bits != e_line.bits:
+    if line.bits != e_line.bits:  # lifting a base element keeps its bits
         raise RingError("e_line must come from the base ring (no x term)")
     if line != line.homogeneous_part(1):
         raise RingError("e_line must be homogeneous of degree 1")
-    base = ring_x.base
-    powers = _line_powers(base, line.bits)
+    powers = [line.ring.one(), line]
     while len(powers) <= n and powers[-1]:
-        powers.append((RingElement(base, powers[-1]) * line).bits)
-    # x^k is 0 above x's cap, so only j >= n - cap contributes.
-    place, cap = ring_x._places[-1], ring_x._caps[-1]
-    total = 0
-    for j in range(max(0, n - cap), min(n, len(powers) - 1) + 1):
-        total ^= powers[j] << ((n - j) * place)
-    return RingElement(ring_x, total)
+        powers.append(powers[-1] * line)
+    return ring_x.from_base_coefficients(
+        {n - j: power for j, power in enumerate(powers[: n + 1])}
+    )
 
 
 def _gen_power_coefficient(
@@ -544,23 +529,6 @@ def _product_rings(m1: int, m2: int, n: int) -> tuple[
     return base, eulers, inverses
 
 
-def _as_spec(line_spec) -> _Spec:
-    """A tuple spec of ``LINE_SPECS`` as it is, any other form of one
-    normalised to it; ValueError for anything else."""
-    try:
-        if line_spec in _SPECS:
-            return line_spec
-    except TypeError:  # unhashable, as a list spec is
-        pass
-    try:
-        spec = tuple(tuple(bits) for bits in line_spec)
-        if spec in _SPECS:
-            return spec
-    except TypeError:
-        pass
-    raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}")
-
-
 def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     """Brute-force check of the direct-image product formula.
 
@@ -568,16 +536,21 @@ def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     P^n fibre, the direct image of the product of the two rank-n Euler
     classes must equal the degree-n part of the inverse class of the rank-2
     sum of the two lines.  Returns True iff both routes agree exactly.
-    The base ring, the 16 inverse classes and the powers of the four line
-    classes are shared per column (m1, m2), and the ring with x and the
-    four line Euler classes per grid point (m1, m2, n); each call still
-    forms its own product e1*e2, takes its direct image and compares it
-    with the degree-n part of its spec's inverse class.  ``line_spec`` is
-    two 0/1 pairs, as tuples or lists.
+    The base ring and the 16 inverse classes are shared per column
+    (m1, m2), and the ring with x and the four line Euler classes per grid
+    point (m1, m2, n); each call still forms its own product e1*e2, takes
+    its direct image and compares it with the degree-n part of its spec's
+    inverse class.  ``line_spec`` is two 0/1 pairs, as tuples or lists.
     """
     if m1 < 0 or m2 < 0 or n < 1:
         raise ValueError("need m1, m2 >= 0 and n >= 1")
-    spec = _as_spec(line_spec)
+    try:
+        spec = tuple(tuple(bits) for bits in line_spec)
+        valid = spec in _SPECS
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}")
     _, eulers, inverses = _product_rings(m1, m2, n)
     lhs = umkehr_px(eulers[spec[0]] * eulers[spec[1]], n)
     return lhs == inverses[spec].homogeneous_part(n)

@@ -48,80 +48,7 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _add_verify_classes(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--m", type=int, help="single domain parameter m")
-    g.add_argument("--m-max", type=int, help="sweep m = 1..m_max")
-
-
-def _add_table(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-
-
-def _add_oracles(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m1-max", type=int, default=5)
-    p.add_argument("--m2-max", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--dual-n-max", type=int, default=16)
-    p.add_argument("--dual-k", type=int, default=20)
-
-
-def _add_map_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", metavar="FILE", help="map descriptor JSON file")
-    p.add_argument("--builtin", choices=BUILTIN_NAMES, help="named example map")
-    p.add_argument("--m", type=int, help="builtin parameter m")
-    p.add_argument("--n", type=int, help="builtin parameter n")
-    p.add_argument("--degree", type=int, help="builtin parameter degree")
-    p.add_argument("--map-seed", type=int, help="builtin parameter seed")
-
-
-def _add_find_witness(p: argparse.ArgumentParser) -> None:
-    _add_map_source(p)
-    p.add_argument("--case", required=True,
-                   choices=("a", "b", "parallel_a", "parallel_b", "collinear",
-                            "lindep", "linear_dependence"))
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
-
-
-def _add_verify_witness(p: argparse.ArgumentParser) -> None:
-    _add_map_source(p)
-    p.add_argument("--record", metavar="FILE", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-
-def _add_find_1d(p: argparse.ArgumentParser) -> None:
-    _add_map_source(p)
-    p.add_argument("--interval", type=float, nargs=2, default=(-2.0, 2.0),
-                   metavar=("A", "B"))
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--samples", type=int, default=257)
-
-
-def _add_singularity(p: argparse.ArgumentParser) -> None:
-    _add_map_source(p)
-    p.add_argument("--record", metavar="FILE", required=True)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--noise-scale", type=float, default=0.05)
-    p.add_argument("--ratio-threshold", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subparsers by name: every subcommand's,
-    or only the one named ``only``.
-
-    A parser of one subcommand parses that subcommand's arguments as the
-    full parser does, and prints the same help and errors: its usage line
-    names every subcommand, since the top-level parser reports arguments
-    left over after the subcommand's.
-    """
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="parlines",
         description="mod-2 class checks and witness searches for parallel-line configurations",
@@ -131,15 +58,73 @@ def build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dict
         metavar="FILE",
         help="JSON file of default option values (command line wins)",
     )
-    # The full parser leaves the metavar to argparse, which writes the
-    # choices as "{a,b,...}" and names the argument "command" in its errors.
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for name, (help_line, add_options, _) in _COMMANDS.items():
-        if only is None or name == only:
-            subs[name] = sub.add_parser(name, help=help_line)
-            add_options(subs[name])
+
+    p = sub.add_parser("verify-classes", help="run the symbolic non-vanishing checks")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--m", type=int, help="single domain parameter m")
+    g.add_argument("--m-max", type=int, help="sweep m = 1..m_max")
+    subs["verify-classes"] = p
+
+    p = sub.add_parser("table", help="tabulate check outcomes over a range of m")
+    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    subs["table"] = p
+
+    p = sub.add_parser("oracles", help="brute-force direct-image consistency grids")
+    p.add_argument("--m1-max", type=int, default=5)
+    p.add_argument("--m2-max", type=int, default=5)
+    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--dual-n-max", type=int, default=16)
+    p.add_argument("--dual-k", type=int, default=20)
+    subs["oracles"] = p
+
+    def add_map_source(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--map", metavar="FILE", help="map descriptor JSON file")
+        p.add_argument("--builtin", choices=BUILTIN_NAMES, help="named example map")
+        p.add_argument("--m", type=int, help="builtin parameter m")
+        p.add_argument("--n", type=int, help="builtin parameter n")
+        p.add_argument("--degree", type=int, help="builtin parameter degree")
+        p.add_argument("--map-seed", type=int, help="builtin parameter seed")
+
+    p = sub.add_parser("find-witness", help="multi-start witness search")
+    add_map_source(p)
+    p.add_argument("--case", required=True,
+                   choices=("a", "b", "parallel_a", "parallel_b", "collinear",
+                            "lindep", "linear_dependence"))
+    p.add_argument("--delta", type=float, default=0.25)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
+    subs["find-witness"] = p
+
+    p = sub.add_parser("verify-witness", help="re-check a stored witness record")
+    add_map_source(p)
+    p.add_argument("--record", metavar="FILE", required=True)
+    p.add_argument("--tol", type=float, default=1e-10)
+    subs["verify-witness"] = p
+
+    p = sub.add_parser("find-1d", help="guaranteed parallel chords for a map R -> R^2")
+    add_map_source(p)
+    p.add_argument("--interval", type=float, nargs=2, default=(-2.0, 2.0),
+                   metavar=("A", "B"))
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--samples", type=int, default=257)
+    subs["find-1d"] = p
+
+    p = sub.add_parser("singularity", help="local dimension estimate around a collinear witness")
+    add_map_source(p)
+    p.add_argument("--record", metavar="FILE", required=True)
+    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--noise-scale", type=float, default=0.05)
+    p.add_argument("--ratio-threshold", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=0)
+    subs["singularity"] = p
+
     return parser, subs
 
 
@@ -280,8 +265,8 @@ def _run_table(args) -> int:
 
 # The oracle grids' caps.  The dual's rings grow as dual-k squared; at the
 # caps the slowest shapes, all product instances in the columns (m1-max
-# 623) or all instances in dual-n-max at dual-k 64, took 0.8-0.9 s and
-# 8.3-9.1 s on a 2-vCPU machine.
+# 623) or all instances in dual-n-max at dual-k 64, took 0.5-0.8 s and
+# 6.1-10.4 s on a shared 2-vCPU machine.
 _ORACLE_INSTANCE_CAP = 10_000
 _ORACLE_DUAL_K_CAP = 64
 
@@ -400,35 +385,20 @@ def _run_singularity(args) -> int:
     return 0
 
 
-# Each subcommand's help line, the function that adds its options and
-# the function that runs it.
-_COMMANDS = {
-    "verify-classes": (
-        "run the symbolic non-vanishing checks", _add_verify_classes, _run_verify_classes
-    ),
-    "table": ("tabulate check outcomes over a range of m", _add_table, _run_table),
-    "oracles": ("brute-force direct-image consistency grids", _add_oracles, _run_oracles),
-    "find-witness": ("multi-start witness search", _add_find_witness, _run_find_witness),
-    "verify-witness": (
-        "re-check a stored witness record", _add_verify_witness, _run_verify_witness
-    ),
-    "find-1d": (
-        "guaranteed parallel chords for a map R -> R^2", _add_find_1d, _run_find_1d
-    ),
-    "singularity": (
-        "local dimension estimate around a collinear witness", _add_singularity,
-        _run_singularity,
-    ),
+_RUNNERS = {
+    "verify-classes": _run_verify_classes,
+    "table": _run_table,
+    "oracles": _run_oracles,
+    "find-witness": _run_find_witness,
+    "verify-witness": _run_verify_witness,
+    "find-1d": _run_find_1d,
+    "singularity": _run_singularity,
 }
 
 
 def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # A named subcommand needs only its own subparser, unless a config
-    # file's keys are to be checked against every command's options.
-    config = any(a == "--config" or a.startswith("--config=") for a in argv)
-    only = argv[0] if argv and argv[0] in _COMMANDS and not config else None
-    parser, subs = build_parser(only)
+    parser, subs = build_parser()
     try:
         _load_config_defaults(argv, subs)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -436,7 +406,7 @@ def main(argv: list | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = _COMMANDS[args.command][2](args)
+        code = _RUNNERS[args.command](args)
         outcome = {0: "ok", 1: "failed"}[code]
     except BrokenPipeError:
         # The reader is gone: there is no one to tell, console_main ends it.

@@ -377,6 +377,27 @@ class RingPresentation:
         place = self._places[-1]
         return RingElement(self.base, p.bits >> (power * place) & ((1 << place) - 1))
 
+    def from_base_coefficients(self, coefficients: dict[int, "RingElement"]) -> "RingElement":
+        """The element sum_k c_k g**k for base elements c_k = coefficients[k],
+        where g is the one generator this ring adds to its base; the inverse
+        of ``base_coefficient``.  Powers of a truncated g past its cap are
+        zero and dropped; a rewrite generator takes powers up to 1 only.
+        g is the top digit of the packed layout, so c_k's bits are shifted
+        by k times g's place."""
+        if self.base is None or len(self.gen_names) != len(self.base.gen_names) + 1:
+            raise RingError(f"{self.name} does not extend its base by one generator")
+        place, cap = self._places[-1], self._caps[-1]
+        truncated = self._bounds[-1] is not None
+        bits = 0
+        for power, c in coefficients.items():
+            if c.ring is not self.base:
+                raise RingError("coefficients must belong to this ring's base")
+            if power < 0 or (power > cap and not truncated):
+                raise RingError(f"no power {power} of the added generator here")
+            if power <= cap:
+                bits ^= c.bits << (power * place)
+        return RingElement(self, bits)
+
     def __repr__(self) -> str:
         return f"<ring {self.name}: {', '.join(self.gen_names)}>"
 

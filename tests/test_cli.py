@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -746,7 +746,25 @@ def test_singularity_rejects_wrong_case(tmp_path, capsys):
     assert "collinear" in lines[0]["error"]
 
 
+def _bench_singularity_samples(monkeypatch) -> int:
+    bench = Path(__file__).resolve().parents[1] / "clibench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads imports refs beside it
+    spec = importlib.util.spec_from_file_location("clibench_workloads", bench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SINGULARITY_SAMPLES
+
+
 def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
+    # The sample counts in use lie inside the cap: the default, the
+    # README's and the benchmark's.
+    cap = witness._MAX_SINGULARITY_SAMPLES
+    default = cli.build_parser()[1]["singularity"].get_default("samples")
+    [readme] = [argv for argv in _readme_cli_commands() if argv[0] == "singularity"]
+    counts = [default, int(readme[readme.index("--samples") + 1])]
+    counts.append(_bench_singularity_samples(monkeypatch))
+    assert 1 <= min(counts) and max(counts) <= cap
+
     # Each sample is a re-minimization: the cap refuses before any search.
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
@@ -757,19 +775,8 @@ def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
         "singularity", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
         "--record", write_json(tmp_path / "base.json", exact_collinear_record_dict(f)),
     ]
-    for samples in ("1025", "0"):
-        _exit_2_with(capsys, [*argv, "--samples", samples], "samples must lie in 1..1024")
-
-
-def test_singularity_sample_counts_in_use_lie_inside_the_cap():
-    cap = witness._MAX_SINGULARITY_SAMPLES
-    parser = cli.build_parser("singularity")[1]["singularity"]
-    [readme] = [argv for argv in _readme_cli_commands() if argv[0] == "singularity"]
-    workloads = (Path(__file__).resolve().parents[1] / "clibench" / "workloads.py").read_text()
-    [bench] = re.findall(r"^SINGULARITY_SAMPLES = (\d+)$", workloads, re.M)
-    counts = [parser.get_default("samples"), int(readme[readme.index("--samples") + 1]), int(bench)]
-    assert counts == [32, 32, 12]
-    assert max(counts) <= cap
+    for samples in (str(cap + 1), "0"):
+        _exit_2_with(capsys, [*argv, "--samples", samples], f"samples must lie in 1..{cap}")
 
 
 # -- non-finite numbers ---------------------------------------------------------------
@@ -883,63 +890,6 @@ def test_closed_pipe_ends_without_traceback(tmp_path):
 
 
 # -- config file ------------------------------------------------------------------------
-
-
-# -- the parser -----------------------------------------------------------------------
-
-_COMMAND_NAMES = (
-    "verify-classes", "table", "oracles", "find-witness", "verify-witness", "find-1d",
-    "singularity",
-)
-
-
-def _parse_outcome(capsys, parse, argv) -> tuple:
-    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"],
-        *([name, "--help"] for name in _COMMAND_NAMES),
-        [],
-        ["bogus"],
-        ["find-witness", "--builtin", "parabola", "--case", "z"],
-        ["table"],
-        ["verify-classes"],
-        ["oracles", "--bogus", "1"],
-        ["oracles", "--n-max", "x"],
-    ],
-)
-def test_main_parses_as_the_full_parser(capsys, argv):
-    # main builds one subcommand's parser when argv names one; its help
-    # and its errors must be the full parser's, byte for byte.
-    full = cli.build_parser()[0].parse_args
-    assert _parse_outcome(capsys, main, argv) == _parse_outcome(capsys, full, argv)
-
-
-def test_main_builds_only_the_named_subcommand(tmp_path, capsys, monkeypatch):
-    asked = []
-    build = cli.build_parser
-
-    def recording(only=None):
-        asked.append(only)
-        return build(only)
-
-    monkeypatch.setattr(cli, "build_parser", recording)
-    cfg = write_json(tmp_path / "cfg.json", {"m_max": 2})
-    assert main(["verify-classes", "--m", "2"]) == 0
-    # A config file's keys are checked against every command's options.
-    assert main(["--config", cfg, "table"]) == 0
-    assert main([f"--config={cfg}", "table"]) == 0
-    capsys.readouterr()
-    assert asked == ["verify-classes", None, None]
-    assert tuple(build()[1]) == _COMMAND_NAMES
-    assert all(tuple(build(name)[1]) == (name,) for name in _COMMAND_NAMES)
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

@@ -350,6 +350,33 @@ def test_lift_from_base_is_multiplicative():
         base.lift_from_base(t)
 
 
+def test_from_base_coefficients_inverts_base_coefficient():
+    base = ring_truncated("B", [("u", 1, 3), ("v", 2, 2)])
+    ring = ring_adjoin_x(base, 3)
+    u, v, x = ring.gens()
+    p = u * x ** 3 + v * x ** 2 + u * u * v + x
+    coefficients = {k: ring.base_coefficient(p, k) for k in range(4)}
+    assert ring.from_base_coefficients(coefficients) == p
+    # Powers of x past its cap are zero.
+    c = base.gen("u")
+    assert ring.from_base_coefficients({2: c, 4: c, 9: c}) == u * x ** 2
+    assert ring.from_base_coefficients({}) == ring.zero()
+    with pytest.raises(RingError):
+        ring.from_base_coefficients({0: u})  # not a base element
+    with pytest.raises(RingError):
+        ring.from_base_coefficients({-1: c})
+    with pytest.raises(RingError):
+        base.from_base_coefficients({0: c})  # base is not an extension
+    # A rewrite generator's square has no place of its own in the layout.
+    w1, w2 = ring_truncated("W", [("w1", 1, 3), ("w2", 2, 3)]).gens()
+    bundle = ring_proj_bundle(w1.ring, w1, w2)
+    t = bundle.gen("t")
+    lift = bundle.lift_from_base
+    assert bundle.from_base_coefficients({0: w2, 1: w1}) == lift(w2) + lift(w1) * t
+    with pytest.raises(RingError):
+        bundle.from_base_coefficients({2: w1.ring.one()})
+
+
 # -- the packed layout against the tuple route ----------------------------------
 
 
