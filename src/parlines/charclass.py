@@ -381,7 +381,6 @@ def check_corollary(m: int) -> VerificationReport:
     return _series_report("corollary", m, _W, t_offset=0)
 
 
-@lru_cache(maxsize=4)
 def _prop_q_series(m: int) -> tuple[int, ...]:
     """w = (1+t0)^-1 (1+t0+x0)^-1 in ``ring_y0(q, m)``, in row form: row a
     is the polynomial in s multiplying t0^a (a < 2^q), bit b standing for s^b.

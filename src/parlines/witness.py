@@ -136,6 +136,14 @@ class Configuration:
         return cls(x=x, u=u, v=v, delta=json_typed(data, "delta", float))
 
 
+# A search that finds no witness runs every restart, each for up to 3 rounds
+# of max_iters iterations: at both caps, find-witness --case collinear on
+# random cubics R^2 -> R^6 and R^4 -> R^11 took 8.8 s and 13.7 s on a
+# 2-vCPU VM (at max_iters 1000, 21 s and 30 s).
+_MAX_RESTARTS = 256
+_MAX_ITERS = 500
+
+
 @dataclass
 class SearchConfig:
     """Tuning knobs of the multi-start search; defaults are the contract.
@@ -145,6 +153,7 @@ class SearchConfig:
     iterations in each of 3 rounds, with the initial simplex scale starting
     at 0.5 and shrinking by ``_SHRINK`` between rounds.  A residual at or
     below ``tol`` is a witness, and the search stops at the first one.
+    ``restarts`` and ``max_iters`` are capped at 256 and 500.
     """
 
     delta: float = 0.25
@@ -157,8 +166,9 @@ class SearchConfig:
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
         _require_positive("tol", self.tol)
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be >= 1")
+        for name, cap in (("restarts", _MAX_RESTARTS), ("max_iters", _MAX_ITERS)):
+            if not 1 <= getattr(self, name) <= cap:
+                raise ValueError(f"{name} must lie in 1..{cap}, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -432,21 +442,13 @@ def _residual_from_points(case: str, f: MapDescriptor, pts) -> np.ndarray:
         return _residual_rows(case, imgs)
 
 
-def _pair_sets_distinct(pts, eps: float = _DISTINCT_EPS) -> bool:
-    """Whether {p0, p1} and {p2, p3} differ as unordered point sets."""
-    d = lambda a, b: float(np.linalg.norm(np.asarray(a) - np.asarray(b)))  # noqa: E731
-    same_direct = d(pts[0], pts[2]) <= eps and d(pts[1], pts[3]) <= eps
-    same_crossed = d(pts[0], pts[3]) <= eps and d(pts[1], pts[2]) <= eps
-    return not (same_direct or same_crossed)
-
-
-def _min_pairwise(pts) -> float:
-    arr = [np.asarray(p, dtype=float) for p in pts]
-    return min(
-        float(np.linalg.norm(arr[i] - arr[j]))
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
+def _distances(pts) -> np.ndarray:
+    """The 4x4 table of distances between the points of a 4-tuple."""
+    pts = np.asarray(pts, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    # A stacked (1, d) @ (d, 1) matmul is BLAS ddot per pair, as in _unit,
+    # so each entry is np.linalg.norm of its difference to the bit.
+    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
 
 
 # -- local minimization -------------------------------------------------------
@@ -759,11 +761,11 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
     The result is the (residual, restart) minimum over the restarts run, so
     over all of them when none reaches the tolerance.
 
-    The restarts run as lanes of lockstep batches: cases a and b, which
-    mostly stop after a restart or two, start at one lane and widen, the
-    other cases start at ``_BATCH`` lanes.  Within a batch, the restarts
-    behind the first one at or below the tolerance are dropped.  The
-    batching changes no result: the pick reads the restarts in order.
+    The restarts run as lanes of lockstep batches: cases a, b and lindep,
+    which mostly stop after a restart or two, start at one lane and widen,
+    the collinear case starts at ``_BATCH`` lanes.  Within a batch, the
+    restarts behind the first one at or below the tolerance are dropped.
+    The batching changes no result: the pick reads the restarts in order.
     """
     case = canonical_case(case)
     if case == "line_1d":
@@ -779,11 +781,11 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         return vals
 
     best_val, best_z = math.inf, None
-    # Cases a and b mostly stop after a restart or two: their batches start
-    # narrow.  The collinear and lindep batches start at full width: on 64
-    # random cubics R^2 -> R^5, a one-lane start made collinear searches
-    # about 10% slower and lindep ones about 45% faster: no gain in sum.
-    first = 1 if case in ("parallel_b", "parallel_a") else _BATCH
+    # Cases a, b and lindep mostly stop after a restart or two: their
+    # batches start narrow.  The collinear batches start at full width: on
+    # 64 random cubics R^2 -> R^5, a one-lane start made collinear searches
+    # about 10% slower, but lindep ones about 45% faster.
+    first = _BATCH if case == "collinear" else 1
     restarts = _multistart(
         objective, lambda i: np.random.default_rng([cfg.seed, i]).standard_normal(ambient),
         cfg.restarts, first, cfg.max_iters, 0.5, 3, cfg.tol, prune=True,
@@ -809,13 +811,16 @@ def _record(case: str, f: MapDescriptor, pts, tol: float, config: Configuration 
             seed: int = 0, restarts_used: int = 0) -> WitnessRecord:
     """The record of 4 points in record order, found if their residual is at or below tol."""
     residual = float(_residual_from_points(case, f, [pts])[0])
+    dist = _distances(pts)
+    # {p0, p1} = {p2, p3} as sets if p0, p1 meet p2, p3 (row 0) or p3, p2 (row 1).
+    same = dist[[[0, 1], [0, 1]], [[2, 3], [3, 2]]] <= _DISTINCT_EPS
     return WitnessRecord(
         case=case,
         found=residual <= tol,
         points=list(pts),
         residual=residual,
-        min_pairwise_distance=_min_pairwise(pts),
-        pair_sets_distinct=_pair_sets_distinct(pts),
+        min_pairwise_distance=float(dist[np.triu_indices(4, 1)].min()),
+        pair_sets_distinct=not same.all(axis=1).any(),
         config=config,
         map_digest=map_digest(f),
         seed=seed,
@@ -831,25 +836,31 @@ def verify_witness(
 ) -> WitnessVerification:
     """Re-derive everything checkable about a record from the map itself.
 
-    Recomputes the residual from the stored points (and its agreement with
-    the stored value), the stored minimum distance and pair-set flag, the
-    config-to-points consistency, the per-case distinctness requirements,
-    and the map digest.
+    Rebuilds the record from the stored points and the map, and checks in
+    this order: the map digest, the config (on the case's manifold, and
+    giving the points), the stored distances, the stored residual, the
+    residual within tol, and the per-case distinctness requirements.
     """
     _require_positive("tol", tol)
     case = canonical_case(rec.case)
     checks: dict[str, bool] = {}
     messages: list[str] = []
 
+    def check(name: str, passed, message: str) -> None:
+        # A Python bool: canonical_json refuses numpy's.
+        checks[name] = bool(passed)
+        if not passed:
+            messages.append(message)
+
     pts = [np.asarray(p, dtype=float) for p in rec.points]
     if len(pts) != 4 or any(p.shape != (f.domain_dim,) for p in pts):
         raise ValueError("record must contain 4 points of the map's domain dimension")
     if rec.config is not None and rec.config.x.shape != (f.domain_dim,):
         raise ValueError("record config must have the map's domain dimension")
+    rebuilt = _record(case, f, pts, tol)
 
-    checks["digest_matches"] = rec.map_digest == map_digest(f)
-    if not checks["digest_matches"]:
-        messages.append("map digest differs from the supplied map")
+    check("digest_matches", rec.map_digest == rebuilt.map_digest,
+          "map digest differs from the supplied map")
 
     if rec.config is not None:
         # The config must stay where the search's own projection puts it.
@@ -858,66 +869,41 @@ def verify_witness(
         moves = {name: float(np.linalg.norm(p[0] - q))
                  for name, p, q in zip("xuv", proj, (c.x, c.u, c.v))}
         worst = max(moves, key=lambda name: (math.isnan(moves[name]), moves[name]))
-        checks["config_norms"] = not degenerate[0] and moves[worst] <= 1e-9
-        if degenerate[0]:
-            messages.append(f"the config has a zero block: it has no point on the {case} manifold")
-        elif not checks["config_norms"]:
-            messages.append(f"{worst} lies {moves[worst]:.2g} off the {case} manifold")
-        expected = record_points(case, rec.config)
-        dev = max(
-            float(np.max(np.abs(np.asarray(e) - p))) for e, p in zip(expected, pts)
-        )
-        checks["points_match_config"] = dev <= 1e-9
-        if dev > 1e-9:
-            messages.append(f"points deviate from configuration by {dev!r}")
+        check("config_norms", not degenerate[0] and moves[worst] <= 1e-9,
+              f"the config has a zero block: it has no point on the {case} manifold"
+              if degenerate[0] else f"{worst} lies {moves[worst]:.2g} off the {case} manifold")
+        dev = max(float(np.max(np.abs(e - p))) for e, p in zip(record_points(case, c), pts))
+        check("points_match_config", dev <= 1e-9,
+              f"points deviate from configuration by {dev!r}")
 
     stored = (rec.min_pairwise_distance, rec.pair_sets_distinct)
-    recomputed = (_min_pairwise(pts), _pair_sets_distinct(pts))
-    checks["distances_agree_with_record"] = (
-        abs(stored[0] - recomputed[0]) <= 1e-12 and stored[1] == recomputed[1]
-    )
-    if not checks["distances_agree_with_record"]:
-        messages.append(
-            f"recomputed (min_pairwise_distance, pair_sets_distinct) {recomputed!r} "
-            f"vs recorded {stored!r}"
-        )
+    recomputed = (rebuilt.min_pairwise_distance, rebuilt.pair_sets_distinct)
+    check("distances_agree_with_record",
+          abs(stored[0] - recomputed[0]) <= 1e-12 and stored[1] == recomputed[1],
+          f"recomputed (min_pairwise_distance, pair_sets_distinct) {recomputed!r} "
+          f"vs recorded {stored!r}")
 
-    residual = float(_residual_from_points(case, f, [pts])[0])
-    checks["residual_agrees_with_record"] = abs(residual - rec.residual) <= 1e-12
-    if not checks["residual_agrees_with_record"]:
-        messages.append(
-            f"recomputed residual {residual!r} vs recorded {rec.residual!r}"
-        )
-    checks["residual_within_tol"] = residual <= tol
-    if math.isnan(residual):
-        messages.append("residual is not finite: the map's values overflow the float range")
-    elif residual > tol:
-        messages.append(f"residual {residual!r} exceeds tol {tol!r}")
+    residual = rebuilt.residual
+    check("residual_agrees_with_record", abs(residual - rec.residual) <= 1e-12,
+          f"recomputed residual {residual!r} vs recorded {rec.residual!r}")
+    check("residual_within_tol", rebuilt.found,
+          "residual is not finite: the map's values overflow the float range"
+          if math.isnan(residual) else f"residual {residual!r} exceeds tol {tol!r}")
 
     if case == "line_1d":
         x0, x1, y0, y1 = (float(p[0]) for p in pts)
-        checks["ordering"] = x0 < y0 < y1 < x1
-        if not checks["ordering"]:
-            messages.append("expected ordering x0 < y0 < y1 < x1")
+        check("ordering", x0 < y0 < y1 < x1, "expected ordering x0 < y0 < y1 < x1")
     elif case == "parallel_b":
-        d01 = float(np.linalg.norm(pts[0] - pts[1]))
-        d23 = float(np.linalg.norm(pts[2] - pts[3]))
-        checks["pairs_nondegenerate"] = min(d01, d23) > _DISTINCT_EPS
-        checks["pair_sets_distinct"] = _pair_sets_distinct(pts)
-        if not checks["pairs_nondegenerate"]:
-            messages.append("a pair has coincident endpoints")
-        if not checks["pair_sets_distinct"]:
-            messages.append("the two pairs coincide as sets")
+        dist = _distances(pts)
+        check("pairs_nondegenerate", min(dist[0, 1], dist[2, 3]) > _DISTINCT_EPS,
+              "a pair has coincident endpoints")
+        check("pair_sets_distinct", rebuilt.pair_sets_distinct, "the two pairs coincide as sets")
     else:
-        checks["points_distinct"] = _min_pairwise(pts) > _DISTINCT_EPS
-        if not checks["points_distinct"]:
-            messages.append("the four points are not pairwise distinct")
+        check("points_distinct", rebuilt.min_pairwise_distance > _DISTINCT_EPS,
+              "the four points are not pairwise distinct")
 
     return WitnessVerification(
-        passed=all(checks.values()),
-        residual=residual,
-        checks=checks,
-        messages=messages,
+        passed=all(checks.values()), residual=residual, checks=checks, messages=messages
     )
 
 
@@ -1003,12 +989,10 @@ def find_1d(
     top = float(np.abs(imgs).max())
     scale = 2.0 ** -math.frexp(top)[1] if top > _HUGE_IMAGE else 1.0
     imgs = imgs * scale
-    centered = imgs - imgs.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    flat = s[0] <= _ZERO_EPS
-    ratio = 0.0 if flat else float((s[1] / s[0]) ** 2)
+    # 0 where the centered samples are flat (sigma_1 at most _ZERO_EPS).
+    ratio = float(_sv_ratio((imgs - imgs.mean(axis=0))[None])[0])
 
-    if flat or ratio <= tol:
+    if ratio <= tol:
         # Collinear image: any increasing 4-tuple works.
         qs = np.linspace(a, b, 6)[1:5]
         pts = [np.array([qs[0]]), np.array([qs[3]]), np.array([qs[1]]), np.array([qs[2]])]

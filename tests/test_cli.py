@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -547,6 +548,64 @@ def test_verify_witness_recomputes_the_stored_distances(tmp_path, capsys, field,
     assert "vs recorded" in lines[0]["messages"][0]
 
 
+@pytest.mark.parametrize("case", ["collinear", "parallel_b"])
+def test_verify_witness_reports_every_failed_check_in_order(tmp_path, capsys, case):
+    # One record that fails every check it can: another map's digest, a
+    # config off the manifold, moved points, false distances and residual,
+    # --tol exceeded (collinear; case b's coincident chords give residual
+    # 0) and coincident points.  The report lists its checks, and the
+    # messages of the failed ones, in a fixed order.
+    f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
+    tiny = 2.0**-31  # below the 1e-9 distinctness threshold
+    if case == "collinear":
+        # The config gives (2, .25), (2, -.25), (-1.75, 0), (-2.25, 0).
+        points = [[2.0, 0.25], [2.0, 0.25 + tiny], [-1.75, 0.0], [-2.25, 0.0]]
+        residual = collinear_residual(*eval_map(f, np.array(points)))
+        assert residual > 1e-30
+        last = [f"residual {residual!r} exceeds tol 1e-30",
+                "the four points are not pairwise distinct"]
+        last_checks = {"residual_within_tol": False, "points_distinct": False}
+        dev, distances = "0.5000000004656613", "(4.656612873077393e-10, True)"
+    else:
+        # The config gives (-1.75, 0), (2, .25), (-2.25, 0), (2, -.25).
+        points = [[-1.75, 0.0], [-1.75, tiny], [-1.75, 0.0], [-1.75, tiny]]
+        residual = 0.0
+        last = ["a pair has coincident endpoints", "the two pairs coincide as sets"]
+        last_checks = {"residual_within_tol": True, "pairs_nondegenerate": False,
+                       "pair_sets_distinct": False}
+        dev, distances = "3.75", "(0.0, False)"
+    record = {
+        "case": case, "found": True, "points": points, "residual": 0.5,
+        "min_pairwise_distance": 123.0, "pair_sets_distinct": True,
+        "config": {"x": [2.0, 0.0], "u": [0.0, 1.0], "v": [1.0, 0.0], "delta": 0.25},
+        "map_digest": map_digest(builtin_map("parabola")), "seed": 0, "restarts_used": 1,
+    }
+    code, lines, _ = run_cli(capsys, "verify-witness", *README_MAP_FLAGS, "--tol", "1e-30",
+                             "--record", write_json(tmp_path / "rec.json", record))
+    expected = {
+        "passed": False,
+        "residual": residual,
+        "checks": {
+            "digest_matches": False, "config_norms": False, "points_match_config": False,
+            "distances_agree_with_record": False, "residual_agrees_with_record": False,
+            **last_checks,
+        },
+        "messages": [
+            "map digest differs from the supplied map",
+            f"x lies 1 off the {case} manifold",
+            f"points deviate from configuration by {dev}",
+            f"recomputed (min_pairwise_distance, pair_sets_distinct) {distances} "
+            "vs recorded (123.0, True)",
+            f"recomputed residual {residual!r} vs recorded 0.5",
+            *last,
+        ],
+    }
+    assert code == 1
+    # Dict equality ignores the order of the keys: compare the items.
+    assert list(lines[0].items()) == list(expected.items())
+    assert list(lines[0]["checks"].items()) == list(expected["checks"].items())
+
+
 def _overflow_map(power: int, coeff: float = 1e308) -> dict:
     # R^2 -> R^5 with first coordinate coeff (x^p + y^p): finite values, but
     # chord norms, or near the unit circle the images, overflow.
@@ -746,13 +805,13 @@ def test_singularity_rejects_wrong_case(tmp_path, capsys):
     assert "collinear" in lines[0]["error"]
 
 
-def _bench_singularity_samples(monkeypatch) -> int:
+def _bench_workloads(monkeypatch):
     bench = Path(__file__).resolve().parents[1] / "clibench"
     monkeypatch.syspath_prepend(str(bench))  # workloads imports refs beside it
     spec = importlib.util.spec_from_file_location("clibench_workloads", bench / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SINGULARITY_SAMPLES
+    return module
 
 
 def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
@@ -762,7 +821,7 @@ def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
     default = cli.build_parser()[1]["singularity"].get_default("samples")
     [readme] = [argv for argv in _readme_cli_commands() if argv[0] == "singularity"]
     counts = [default, int(readme[readme.index("--samples") + 1])]
-    counts.append(_bench_singularity_samples(monkeypatch))
+    counts.append(_bench_workloads(monkeypatch).SINGULARITY_SAMPLES)
     assert 1 <= min(counts) and max(counts) <= cap
 
     # Each sample is a re-minimization: the cap refuses before any search.
@@ -777,6 +836,41 @@ def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
     ]
     for samples in (str(cap + 1), "0"):
         _exit_2_with(capsys, [*argv, "--samples", samples], f"samples must lie in 1..{cap}")
+
+
+def test_find_witness_restarts_and_iterations_are_capped(tmp_path, capsys, monkeypatch):
+    # The values in use lie inside the caps: the defaults, the README's and
+    # those of the benchmark's witness pass.
+    class Ctx:
+        workdir = str(tmp_path)
+        argvs = []
+
+        def run(self, metric, argv, check):
+            self.argvs.append(argv)
+
+    _bench_workloads(monkeypatch).witness_suite(0)(Ctx())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()[1]["find-witness"]
+    for name, flag, cap in (("restarts", "--restarts", witness._MAX_RESTARTS),
+                            ("max_iters", "--max-iters", witness._MAX_ITERS)):
+        counts = [parser.get_default(name)]
+        counts += [int(n) for n in re.findall(rf"(?:{name}=|{flag}\s+)(\d+)", readme)]
+        counts += [int(argv[argv.index(flag) + 1]) for argv in Ctx.argvs if flag in argv]
+        assert 1 <= min(counts) and max(counts) <= cap
+
+    # A search that finds nothing runs every restart: the caps refuse before
+    # any search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(witness, "_multistart", no_search)
+    argv = ["find-witness", *README_MAP_FLAGS, "--case", "collinear"]
+    for value in (str(witness._MAX_RESTARTS + 1), "0"):
+        _exit_2_with(capsys, [*argv, "--restarts", value],
+                     f"restarts must lie in 1..{witness._MAX_RESTARTS}, got {value}")
+    for value in (str(witness._MAX_ITERS + 1), "0"):
+        _exit_2_with(capsys, [*argv, "--max-iters", value],
+                     f"max_iters must lie in 1..{witness._MAX_ITERS}, got {value}")
 
 
 # -- non-finite numbers ---------------------------------------------------------------

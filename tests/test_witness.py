@@ -39,6 +39,7 @@ from parlines.witness import (
     search,
     theorem_guarantee,
     verify_witness,
+    _distances,
     _residual_from_points,
     _unit,
 )
@@ -370,6 +371,19 @@ def test_unit_and_record_points_bitwise(d, seed, scale):
         assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
     with pytest.raises(ValueError, match="no configuration layout"):
         record_points("line_1d", c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1.0, 1e150]),
+       st.sampled_from([(), (0, 1), (2, 3), (0, 3), (1, 2)]))
+def test_distances_match_linalg_norm_bitwise(d, seed, scale, same):
+    # Each entry of the table is np.linalg.norm of its pair's difference to
+    # the bit, also for coincident points and near 1e150.
+    pts = np.random.default_rng(seed).standard_normal((4, d)) * scale
+    if same:
+        pts[same[1]] = pts[same[0]]
+    expected = [[float(np.linalg.norm(p - q)) for q in pts] for p in pts]
+    assert _distances(pts).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def _witness_outputs() -> list:
@@ -755,7 +769,9 @@ def test_search_config_validation():
         {"delta": 0.0},
         {"tol": 0.0},
         {"restarts": 0},
+        {"restarts": 257},
         {"max_iters": 0},
+        {"max_iters": 501},
         {"seed": -1},
     ):
         with pytest.raises(ValueError):
@@ -818,6 +834,27 @@ def test_search_seed_recorded():
     assert rec.config is not None
     nx = float(np.linalg.norm(rec.config.x))
     assert abs(nx - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["a", "b", "collinear"])
+def test_twisted_cubic_has_no_parallel_or_coplanar_witness(case):
+    # On t -> (t, t^2, t^3) the chord from a to b is (b-a)(1, a+b, a^2+ab+b^2),
+    # so parallel chords force {a, b} = {c, d}, and no four distinct points
+    # are coplanar: the searches must miss by a clear margin.
+    f = builtin_map("moment", {"m": 0, "n": 2})
+    for seed in (0, 1):
+        rec = search(f, case, SearchConfig(restarts=32, seed=seed))
+        assert not rec.found and rec.restarts_used == 32
+        assert rec.residual >= 1e-3
+
+
+def test_twisted_cubic_lindep_witness_in_the_first_restart():
+    # Linear dependence of four images is guaranteed into R^3 at m = 0.
+    f = builtin_map("moment", {"m": 0, "n": 2})
+    assert theorem_guarantee(f, "lindep")[0]
+    rec = search(f, "lindep", SearchConfig(restarts=32))
+    assert rec.found and rec.restarts_used == 1
+    assert verify_witness(rec, f).passed
 
 
 # -- verification -------------------------------------------------------------------
