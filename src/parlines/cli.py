@@ -96,7 +96,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--max-iters", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
     subs["find-witness"] = p

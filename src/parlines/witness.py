@@ -16,20 +16,23 @@ exhibit one of four degeneracies:
 Residuals are scale-free squared singular-value ratios, so "witness found"
 means the residual is at or below a configurable tolerance; a norm at or
 below the fixed ``_ZERO_EPS`` counts as zero.  Each case has
-one residual, ``_residual_from_points`` on a stack of 4-tuples of points in
-record order; the search objective, the record, ``verify_witness``, the
+one residual, ``_residual_rows`` on the images of a stack of 4-tuples of
+points in record order (``_residual_from_points`` evaluates the map and
+calls it); the search's stops and picks, the record, ``verify_witness``, the
 singularity estimate and the public one-row residuals all go through it.
 Each case's manifold has one implementation too, ``_projector``: the
 search projects onto it, and ``verify_witness`` checks a stored
 configuration with that same projection.
-The search is a seeded multi-start local minimization (Nelder-Mead in
-ambient coordinates, re-projected onto the constraint manifold inside the
-objective); it is fully deterministic for a fixed seed and configuration.
-Its Nelder-Mead, ``minimize``, is a port of scipy's that the tests hold to
-scipy bit for bit; it runs a search's restarts, and the singularity
-estimate's samples, as lanes of one simplex stack in lockstep.  ``find_1d``
-is separate: for maps R -> R^2 it constructs a guaranteed parallel pair by
-an intermediate-value argument instead of optimizing.
+The search is a seeded multi-start Gauss-Newton on the manifold
+coordinates, re-projected onto the manifold after every step; it is fully
+deterministic for a fixed seed and configuration.  Its solver,
+``minimize``, drives one vector per case to 0 (``_system``: the part of one
+image vector orthogonal to the span of the others); the vector only chooses
+the steps, and every stop, pick and record reads the residual.  It runs a
+search's restarts, and the singularity estimate's samples, as lanes of
+lockstep batches.  ``find_1d`` is separate: for maps R -> R^2 it
+constructs a guaranteed parallel pair by an intermediate-value argument
+instead of optimizing.
 """
 
 from __future__ import annotations
@@ -136,10 +139,11 @@ class Configuration:
         return cls(x=x, u=u, v=v, delta=json_typed(data, "delta", float))
 
 
-# A search that finds no witness runs every restart, each for up to 3 rounds
-# of max_iters iterations: at both caps, find-witness --case collinear on
-# random cubics R^2 -> R^6 and R^4 -> R^11 took 8.8 s and 13.7 s on a
-# 2-vCPU VM (at max_iters 1000, 21 s and 30 s).
+# A search that finds no witness runs every restart for max_iters steps, and
+# a step evaluates 3d + 1 configurations: at both caps, find-witness --case
+# collinear found nothing on random cubics R^2 -> R^6 and R^4 -> R^16 (map
+# seed 0) in 15-23 s and 75-105 s on a shared 2-vCPU VM; at the defaults,
+# 100 restarts of 40 steps, R^4 -> R^16 took 3-4 s.
 _MAX_RESTARTS = 256
 _MAX_ITERS = 500
 
@@ -148,18 +152,17 @@ _MAX_ITERS = 500
 class SearchConfig:
     """Tuning knobs of the multi-start search; defaults are the contract.
 
-    ``restarts`` independent Nelder-Mead runs are seeded from streams
-    derived from (seed, restart index); each run gets ``max_iters``
-    iterations in each of 3 rounds, with the initial simplex scale starting
-    at 0.5 and shrinking by ``_SHRINK`` between rounds.  A residual at or
-    below ``tol`` is a witness, and the search stops at the first one.
-    ``restarts`` and ``max_iters`` are capped at 256 and 500.
+    ``restarts`` independent Gauss-Newton runs start from streams derived
+    from (seed, restart index); each run takes at most ``max_iters`` steps.
+    A residual at or below ``tol`` is a witness, and the search stops at
+    the first one.  ``restarts`` and ``max_iters`` are capped at 256 and
+    500.
     """
 
     delta: float = 0.25
     tol: float = 1e-10
     restarts: int = 100
-    max_iters: int = 400
+    max_iters: int = 40
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -387,7 +390,7 @@ def _sv_ratio(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- configurations and objectives -------------------------------------------
+# -- configurations ------------------------------------------------------------
 
 
 # Per case, the record slot of each point of the sampled 4-tuple
@@ -427,6 +430,15 @@ def record_points(case: str, c: Configuration) -> list:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def _images(f: MapDescriptor, pts) -> np.ndarray:
+    """The (M, 4, c) images of an (M, 4, d) array or nested list of
+    4-tuples of points; inf where a value overflows."""
+    pts = np.asarray(pts, dtype=float)
+    m, _, d = pts.shape
+    with np.errstate(all="ignore"):
+        return eval_map(f, pts.reshape(4 * m, d)).reshape(m, 4, f.codomain_dim)
+
+
 def _residual_from_points(case: str, f: MapDescriptor, pts) -> np.ndarray:
     """The case residual of each 4-tuple of points in record order: the one
     residual kernel.
@@ -435,10 +447,8 @@ def _residual_from_points(case: str, f: MapDescriptor, pts) -> np.ndarray:
     The parallel cases compare the chords f(p1) - f(p0) and f(p3) - f(p2).
     A residual whose images overflow is NaN, not 0.
     """
-    pts = np.asarray(pts, dtype=float)
-    m, _, d = pts.shape
+    imgs = _images(f, pts)
     with np.errstate(all="ignore"):
-        imgs = eval_map(f, pts.reshape(4 * m, d)).reshape(m, 4, f.codomain_dim)
         return _residual_rows(case, imgs)
 
 
@@ -451,14 +461,21 @@ def _distances(pts) -> np.ndarray:
     return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
 
 
-# -- local minimization -------------------------------------------------------
+# -- Gauss-Newton ---------------------------------------------------------------
 
-# Lanes per lockstep batch of restarts or singularity samples.  It bounds the
-# simplex stack, and so the memory, whatever --restarts or --samples asks.
-_BATCH = 64
+# Starts per lockstep batch of restarts or singularity samples.  It bounds the
+# stacks, and so the memory, whatever --restarts or --samples asks.
+_LANES = 4
 
-# The factor by which each polish round scales the initial simplex down.
-_SHRINK = 0.25
+# The forward-difference step of the Jacobian.
+_H = 1e-7
+# pinv's cut of small singular values, relative to the largest.  On a search
+# manifold the Jacobian's columns along the projection's radial directions
+# are round-off (about 1e-9); a smaller cut turns them into steps that the
+# projection then undoes, and case b searches stall.
+_RCOND = 1e-6
+# The longest step a lane takes.
+_MAX_STEP = 0.5
 
 
 def _unit(vecs: np.ndarray):
@@ -472,261 +489,116 @@ def _unit(vecs: np.ndarray):
     return vecs / norms, tiny
 
 
-class _MinimizeResult(NamedTuple):
-    """Per-lane results of :func:`minimize`; ``nfev`` and ``nit`` are the
-    lanes' counts summed, as Python ints."""
+def _system(case: str, imgs: np.ndarray) -> np.ndarray:
+    """The vector that Gauss-Newton drives to 0 for each row of an (M, 4, c)
+    stack of images: the part of one vector orthogonal to the span of some
+    others, over its norm.  It only chooses the steps; the residual judges
+    them.
 
-    x: np.ndarray  # (K, N): each lane's best vertex
-    fun: np.ndarray  # (K,)
+    The vector is the chord f(p1) - f(p0) against f(p3) - f(p2) in the
+    parallel cases, q3 - q0 against q1 - q0 and q2 - q0 (q_i the images)
+    for collinear, and the last image against the other three for lindep.
+    NaN where an image is not finite.
+    """
+    if case in ("parallel_b", "parallel_a"):
+        vecs = (imgs[:, 1::2] - imgs[:, 0::2])[:, ::-1]
+    elif case == "collinear":
+        vecs = imgs[:, 1:] - imgs[:, :1]
+    else:
+        vecs = imgs
+    with np.errstate(all="ignore"):
+        # Each vector scaled by its largest |entry|, which moves no span, so
+        # that no square overflows above about 1e154.
+        scale = np.abs(vecs).max(axis=2, keepdims=True)
+        vecs = vecs / np.where(scale > 0, scale, 1.0)
+        out = _unit(vecs[:, -1])[0]
+        basis = []
+        for vec in np.swapaxes(vecs[:, :-1], 0, 1):
+            for e in basis:
+                vec = vec - np.sum(vec * e, axis=1, keepdims=True) * e
+            e = _unit(vec)[0]
+            basis.append(e)
+            out = out - np.sum(out * e, axis=1, keepdims=True) * e
+    return out
+
+
+class _MinimizeResult(NamedTuple):
+    """Per-start results of :func:`minimize`, for the K starts it ran;
+    ``nfev`` and ``nit`` are the lanes' counts summed, as Python ints."""
+
+    x: np.ndarray  # (K, N): each start's best point
+    fun: np.ndarray  # (K,): its residual
     nfev: int
     nit: int
     lane_nfev: np.ndarray  # (K,)
     lane_nit: np.ndarray  # (K,)
-    # (K,): scipy's status, 0 converged, 1 maxfev, 2 maxiter, 99 stopped at
-    # ``stop`` (scipy's code for a run its callback halted)
-    status: np.ndarray
 
 
-# Factors of xbar and of the worst vertex in the reflection, the expansion
-# and the outside and inside contractions, one row each.  scipy writes
-# 2*xbar - 1*sim[-1], 3*xbar - 2*sim[-1], 1.5*xbar - 0.5*sim[-1] and
-# 0.5*xbar + 0.5*sim[-1]; a - b is a + (-b) to the bit, so one form with
-# signed factors gives all four of scipy's points.
-_XBAR_FACTORS = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
-_WORST_FACTORS = np.array([-1.0, -2.0, -0.5, 0.5])[:, None, None]
-# Up to this many lanes, an iteration evaluates the reflections and all
-# three second points in one call: for a few lanes a call costs about as
-# much as four points do.
-_SPECULATE = 4
+def minimize(evaluate, system, residual, start, count: int, steps: int, tol: float,
+             project=None, prune: bool = False) -> _MinimizeResult:
+    """Gauss-Newton from the starts ``start(0)``, ..., ``start(count - 1)``,
+    points of R^N, as lanes of lockstep batches.
 
+    ``evaluate`` maps an (M, N) stack of points to an (M, ...) array of
+    values (the map's images, in a search); ``system`` maps values to the
+    (M, c) vectors to drive to 0, and ``residual(zs, vals)`` gives the M
+    residuals that judge the points ``zs`` from their values.  Each step
+    makes one ``evaluate`` call, at every lane's point and the N points of
+    its forward-difference Jacobian, and takes the minimum-norm step of
+    the Jacobians' batched ``pinv``, capped at norm 0.5;
+    ``project``, if given, maps the new points back onto a manifold.  A
+    lane whose Jacobian is not finite takes no step, and so stops.  A lane
+    stops once its residual is at or below ``tol``, or after ``steps``
+    steps; its result is the best point it met.
 
-def _step(code: int) -> int:
-    """scipy's choice in one iteration, from six comparisons: bit i of code
-    is fxr < f[0], fxr < f[-2], fxr < f[-1], fe < fxr, foc <= fxr and
-    fic < f[-1] for i = 0..5 (fe, foc, fic: the values of the expansion and
-    the outside and inside contractions).  Returns the row of the point
-    that replaces the worst vertex (0 reflection, 1 expansion, 2 and 3 the
-    contractions), or 4 to shrink."""
-    bit = [(code >> i) & 1 for i in range(6)]
-    if bit[0]:
-        return 1 if bit[3] else 0
-    if bit[1]:
-        return 0
-    if bit[2]:
-        return 2 if bit[4] else 4
-    return 3 if bit[5] else 4
-
-
-# _step for every code, and the weights that turn the comparisons into one.
-_STEPS = np.array([_step(code) for code in range(64)])
-_BITS = np.array([1, 2, 4, 8, 16, 32])
-
-
-def _sorted(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray):
-    # Each lane by argsort of its values, as scipy sorts its one simplex;
-    # rows is the column of lane indices.
-    ind = np.argsort(fsim, axis=1)
-    return sim[rows, ind], fsim[rows, ind]
-
-
-def minimize(fun, simplices, maxiter: int, maxfev: int, xatol: float, fatol: float,
-             stop: float | None = None, prune: bool = False) -> _MinimizeResult:
-    """Nelder-Mead on K simplices in lockstep, each lane bit for bit as scipy's.
-
-    ``simplices`` is a (K, N+1, N) stack of initial simplices and ``fun``
-    maps an (M, N) stack of points to their M values.  Each lane is a port
-    of scipy 1.17's ``_minimize_neldermead`` for the one setting used here:
-    standard coefficients (reflect 1, expand 2, contract and shrink 1/2), no
-    bounds, and no callback but the stop below.  An iteration evaluates the
-    reflections of all lanes in one call of ``fun``, their expansions or
-    contractions in a second (in the first, for a few lanes) and the shrunk
-    vertices in a third.  Each lane takes its own branch under a mask and
-    keeps its own counts and stop, the fev cap that may stop a shrink half
-    done included.
-    The arithmetic, the comparisons and the sorts follow scipy's order of
-    operations in every lane, so each lane's result is scipy's to the last
-    bit.  ``fun`` must be a pure function of each point: a value never
-    depends on the other points of a call, nor on whether scipy would have
-    asked for it.
-
-    With a ``stop``, a lane stops after the first iteration that leaves its
-    best value at or below it: scipy's run halted by a callback that raises
-    ``StopIteration`` once ``intermediate_result.fun <= stop``, status 99
-    included.  With ``prune`` as well, the lanes behind the first lane to
-    stop there stop with it, wherever they are; a caller that stops at the
-    first lane ending at or below ``stop`` reads none behind it.
+    The starts run ``_LANES`` at a time, in order.  With ``prune``, the
+    lanes behind the first lane at or below ``tol`` are dropped, and the
+    batches behind it never run: the first start in order that reaches
+    ``tol`` is the same at any lane width, as each lane's arithmetic is
+    its own.
     """
-    sim = np.array(simplices, dtype=float)
-    k, n1, n = sim.shape
-    x_out = np.empty((k, n))
-    f_out = np.empty(k)
-    nfev_out = np.zeros(k, dtype=np.int64)
-    nit_out = np.zeros(k, dtype=np.int64)
-
-    # scipy evaluates the vertices in order until the fev cap.
-    m = min(n1, maxfev)
-    fsim = np.full((k, n1), np.inf)
-    if m:
-        fsim[:, :m] = fun(sim[:, :m].reshape(k * m, n)).reshape(k, m)
-    nfev = np.full(k, m, dtype=np.int64)
-    nit = np.ones(k, dtype=np.int64)
-    lanes = np.arange(k)  # the lane of each working row
-    at = np.arange(k)
-    # scipy sorts twice here; the default argsort is not stable, so ties
-    # may come out in another order if one of the sorts is dropped.
-    sim, fsim = _sorted(*_sorted(sim, fsim, at[:, None]), at[:, None])
-    # Bounds on every lane's counts: below the caps, no lane needs the
-    # per-lane cap checks.
-    fev_bound, nit_bound = m, 1
-    halted = np.zeros(k, dtype=bool)
-    # scipy calls its callback after an iteration's sort, never before the
-    # first iteration.
-    iterated = False
-
-    while True:
-        # A lane leaves where scipy's loop ends: halted by the stop, at a
-        # cap, or converged (a break, so that lane is not sorted again).
-        # fsim is sorted, so its spread max |f0 - fj| is f[-1] - f[0], to
-        # the bit.
-        flat = fsim[:, -1] - fsim[:, 0] <= fatol
-        done = flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) \
-            if flat.any() else flat
-        if nit_bound >= maxiter:
-            done |= nit >= maxiter
-        if fev_bound >= maxfev:
-            done |= nfev >= maxfev
-        if stop is not None and iterated:
-            hit = fsim[:, 0] <= stop
-            if hit.any():
-                halted[lanes[hit]] = True
-                done |= hit
-                if prune:
-                    done |= lanes > lanes[hit][0]
-        if done.any():
-            ids = lanes[done]
-            x_out[ids] = sim[done, 0]
-            f_out[ids] = np.min(fsim[done], axis=1)
-            nfev_out[ids] = nfev[done]
-            nit_out[ids] = nit[done]
-            keep = ~done
-            sim, fsim, nfev, nit, lanes = sim[keep], fsim[keep], nfev[keep], nit[keep], lanes[keep]
-            if not lanes.size:
+    parts = []
+    for lo in range(0, count, _LANES):
+        z = np.array([start(i) for i in range(lo, min(count, lo + _LANES))], dtype=float)
+        k, n = z.shape
+        best, fun = z.copy(), np.full(k, np.inf)
+        nfev, nit = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+        offsets = np.vstack([np.zeros(n), _H * np.eye(n)])
+        at = np.arange(k)  # the lane of each working row
+        for left in range(steps, -1, -1):
+            # The points and, while steps are left, their Jacobians' points.
+            rows = offsets if left else offsets[:1]
+            vals = evaluate((z[:, None] + rows).reshape(-1, n))
+            vals = vals.reshape(len(at), len(rows), *vals.shape[1:])
+            nfev[at] += len(rows)
+            val = residual(z, vals[:, 0])
+            better = val < fun[at]
+            best[at[better]], fun[at[better]] = z[better], val[better]
+            live = val > tol
+            hits = np.flatnonzero(fun <= tol)
+            if prune and hits.size:
+                live &= at < hits[0]
+            at, z, vals = at[live], z[live], vals[live]
+            if not (left and at.size):
                 break
-            at = np.arange(len(lanes))
-        iterated = True
-
-        # pts holds xr, then the three second points: the expansion and the
-        # outside and inside contractions.
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        pts = _XBAR_FACTORS * xbar + _WORST_FACTORS * sim[:, -1]
-        w = len(lanes)
-        if w <= _SPECULATE:
-            vals = fun(pts.reshape(4 * w, n)).reshape(4, w)
-        else:
-            vals = np.zeros((4, w))
-            vals[0] = fun(pts[0])
-        fxr, fworst = vals[0], fsim[:, -1]
-        cmp = np.empty((6, w), dtype=bool)
-        np.less(fxr, fsim[:, [0, -2, -1]].T, out=cmp[:3])
-        # Any step but the reflection evaluates a second point, and needs a
-        # fev left after xr's.
-        nfev += 1
-        second = cmp[0] | ~cmp[1]
-        capped = None
-        if fev_bound + 1 >= maxfev:
-            capped = second & (nfev >= maxfev)
-            second &= ~capped
-        if w > _SPECULATE and second.any():
-            row = np.where(cmp[0], 1, np.where(cmp[2], 2, 3))[second]
-            vals[row, at[second]] = fun(pts[row, at[second]])
-        np.less(vals[1], fxr, out=cmp[3])
-        np.less_equal(vals[2], fxr, out=cmp[4])
-        np.less(vals[3], fworst, out=cmp[5])
-        step = _STEPS[_BITS @ cmp]
-        if capped is not None:
-            # A cap that stops the second point leaves the simplex as it is.
-            step[capped] = 5
-        nfev += second
-        fev_bound += 2
-        nit_bound += 1
-        replace = step < 4
-        nit += replace
-        if replace.all():
-            sim[:, -1] = pts[step, at]
-            fsim[:, -1] = vals[step, at]
-        else:
-            sim[replace, -1] = pts[step[replace], at[replace]]
-            fsim[replace, -1] = vals[step[replace], at[replace]]
-            s = np.flatnonzero(step == 4)
-            if s.size:
-                room = (maxfev - nfev[s])[:, None]
-                best = sim[s, :1]
-                moved = best + 0.5 * (sim[s, 1:] - best)
-                # scipy moves vertex j, then evaluates it; the cap stops the
-                # shrink at the first vertex it cannot evaluate, moved.
-                j = np.arange(n)
-                move, ev = j <= room, j < room
-                block, fblock = sim[s], fsim[s]
-                block[:, 1:][move] = moved[move]
-                if ev.any():
-                    fblock[:, 1:][ev] = fun(moved[ev])
-                sim[s], fsim[s] = block, fblock
-                nfev[s] += ev.sum(axis=1)
-                nit[s] += room[:, 0] >= n
-                fev_bound += n
-        sim, fsim = _sorted(sim, fsim, at[:, None])
-
-    status = np.where(halted, 99,
-                      np.where(nfev_out >= maxfev, 1, np.where(nit_out >= maxiter, 2, 0)))
-    return _MinimizeResult(
-        x_out, f_out, int(nfev_out.sum()), int(nit_out.sum()), nfev_out, nit_out, status
-    )
-
-
-def _multistart(objective, start, count: int, first: int, max_iters: int, step: float,
-                rounds: int, stop: float, prune: bool = False):
-    """Yield (point, value) for each of the starts ``start(0)``, ...,
-    ``start(count - 1)``, in order: the best of ``rounds`` rounds of
-    Nelder-Mead with a shrinking initial simplex.
-
-    The starts run as lanes of lockstep batches: ``first`` lanes, then four
-    times as many each time, up to ``_BATCH``; a batch runs once the one
-    before it has been read.  Every round restarts a lane from its best
-    point with a simplex of scale step * _SHRINK**round and ``max_iters``
-    iterations (4 * ``max_iters`` evaluations), and a lane leaves in the
-    round that brings its value to ``stop`` or below, at the end of that
-    iteration (see :func:`minimize`).  With ``prune`` the lanes behind the
-    first lane at or below ``stop`` leave too, and their pairs are not to
-    be read.
-    """
-    lo, width = 0, min(first, _BATCH)
-    while lo < count:
-        xs = np.array([start(i) for i in range(lo, min(count, lo + width))], dtype=float)
-        fxs = objective(xs)
-        live = np.arange(len(xs))
-        for r in range(rounds):
-            base = xs[live, None]
-            res = minimize(
-                objective,
-                np.concatenate([base, base + step * _SHRINK**r * np.eye(xs.shape[1])], axis=1),
-                maxiter=max_iters,
-                maxfev=4 * max_iters,
-                xatol=1e-14,
-                fatol=1e-18,
-                stop=stop,
-                prune=prune,
-            )
-            better = res.fun < fxs[live]
-            xs[live[better]] = res.x[better]
-            fxs[live[better]] = res.fun[better]
-            reached = fxs <= stop
-            live = live[~reached[live]]
-            if prune and reached.any():
-                live = live[live < np.flatnonzero(reached)[0]]
-            if not live.size:
+            vecs = system(vals.reshape(-1, *vals.shape[2:])).reshape(len(at), n + 1, -1)
+            with np.errstate(all="ignore"):
+                jac = np.swapaxes(vecs[:, 1:] - vecs[:, :1], 1, 2) / _H
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            at, z, jac, vecs = at[ok], z[ok], jac[ok], vecs[ok]
+            if not at.size:
                 break
-        yield from zip(xs, fxs)
-        lo, width = lo + width, min(4 * width, _BATCH)
+            step = (np.linalg.pinv(jac, rcond=_RCOND) @ vecs[:, 0, :, None])[..., 0]
+            length = np.sqrt(step[:, None, :] @ step[:, :, None])[:, 0, 0]
+            z = z - step * (_MAX_STEP / np.maximum(length, _MAX_STEP))[:, None]
+            if project is not None:
+                z = project(z)
+            nit[at] += 1
+        parts.append((best, fun, nfev, nit))
+        if prune and (fun <= tol).any():
+            break
+    x, fun, nfev, nit = (np.concatenate(p) for p in zip(*parts))
+    return _MinimizeResult(x, fun, int(nfev.sum()), int(nit.sum()), nfev, nit)
 
 
 def _projector(case: str, d: int):
@@ -753,50 +625,44 @@ def _projector(case: str, d: int):
 
 
 def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> WitnessRecord:
-    """Multi-start minimization of the case residual over the configuration
-    manifold.
+    """Multi-start Gauss-Newton on the case's vector system over the
+    configuration manifold.
 
-    Restarts run in order up to the first whose residual is at or below
-    ``cfg.tol``, which is a witness; each stops as soon as it gets there.
-    The result is the (residual, restart) minimum over the restarts run, so
-    over all of them when none reaches the tolerance.
-
-    The restarts run as lanes of lockstep batches: cases a, b and lindep,
-    which mostly stop after a restart or two, start at one lane and widen,
-    the collinear case starts at ``_BATCH`` lanes.  Within a batch, the
-    restarts behind the first one at or below the tolerance are dropped.
-    The batching changes no result: the pick reads the restarts in order.
+    Each restart starts from a seeded point z = (x, u, v) of R^(3d) and
+    takes up to ``cfg.max_iters`` steps (see :func:`minimize`), each
+    projected back onto the manifold.  Restarts run in order up to the
+    first whose residual is at or below ``cfg.tol``, which is a witness;
+    each stops as soon as it gets there.  The result is that restart, or
+    the (residual, restart) minimum over all of them when none reaches the
+    tolerance.  The lane width changes no result.
     """
     case = canonical_case(case)
     if case == "line_1d":
         raise ValueError("line_1d witnesses come from find_1d, not search")
     cfg = cfg or SearchConfig()
-    ambient = 3 * f.domain_dim
     project = _projector(case, f.domain_dim)
 
-    def objective(zs):
-        x, u, v, degenerate = project(zs)
-        vals = _residual_from_points(case, f, _points(case, x, u, v, cfg.delta))
-        vals[degenerate | np.isnan(vals)] = 1.5
+    def evaluate(zs):
+        x, u, v, _ = project(zs)
+        return _images(f, _points(case, x, u, v, cfg.delta))
+
+    def residual(zs, imgs):
+        with np.errstate(all="ignore"):
+            vals = _residual_rows(case, imgs)
+        vals[project(zs)[3] | np.isnan(vals)] = 1.5
         return vals
 
-    best_val, best_z = math.inf, None
-    # Cases a, b and lindep mostly stop after a restart or two: their
-    # batches start narrow.  The collinear batches start at full width: on
-    # 64 random cubics R^2 -> R^5, a one-lane start made collinear searches
-    # about 10% slower, but lindep ones about 45% faster.
-    first = _BATCH if case == "collinear" else 1
-    restarts = _multistart(
-        objective, lambda i: np.random.default_rng([cfg.seed, i]).standard_normal(ambient),
-        cfg.restarts, first, cfg.max_iters, 0.5, 3, cfg.tol, prune=True,
-    )
-    for executed, (z, val) in enumerate(restarts, 1):
-        if val < best_val:
-            best_val, best_z = val, z
-        if best_val <= cfg.tol:
-            break
+    def start(i):
+        return np.random.default_rng([cfg.seed, i]).standard_normal(3 * f.domain_dim)
 
-    x, u, v, degenerate = project(best_z[None])
+    res = minimize(evaluate, lambda imgs: _system(case, imgs), residual, start, cfg.restarts,
+                   cfg.max_iters, cfg.tol, lambda zs: np.concatenate(project(zs)[:3], axis=1),
+                   prune=True)
+    hits = np.flatnonzero(res.fun <= cfg.tol)
+    best = int(hits[0]) if hits.size else int(np.argmin(res.fun))
+    executed = best + 1 if hits.size else cfg.restarts
+
+    x, u, v, degenerate = project(res.x[best][None])
     if degenerate[0]:  # pragma: no cover - a degenerate optimum never wins
         raise RuntimeError("search collapsed onto a degenerate configuration")
     config = Configuration(x[0], u[0], v[0], cfg.delta)
@@ -839,7 +705,8 @@ def verify_witness(
     Rebuilds the record from the stored points and the map, and checks in
     this order: the map digest, the config (on the case's manifold, and
     giving the points), the stored distances, the stored residual, the
-    residual within tol, and the per-case distinctness requirements.
+    residual within tol, the stored ``found`` flag against tol, and the
+    per-case distinctness requirements.
     """
     _require_positive("tol", tol)
     case = canonical_case(rec.case)
@@ -889,6 +756,9 @@ def verify_witness(
     check("residual_within_tol", rebuilt.found,
           "residual is not finite: the map's values overflow the float range"
           if math.isnan(residual) else f"residual {residual!r} exceeds tol {tol!r}")
+    # A record does not store its tol, so the flag is read against --tol.
+    check("found_agrees_with_record", rec.found == rebuilt.found,
+          f"recorded found {rec.found} vs {rebuilt.found} at --tol {tol!r}")
 
     if case == "line_1d":
         x0, x1, y0, y1 = (float(p[0]) for p in pts)
@@ -1045,8 +915,8 @@ def find_1d(
 # -- singularity dimension estimate ----------------------------------------------
 
 
-# Each sample is a re-minimization, so the estimate's time grows with the
-# samples: singularity took 5.4-6.5 s at this many on a 2-vCPU VM.
+# Each sample is a Newton projection, so the estimate's time grows with the
+# samples: singularity took 0.8-1.3 s at this many on a 2-vCPU VM.
 _MAX_SINGULARITY_SAMPLES = 1024
 
 
@@ -1061,7 +931,9 @@ def estimate_singularity_dim(
     """Estimate the local dimension of the collinearity solution set.
 
     Perturbs the base 4-tuple in free coordinates (all 4(m+1) of them, not
-    the search manifold), re-minimizes the collinear residual, and counts
+    the search manifold), projects each perturbed point back onto the
+    collinear solution set by Gauss-Newton on the collinear system (a
+    Newton projection: each step is the minimum-norm one), and counts
     singular values of the centered displacement matrix above
     ratio_threshold * sigma_1.  The comparison value is the covering bound
     4(m+1) - (n-1) for maps R^(m+1) -> R^(n+1).
@@ -1072,8 +944,8 @@ def estimate_singularity_dim(
     ``cfg.tol**2``.  The residual is a squared singular-value ratio, so a
     sample's relative error is about its square root, cfg.tol, far below any
     useful ``ratio_threshold``.  ``cfg.seed`` seeds the perturbations, and
-    each sample runs 4 rounds of ``cfg.max_iters`` iterations.  At most
-    1024 samples are taken (ValueError above that).
+    each sample takes at most ``cfg.max_iters`` steps.  At most 1024
+    samples are taken (ValueError above that).
     """
     cfg = cfg or SearchConfig()
     if canonical_case(base.case) != "collinear":
@@ -1091,25 +963,22 @@ def estimate_singularity_dim(
     d = f.domain_dim
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
-    def objective(zs):
-        vals = _residual_from_points("collinear", f, zs.reshape(len(zs), 4, d))
+    def residual(zs, imgs):
+        with np.errstate(all="ignore"):
+            vals = _residual_rows("collinear", imgs)
         vals[np.isnan(vals)] = 1.5
         return vals
 
-    # Keep the re-minimization local: the simplex scale follows the noise,
-    # otherwise samples drift along the solution set and the displacement
-    # directions no longer reflect its dimension at the base point.
-    step = min(0.5, 0.5 * noise_scale)
-    # The samples run as lanes in lockstep batches of _BATCH.
-    solutions = [z for z, val in _multistart(
-        objective,
-        lambda i: p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d),
-        n_samples, _BATCH, cfg.max_iters, step, 4, cfg.tol**2,
-    ) if val <= cfg.tol]
+    def start(i):
+        return p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d)
 
-    if solutions:
-        mat = np.array(solutions)
-        mat = mat - mat.mean(axis=0)
+    res = minimize(lambda zs: _images(f, zs.reshape(len(zs), 4, d)),
+                   lambda imgs: _system("collinear", imgs), residual, start, n_samples,
+                   cfg.max_iters, cfg.tol**2)
+    solutions = res.x[res.fun <= cfg.tol]
+
+    if len(solutions):
+        mat = solutions - solutions.mean(axis=0)
         svals = np.linalg.svd(mat, compute_uv=False)
         estimated = (
             int(np.sum(svals >= ratio_threshold * svals[0])) if svals[0] > 0 else 0

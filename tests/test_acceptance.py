@@ -350,14 +350,14 @@ _DISTINCTNESS = {
 
 
 def test_guaranteed_witnesses_across_dimensions():
-    # Domain R^(m+1), m = 0..3, at the paper's codomain dimension m + 2^r,
-    # with 2^(r-1) <= m+1 < 2^r; m = 0, 1 and 3 are boundary cases, m = 3
-    # being R^4 -> R^11.  The maps are random cubics at map seed 0 and the
-    # searches take the CLI's defaults, fixed before this test first ran:
-    # a miss is a failure.
+    # Domain R^(m+1), m = 0..7, at the paper's codomain dimension m + 2^r,
+    # with 2^(r-1) <= m+1 < 2^r: every r <= 3 and the first boundary of
+    # r = 4; m = 0, 1, 3 and 7 are boundary cases, m = 7 being R^8 -> R^23.
+    # The maps are random cubics at map seed 0 and the searches take the
+    # CLI's defaults, fixed before this test first ran: a miss is a failure.
     start = time.perf_counter()
     ran, misses = [], []
-    for m in range(4):
+    for m in range(8):
         r = next(k for k in range(1, 10) if m + 1 < 2**k)
         c = m + 2**r
         margs = ["--builtin", "random_poly", "--m", str(m), "--n", str(c - 1),
@@ -381,12 +381,13 @@ def test_guaranteed_witnesses_across_dimensions():
                     and _DISTINCTNESS[case] <= set(ver.checks)):
                 misses.append(f"m={m} {case}: exit {code}, {ver.messages}")
     elapsed = time.perf_counter() - start
-    # 14 guaranteed cases: b, collinear and lindep everywhere, the 1-d
-    # construction at m = 0 and separated pairs off the boundary, at m = 2.
-    ok = len(ran) == 14 and not misses and elapsed < 60.0
+    # 29 guaranteed cases: b, collinear and lindep everywhere, the 1-d
+    # construction at m = 0 and separated pairs off the boundary, at m = 2,
+    # 4, 5 and 6.
+    ok = len(ran) == 29 and not misses and elapsed < 60.0
     criterion(
         "find-witness/find-1d succeed and verify_witness passes for every "
-        "guaranteed case, R^(m+1) -> R^(m+2^r), m = 0..3",
+        "guaranteed case, R^(m+1) -> R^(m+2^r), m = 0..7",
         ok,
         f"{len(ran)} cases, {len(misses)} misses {misses}, {elapsed:.2f}s",
     )

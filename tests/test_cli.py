@@ -548,13 +548,33 @@ def test_verify_witness_recomputes_the_stored_distances(tmp_path, capsys, field,
     assert "vs recorded" in lines[0]["messages"][0]
 
 
+def test_verify_witness_reads_the_stored_found_flag(tmp_path, capsys):
+    # The README's case b record with "found": false put in by hand says it
+    # is no witness, while its residual lies within the default --tol.
+    rec_file = tmp_path / "rec.json"
+    code, _, _ = run_cli(capsys, "find-witness", *README_MAP_FLAGS, "--case", "b",
+                         "--seed", "7", "--out", str(rec_file))
+    assert code == 0
+    data = json.loads(rec_file.read_text(encoding="utf-8"))
+    assert data["found"] is True
+    data["found"] = False
+    tampered = write_json(tmp_path / "tampered.json", data)
+    code, lines, _ = run_cli(capsys, "verify-witness", *README_MAP_FLAGS, "--record", tampered)
+    assert code == 1 and lines[0]["passed"] is False
+    checks = lines[0]["checks"]
+    assert checks.pop("found_agrees_with_record") is False
+    assert all(checks.values())
+    assert lines[0]["messages"] == ["recorded found False vs True at --tol 1e-10"]
+
+
 @pytest.mark.parametrize("case", ["collinear", "parallel_b"])
 def test_verify_witness_reports_every_failed_check_in_order(tmp_path, capsys, case):
     # One record that fails every check it can: another map's digest, a
     # config off the manifold, moved points, false distances and residual,
     # --tol exceeded (collinear; case b's coincident chords give residual
-    # 0) and coincident points.  The report lists its checks, and the
-    # messages of the failed ones, in a fixed order.
+    # 0), a false found flag (true over tol, false within it) and
+    # coincident points.  The report lists its checks, and the messages of
+    # the failed ones, in a fixed order.
     f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
     tiny = 2.0**-31  # below the 1e-9 distinctness threshold
     if case == "collinear":
@@ -562,20 +582,25 @@ def test_verify_witness_reports_every_failed_check_in_order(tmp_path, capsys, ca
         points = [[2.0, 0.25], [2.0, 0.25 + tiny], [-1.75, 0.0], [-2.25, 0.0]]
         residual = collinear_residual(*eval_map(f, np.array(points)))
         assert residual > 1e-30
+        found = True
         last = [f"residual {residual!r} exceeds tol 1e-30",
+                "recorded found True vs False at --tol 1e-30",
                 "the four points are not pairwise distinct"]
-        last_checks = {"residual_within_tol": False, "points_distinct": False}
+        last_checks = {"residual_within_tol": False, "found_agrees_with_record": False,
+                       "points_distinct": False}
         dev, distances = "0.5000000004656613", "(4.656612873077393e-10, True)"
     else:
         # The config gives (-1.75, 0), (2, .25), (-2.25, 0), (2, -.25).
         points = [[-1.75, 0.0], [-1.75, tiny], [-1.75, 0.0], [-1.75, tiny]]
         residual = 0.0
-        last = ["a pair has coincident endpoints", "the two pairs coincide as sets"]
-        last_checks = {"residual_within_tol": True, "pairs_nondegenerate": False,
-                       "pair_sets_distinct": False}
+        found = False
+        last = ["recorded found False vs True at --tol 1e-30",
+                "a pair has coincident endpoints", "the two pairs coincide as sets"]
+        last_checks = {"residual_within_tol": True, "found_agrees_with_record": False,
+                       "pairs_nondegenerate": False, "pair_sets_distinct": False}
         dev, distances = "3.75", "(0.0, False)"
     record = {
-        "case": case, "found": True, "points": points, "residual": 0.5,
+        "case": case, "found": found, "points": points, "residual": 0.5,
         "min_pairwise_distance": 123.0, "pair_sets_distinct": True,
         "config": {"x": [2.0, 0.0], "u": [0.0, 1.0], "v": [1.0, 0.0], "delta": 0.25},
         "map_digest": map_digest(builtin_map("parabola")), "seed": 0, "restarts_used": 1,
@@ -824,11 +849,11 @@ def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
     counts.append(_bench_workloads(monkeypatch).SINGULARITY_SAMPLES)
     assert 1 <= min(counts) and max(counts) <= cap
 
-    # Each sample is a re-minimization: the cap refuses before any search.
+    # Each sample is a Newton projection: the cap refuses before any search.
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    monkeypatch.setattr(witness, "_multistart", no_search)
+    monkeypatch.setattr(witness, "minimize", no_search)
     f = linear_r2_r3()
     argv = [
         "singularity", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
@@ -863,7 +888,7 @@ def test_find_witness_restarts_and_iterations_are_capped(tmp_path, capsys, monke
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    monkeypatch.setattr(witness, "_multistart", no_search)
+    monkeypatch.setattr(witness, "minimize", no_search)
     argv = ["find-witness", *README_MAP_FLAGS, "--case", "collinear"]
     for value in (str(witness._MAX_RESTARTS + 1), "0"):
         _exit_2_with(capsys, [*argv, "--restarts", value],
@@ -927,8 +952,8 @@ assert codes == [0, 0, 0, 0], codes
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only: the CLI must neither import it nor
-    # need it, in a fresh interpreter where the tests have not loaded it.
+    # scipy is no dependency of the package: the CLI must neither import it
+    # nor need it, in a fresh interpreter where nothing has loaded it.
     src = str(Path(parlines.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], cwd=tmp_path, env=env,

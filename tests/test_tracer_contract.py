@@ -59,16 +59,16 @@ def test_tracer_installs_without_notes_and_restores():
 def test_minimize_result_carries_the_counts_the_tracer_reads():
     # The tracer's witness.minimize hook adds r.nfev and r.nit to integer
     # counters; a float or numpy scalar there would change the report.  They
-    # are the sums over the lanes of the stack.
-    x = np.ones(2)
-    simplices = np.array([np.vstack([x, x + step * np.eye(2)]) for step in (0.5, 0.25)])
-    r = witness.minimize(lambda zs: np.array([float(z @ z) for z in zs]), simplices,
-                         maxiter=50, maxfev=200, xatol=1e-8, fatol=1e-8)
+    # are the sums over the lanes.  Here F(z) = z - 1 from two starts.
+    starts = np.array([[3.0, 1.0], [1.0, -1.0]])
+    r = witness.minimize(lambda zs: zs - 1.0, lambda vals: vals,
+                         lambda zs, vals: np.sum(vals**2, axis=1),
+                         lambda i: starts[i], 2, steps=50, tol=1e-20)
     assert type(r.nfev) is int and type(r.nit) is int
     assert r.nfev == int(r.lane_nfev.sum()) and r.nit == int(r.lane_nit.sum())
     assert (r.lane_nfev >= 3).all() and (r.lane_nit >= 1).all()
     assert r.x.shape == (2, 2)
-    assert all(float(f) == float(z @ z) for f, z in zip(r.fun, r.x))
+    assert all(float(f) == float(np.sum((z - 1.0) ** 2)) for f, z in zip(r.fun, r.x))
 
 
 def test_tracer_sees_the_checks_table_runs(capsys):
