@@ -7,6 +7,8 @@ oracles, so the ring engine and the closed-form routes must agree.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from conftest import binom2, series_inv_t, series_inv_ty
 from hypothesis import given, settings
@@ -50,25 +52,10 @@ from parlines.f2ring import (
 from parlines import charclass
 from parlines.charclass import _LINE_BITS, _dual_rings, _line_class, _product_base, _product_rings
 from parlines.cli import main
-from parlines.charclass import _INV_TY, _S, _T_S, _W, _inverse_rows, _part, _prop_q_series
+from parlines.charclass import _INV_TY, _S, _T_S, _W, _part, _prop_q_series
 
 
 # -- binomials and dimension bookkeeping --------------------------------------
-
-
-def test_binom_negative_identity():
-    # Row j of the table is (1+t)^-(j+1), whose t^i coefficient is
-    # C(-(j+1), i) = (-1)^i C(i+j, i); mod 2 the sign drops, and by Lucas
-    # C(i+j, i) is odd iff i and j share no binary digit.
-    for r in range(1, 7):
-        rows = _inverse_rows(r)
-        assert len(rows) == 1 << r
-        for j, row in enumerate(rows):
-            assert row >> (1 << r) == 0
-            for i in range(1 << r):
-                assert row >> i & 1 == binom2(i + j, i) == int(i & j == 0), (r, i, j)
-        # C(-1, i) = (-1)^i is odd for every i, and (1+t)^(2^r) = 1 + t^(2^r).
-        assert rows[0] == (1 << (1 << r)) - 1 and rows[-1] == 1
 
 
 def test_r_q_match_definitions():
@@ -111,14 +98,14 @@ def test_dimension_params_validation():
             check(0)
 
 
-# -- series supports: the row table, ring engine and Pascal oracle -------------
+# -- series supports: the closed form, ring engine and Pascal oracle -----------
 
 
 SERIES = {"inv_ty": _INV_TY, "w": _W, "S": _S, "t*S": _T_S}
 
 
-def table_element(m: int, series, ring) -> RingElement:
-    """A series read from the table, as an element of ``ring_yhat(m)``."""
+def closed_form_element(m: int, series, ring) -> RingElement:
+    """A series read from its closed form, as an element of ``ring_yhat(m)``."""
     return ring._element_from(e for d in range(3 * m + 2) for e in _part(m, series, d))
 
 
@@ -159,7 +146,7 @@ def assert_three_routes_agree(m: int) -> None:
 
 @pytest.mark.parametrize("m", [*range(1, 11), 63, 64, 127, 128])
 def test_series_supports_match_oracle(m):
-    inv_ty, w = (table_element(m, SERIES[k], ring_yhat(m)) for k in ("inv_ty", "w"))
+    inv_ty, w = (closed_form_element(m, SERIES[k], ring_yhat(m)) for k in ("inv_ty", "w"))
     got_inv_ty, got_w = set(inv_ty.terms), set(w.terms)
     assert all(e == 0 for (_, _, e) in got_inv_ty | got_w)
     assert {(i, j) for (i, j, _) in got_inv_ty} == series_inv_ty(m, 1)
@@ -176,7 +163,7 @@ def test_series_three_routes_random_m(m):
 def test_series_data_internal_identities():
     m = 6
     ring = ring_yhat(m)
-    s, w, inv_ty, t_s = (table_element(m, SERIES[k], ring) for k in ("S", "w", "inv_ty", "t*S"))
+    s, w, inv_ty, t_s = (closed_form_element(m, SERIES[k], ring) for k in ("S", "w", "inv_ty", "t*S"))
     one = ring.one()
     t, y, x = ring.gens()
     assert s == w * (one + x)
@@ -186,46 +173,29 @@ def test_series_data_internal_identities():
     assert t_s == t * s
 
 
-def test_every_m_of_one_r_reads_one_table():
-    _inverse_rows.cache_clear()
-    try:
-        for m in range(63, 127):  # r = 7: 64 <= m+1 < 128
-            all_checks(m)
-        info = _inverse_rows.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits > 0
-        # A long sweep keeps the cache bounded.
-        for m in (1, 2, 5, 10, 20, 40, 80, 160):
-            check_corollary(m)
-        info = _inverse_rows.cache_info()
-        assert info.currsize <= info.maxsize
-    finally:
-        _inverse_rows.cache_clear()
+def test_closed_form_matches_pascal_for_every_small_m():
+    # Every m of 1..129, so every r up to 8 and both sides of each power of two.
+    for m in range(1, 130):
+        for name, shift in (("inv_ty", 1), ("w", 2)):
+            got = [e for d in range(3 * m + 2) for e in _part(m, SERIES[name], d)]
+            assert all(e == 0 for (_, _, e) in got), (m, name)
+            assert {(i, j) for (i, j, _) in got} == series_inv_ty(m, shift), (m, name)
 
 
-def test_reports_read_no_bit_past_t_m(monkeypatch):
-    # Setting every table bit above t^m must leave all reports of m as they are.
-    for m in (1, 2, 3, 6, 12, 63, 64):
-        want = all_checks(m)
-        rows = _inverse_rows(DimensionParams(m).r)
-        junk = ((1 << len(rows)) - 1) ^ ((1 << (m + 1)) - 1)
-        monkeypatch.setattr(charclass, "_inverse_rows", lambda r, rows=rows: tuple(u | junk for u in rows))
-        assert all_checks(m) == want, m
-        monkeypatch.undo()
-
-
-def test_corrupted_table_fails_the_multiply_back(monkeypatch):
-    right = charclass._prefix_xor
-    for flip in (1, 1 << 5):
-        monkeypatch.setattr(charclass, "_prefix_xor", lambda a, width, flip=flip: right(a, width) ^ flip)
-        _inverse_rows.cache_clear()
-        try:
-            with pytest.raises(RingError, match="series routes for the inverse class disagree"):
-                check_theorem_b(20)
-        finally:
-            monkeypatch.undo()
-            _inverse_rows.cache_clear()
-    assert check_theorem_b(20).passed
+@pytest.mark.parametrize("m", [255, 256, 1023, 2047, 4095, 4096])
+def test_closed_form_matches_binomials_at_large_m(m):
+    # Around the key degrees n-1 .. n+2, each series' part against its
+    # coefficients C(i - shift + j + row, j + row) mod 2 from math.comb.
+    n = DimensionParams(m).n
+    for name, (row, shift, x_exp) in SERIES.items():
+        for d in range(n - 1, n + 3):
+            want = []
+            for i in range(shift, m + 1):
+                for e in range(x_exp + 1):
+                    j, odd = divmod(d - i - e, 2)
+                    if not odd and 0 <= j <= m and math.comb(i - shift + j + row, j + row) % 2:
+                        want.append((i, j, e))
+            assert _part(m, SERIES[name], d) == want, (m, name, d)
 
 
 # -- the non-vanishing checks --------------------------------------------------

@@ -518,7 +518,7 @@ def _minimize_smooth(starts, steps, tol):
                             steps, tol)
 
 
-def test_minimize_matches_scipy_on_convergence():
+def test_minimize_converges_to_the_root():
     # Every lane converges to the root well inside the step budget.
     for dim in (1, 2, 5, 9):
         res = _minimize_smooth(_smooth_starts(dim), _STEPS, 1e-26)
@@ -527,7 +527,7 @@ def test_minimize_matches_scipy_on_convergence():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])
-def test_minimize_matches_scipy_halted_by_a_callback(dim):
+def test_minimize_halts_at_its_first_point_within_a_stop(dim):
     starts = _smooth_starts(dim)
     for stop in (1e-2, 1e-8):
         res = _minimize_smooth(starts, _STEPS, stop)
