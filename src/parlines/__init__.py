@@ -15,7 +15,6 @@ from .f2ring import (
     ring_yhat,
 )
 from .charclass import (
-    BundleClass,
     DimensionParams,
     VerificationReport,
     all_checks,
@@ -32,9 +31,6 @@ from .charclass import (
     hurwitz_radon,
     oracle_umkehr_dual,
     oracle_umkehr_product,
-    umkehr_proj_bundle,
-    umkehr_px,
-    w_minus,
 )
 from .maps import MapDescriptor, builtin_map, eval_map, map_digest
 from .witness import (

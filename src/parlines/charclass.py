@@ -11,16 +11,20 @@ The series behind the theorem, corollary and sharpness checks are read
 from closed forms instead of the generic ring engine.  The four t,y,x
 series are made of u_j = (1+t)^-(j+1), whose t^i coefficient is
 C(i+j, j) mod 2; by Lucas' theorem that is 1 exactly when i & j == 0, so a
-coefficient is one AND of exponents and no series is built.  The generic
-ring engine remains the route of the prelude and the oracles, and the
-reference the tests hold the closed form to, beside the Pascal triangle
-mod 2.  One builder, ``_report``, makes every report and names its
-monomials straight from exponent tuples, so no check but the prelude
-builds a ring.
+coefficient is one AND of exponents and no series is built.  The sharpness
+series (1+t0)^-1 (1+s)^-1 has every t0^a s^b with a < 2^q and b <= 2m+1,
+so its key and top degree are arithmetic in m.  The generic ring engine
+remains the route of the prelude and the oracles, and the reference the
+tests hold the closed forms to, beside the Pascal triangle mod 2.  One
+builder, ``_report``, makes every report and names its monomials straight
+from exponent tuples, so no check but the prelude builds a ring.
 
 The two ``oracle_*`` functions re-derive direct-image (Umkehr) formulas used
 by the checks from brute-force expansions in explicit product rings, so that
-the series route and the coefficient route stay independent.
+the series route and the coefficient route stay independent.  They call the
+ring engine directly: ``invert`` for inverse classes and
+``RingPresentation.base_coefficient`` for a direct image, the coefficient
+of the fibre generator's top power.
 """
 
 from __future__ import annotations
@@ -44,11 +48,7 @@ from .f2ring import ring_y0, ring_yhat  # noqa: F401
 
 __all__ = [
     "DimensionParams",
-    "BundleClass",
-    "w_minus",
     "euler_line_tensor_quotient",
-    "umkehr_px",
-    "umkehr_proj_bundle",
     "VerificationReport",
     "check_prelude",
     "check_theorem_b",
@@ -102,27 +102,6 @@ class DimensionParams:
         return self.m + 1 == 1 << (self.r - 1)
 
 
-@dataclass(frozen=True)
-class BundleClass:
-    """A vector bundle recorded by its rank and total Stiefel-Whitney class."""
-
-    rank: int
-    total_sw: RingElement
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-        if self.total_sw.constant_term() != 1:
-            raise RingError("a total Stiefel-Whitney class has constant term 1")
-        if self.total_sw.max_nonzero_degree() > self.rank:
-            raise RingError("Stiefel-Whitney classes above the rank must vanish")
-
-
-def w_minus(b: BundleClass) -> RingElement:
-    """Total Stiefel-Whitney class of the negative of ``b`` (the inverse class)."""
-    return invert(b.total_sw)
-
-
 def euler_line_tensor_quotient(
     e_line: RingElement, n: int, ring_x: RingPresentation
 ) -> RingElement:
@@ -153,25 +132,6 @@ def euler_line_tensor_quotient(
     return ring_x.from_base_coefficients(
         {n - j: power for j, power in enumerate(powers[: n + 1])}
     )
-
-
-def _gen_power_coefficient(
-    p: RingElement, gen: str, power: int
-) -> RingElement:
-    """Coefficient of gen**power in an extension ring, as a base element."""
-    if p.ring.gen_names[-1] != gen:
-        raise RingError(f"{p.ring.name} is not an extension by {gen!r}")
-    return p.ring.base_coefficient(p, power)
-
-
-def umkehr_px(p: RingElement, n: int) -> RingElement:
-    """Direct image along a trivial P^n fibre: the coefficient of x**n."""
-    return _gen_power_coefficient(p, "x", n)
-
-
-def umkehr_proj_bundle(p: RingElement) -> RingElement:
-    """Direct image along a P^1 bundle with t^2 = w1 t + w2: coefficient of t."""
-    return _gen_power_coefficient(p, "t", 1)
 
 
 @dataclass(frozen=True)
@@ -339,53 +299,38 @@ def check_corollary(m: int) -> VerificationReport:
     return _series_report("corollary", m, _W, t_offset=0)
 
 
-def _prop_q_series(m: int) -> tuple[int, ...]:
-    """w = (1+t0)^-1 (1+t0+x0)^-1 in ``ring_y0(q, m)``, in row form: row a
-    is the polynomial in s multiplying t0^a (a < 2^q), bit b standing for s^b.
-
-    There t0 + x0 = s, so w = (1+t0)^-1 (1+s)^-1.  (1+s)^-1 is the all-ones
-    row of 2m+2 bits, and (1+t0)^-1 = sum_a t0^a copies it into every row.
-    """
-    return ((1 << (2 * m + 2)) - 1,) * (1 << DimensionParams(m).q)
-
-
-def _top_degree(rows: tuple[int, ...]) -> int:
-    return max((a + row.bit_length() - 1 for a, row in enumerate(rows) if row), default=-1)
-
-
 def check_prop_q(m: int, n: int) -> VerificationReport:
     """Sharpness bound: w = (1+t0)^-1 (1+t0+x0)^-1 in the q-reduced ring
     (t0^(2^q) = 0, (t0+x0)^(2m+2) = 0) is nonzero exactly up to degree
     2m + 2^q.
 
-    ``passed`` is non-vanishing at the queried n, with the exact top degree
-    verified as a side condition; the Hurwitz-Radon comparison (alpha <= q)
-    is included in the detail.
+    With s = t0 + x0, w = (1+t0)^-1 (1+s)^-1, whose support is every
+    t0^a s^b with a < 2^q and b <= 2m+1.  The key in degree n is the term
+    of least a, a = max(0, n-2m-1), and it is present exactly when
+    a < 2^q; ``passed`` is that non-vanishing.  The Hurwitz-Radon
+    comparison (alpha <= q) is included in the detail.
     """
     if m < 1 or n < 0:
         raise ValueError("m must be >= 1 and n >= 0")
     q = DimensionParams(m).q
-    rows = _prop_q_series(m)
     bound = 2 * m + (1 << q)
-    top = _top_degree(rows)
-    first = next(
-        ((a, n - a) for a, row in enumerate(rows[: n + 1]) if row >> (n - a) & 1), None
-    )
+    a = max(0, n - 2 * m - 1)
+    key = (a, n - a) if a < 1 << q else None
     hc = hurwitz_comparison(m)
     return _report(
-        "prop_q", m, n, ("t0", "s"), first, int(first is not None),
-        first is not None and top == bound,
-        f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {top}; "
+        "prop_q", m, n, ("t0", "s"), key, int(key is not None), key is not None,
+        f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {bound}; "
         f"alpha = {hc['alpha']} <= q = {q}: exponent bound 2^alpha-1 = "
         f"{hc['remark_exponent']} vs sharp 2^q-1 = {hc['sharp_exponent']}",
     )
 
 
 def prop_q_max_degree(m: int) -> int:
-    """The top nonzero degree of the q-reduced inverse class (= 2m + 2^q)."""
+    """The top nonzero degree of the q-reduced inverse class, 2m + 2^q:
+    the degree of its term t0^(2^q-1) s^(2m+1) (see ``check_prop_q``)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _top_degree(_prop_q_series(m))
+    return 2 * m + (1 << DimensionParams(m).q)
 
 
 def hurwitz_radon(n: int) -> int:
@@ -456,9 +401,7 @@ def _product_base(m1: int, m2: int) -> tuple[RingPresentation, dict[_Spec, RingE
     )
     one = base.one()
     inverses = {
-        spec: w_minus(BundleClass(
-            2, (one + _line_class(base, spec[0])) * (one + _line_class(base, spec[1]))
-        ))
+        spec: invert((one + _line_class(base, spec[0])) * (one + _line_class(base, spec[1])))
         for spec in LINE_SPECS
     }
     return base, inverses
@@ -496,8 +439,8 @@ def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     The base ring and the 16 inverse classes are shared per column
     (m1, m2), and the ring with x and the four line Euler classes per grid
     point (m1, m2, n); each call still forms its own product e1*e2, takes
-    its direct image and compares it with the degree-n part of its spec's
-    inverse class.  ``line_spec`` is two 0/1 pairs, as tuples or lists.
+    its direct image, the coefficient of x^n read by ``base_coefficient``,
+    and compares it with the degree-n part of its spec's inverse class.  ``line_spec`` is two 0/1 pairs, as tuples or lists.
     """
     if m1 < 0 or m2 < 0 or n < 1:
         raise ValueError("need m1, m2 >= 0 and n >= 1")
@@ -509,8 +452,8 @@ def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     if not valid:
         raise ValueError(f"line_spec needs two 0/1 pairs, got {line_spec!r}")
     _, eulers, inverses = _product_rings(m1, m2, n)
-    lhs = umkehr_px(eulers[spec[0]] * eulers[spec[1]], n)
-    return lhs == inverses[spec].homogeneous_part(n)
+    e1, e2 = eulers[spec[0]], eulers[spec[1]]
+    return e1.ring.base_coefficient(e1 * e2, n) == inverses[spec].homogeneous_part(n)
 
 
 @lru_cache(maxsize=4)
@@ -531,14 +474,15 @@ def oracle_umkehr_dual(k: int, n: int) -> bool:
 
         t^(n+1) = wbar_n * t + w2 * wbar_(n-1),  wbar = (1+w1+w2)^-1.
 
-    The rings and wbar are shared per k; each call expands its own t^(n+1).
+    The rings and wbar are shared per k; each call expands its own t^(n+1)
+    and reads its coefficients of t and of 1 by ``base_coefficient``.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     ring_t, w2, wbar = _dual_rings(k)
     tn1 = ring_t.gen("t") ** (n + 1)
-    c1 = umkehr_proj_bundle(tn1)
-    c0 = _gen_power_coefficient(tn1, "t", 0)
+    c1 = ring_t.base_coefficient(tn1, 1)
+    c0 = ring_t.base_coefficient(tn1, 0)
     return c1 == wbar.homogeneous_part(n) and c0 == w2 * wbar.homogeneous_part(n - 1)
 
 

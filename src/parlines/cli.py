@@ -28,6 +28,7 @@ from .charclass import (
 from .jsonio import canonical_json
 from .maps import BUILTIN_NAMES, MapDescriptor, builtin_map, map_digest
 from .witness import (
+    _ALIASES,
     CollinearityAmbiguity,
     SearchConfig,
     WitnessRecord,
@@ -91,8 +92,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("find-witness", help="multi-start witness search")
     add_map_source(p)
     p.add_argument("--case", required=True,
-                   choices=("a", "b", "parallel_a", "parallel_b", "collinear",
-                            "lindep", "linear_dependence"))
+                   choices=[c for c in _ALIASES if c != "line_1d"])
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--restarts", type=int, default=100)

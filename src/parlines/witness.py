@@ -312,6 +312,16 @@ def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor) -> float:
     return float(_residual_from_points("linear_dependence", f, [(p0, p1, p2, p3)])[0])
 
 
+def _scores(case: str, imgs: np.ndarray, worst=False) -> np.ndarray:
+    """The solver's score of each row: its residual, with a NaN residual
+    and the rows flagged in ``worst`` scored 1.5, above every residual in
+    [0, 1]."""
+    with np.errstate(all="ignore"):
+        vals = _residual_rows(case, imgs)
+    vals[worst | np.isnan(vals)] = 1.5
+    return vals
+
+
 def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     """The case residual of each row of an (M, 4, c) stack of images.
 
@@ -646,11 +656,8 @@ def search(f: MapDescriptor, case: str, cfg: SearchConfig | None = None) -> Witn
         x, u, v, _ = project(zs)
         return _images(f, _points(case, x, u, v, cfg.delta))
 
-    def residual(zs, imgs):
-        with np.errstate(all="ignore"):
-            vals = _residual_rows(case, imgs)
-        vals[project(zs)[3] | np.isnan(vals)] = 1.5
-        return vals
+    def residual(zs, imgs):  # degenerate configurations score as NaN does
+        return _scores(case, imgs, project(zs)[3])
 
     def start(i):
         return np.random.default_rng([cfg.seed, i]).standard_normal(3 * f.domain_dim)
@@ -963,17 +970,12 @@ def estimate_singularity_dim(
     d = f.domain_dim
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
-    def residual(zs, imgs):
-        with np.errstate(all="ignore"):
-            vals = _residual_rows("collinear", imgs)
-        vals[np.isnan(vals)] = 1.5
-        return vals
-
     def start(i):
         return p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d)
 
     res = minimize(lambda zs: _images(f, zs.reshape(len(zs), 4, d)),
-                   lambda imgs: _system("collinear", imgs), residual, start, n_samples,
+                   lambda imgs: _system("collinear", imgs),
+                   lambda zs, imgs: _scores("collinear", imgs), start, n_samples,
                    cfg.max_iters, cfg.tol**2)
     solutions = res.x[res.fun <= cfg.tol]
 
