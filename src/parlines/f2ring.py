@@ -1,36 +1,36 @@
 """Exact arithmetic in graded truncated polynomial rings over GF(2).
 
-Every ring here is presented by a short list of graded generators, each
-bounded by exactly one relation:
-
-* a truncation ``g**b = 0``, or
-* a quadratic rewrite ``g**2 -> (terms with exponent of g at most 1)``.
-
-So every generator has a cap, its largest normal-form exponent (``b - 1``,
-or 1 under a rewrite), and every ring has a finite monomial basis.
+Every ring here is presented by a short list of graded generators.  Each
+one is truncated, ``g**b = 0``, except that the top (last) generator g may
+instead satisfy the square relation ``g**2 = w1*g + w2``, with w1 and w2
+elements of the ring the other generators present.  That is the shape of
+the projective bundle formula, H*(P(E)) = H*(B)[g]/(g^2 + w1 g + w2) for a
+2-plane bundle E over B.  So every generator has a cap, its largest
+normal-form exponent (``b - 1``, or 1 for the square generator), and every
+ring has a finite monomial basis.
 
 An element is one Python int with one bit per normal-form monomial.
 Generator i is a digit of radix ``2*cap_i + 1``, and a monomial sits at the
 position its exponents spell in those digits.  The product of two normal
 monomials then adds their positions with no carry, so a multiply shifts one
 operand by each set bit of the other and XORs, then keeps the positions of
-normal monomials with one AND.  A position where a rewrite digit reached 2
-is replaced by its normal form, which the tuple route ``_reduce_mono``
-works out once per ring and position.  Addition is XOR and equality of
-elements is int equality.  An extension's new generator is the top digit,
-so its base's layout is a prefix: lifting keeps the bits, and the
-coefficient of a power of the new generator is a shift and a mask.  Masks
-and memos are built on first use, so a ring costs little until it
-multiplies.
+normal monomials with one AND.  Under a square relation g is the top digit,
+of radix 3, so the raw product's bits from twice g's place upward are the
+coefficient h of g**2; two multiplies in the base, h*w2 and h*w1 shifted to
+g's place, replace them.  Addition is XOR and equality of elements is int
+equality.  An extension's new generator is the top digit, so its base's
+layout is a prefix: lifting keeps the bits, and the coefficient of a power
+of the new generator is a shift and a mask.  Masks are built on first use,
+so a ring costs little until it multiplies.
 
 All values are immutable and every operation is pure; two elements may only
 be combined when they belong to the *same* presentation object (there is no
 implicit coercion between isomorphic rings).
 
 The constructors at the bottom build the specific rings of the
-characteristic-class checks: truncated polynomial rings, the ring with the
-quadratic relation ``x**2 = y + t*x``, and two generic extensions (adjoining
-a truncated generator, and a projective-bundle extension
+characteristic-class checks: truncated polynomial rings, the ring
+``x**2 = t*x + y`` over a truncated GF(2)[t, y], and two generic extensions
+(adjoining a truncated generator, and a projective-bundle extension
 ``t**2 = w1*t + w2``).
 """
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -117,13 +117,15 @@ def _tile(block: int, stride: int, count: int) -> int:
 
 
 class RingPresentation:
-    """Generators, degrees and the normal-form rule of one presented ring.
+    """Generators, degrees and relations of one presented ring.
 
     ``truncations`` maps a generator name to its bound b (``g**b = 0``,
-    b >= 1); ``rewrites`` maps a generator name to the GF(2) sum of exponent
-    tuples, aligned with the generators, that replaces its square.  Every
-    generator takes exactly one of the two.  ``base`` names the ring this
-    one extends: its generators and relations must come first, unchanged.
+    b >= 1).  ``square`` is a pair (w1, w2) of elements of ``base``,
+    homogeneous of degrees d and 2d where d is the top generator's degree,
+    and binds the top generator g by ``g**2 = w1*g + w2``; ``base`` then
+    presents every generator but g.  Every other generator takes a
+    truncation.  ``base`` names the ring this one extends: its generators
+    and truncations must come first, unchanged.
 
     Instances are built by the module-level constructors and treated as
     immutable afterwards.  Elements keep a reference to their presentation
@@ -136,7 +138,7 @@ class RingPresentation:
         generators: Iterable[tuple[str, int]],
         *,
         truncations: dict[str, int] | None = None,
-        rewrites: dict[str, Iterable[tuple[int, ...]]] | None = None,
+        square: "tuple[RingElement, RingElement] | None" = None,
         base: "RingPresentation | None" = None,
     ) -> None:
         gens = list(generators)
@@ -151,67 +153,45 @@ class RingPresentation:
             raise RingError("generator degrees must be positive")
         self._index = {n: i for i, n in enumerate(self.gen_names)}
         trunc = dict(truncations or {})
-        rules = dict(rewrites or {})
-        unknown = sorted((set(trunc) | set(rules)) - set(self.gen_names))
+        unknown = sorted(set(trunc) - set(self.gen_names))
         if unknown:
-            raise RingError(f"relations for unknown generators {unknown}")
+            raise RingError(f"truncations for unknown generators {unknown}")
         if any(b < 1 for b in trunc.values()):
             raise RingError("truncation bounds must be >= 1")
+        top = self.gen_names[-1] if square is not None else None
         for n in self.gen_names:
-            if (n in trunc) == (n in rules):
+            if (n in trunc) == (n == top):
                 raise RingError(
-                    f"generator {n!r} of {self.name} needs a truncation or a rewrite, "
-                    "and not both"
+                    f"generator {n!r} of {self.name} needs a truncation, or the square "
+                    "relation if it is the top one, and not both"
                 )
-        # Rewrite generators have no bound: a raw monomial's exponent there
-        # may pass 1 until it is rewritten.
+        # The square generator has no bound: a raw product's exponent there
+        # reaches 2 before the relation lowers it.
         self._bounds = tuple(trunc.get(n) for n in self.gen_names)
-        rewritten = [i for i, n in enumerate(self.gen_names) if n in rules]
-        self._rewrites = {
-            i: self._check_rewrite(i, rules[self.gen_names[i]], rewritten) for i in rewritten
-        }
         self._caps = tuple(1 if b is None else b - 1 for b in self._bounds)
         radices = [2 * c + 1 for c in self._caps]
         self._radices = tuple(radices)
         self._places = tuple(itertools.accumulate([1] + radices[:-1], mul))
-        self._normal_forms: dict[int, int] = {}
         self._degree_masks: dict[int, int] = {}
         self.base = base
         if base is not None:
             # Lifting keeps an element's bits, which is only right when the
             # base layout is a prefix of this one under the same relations.
             k = len(base.gen_names)
-            pad = (0,) * (len(self.gen_names) - k)
             if (self.gen_names[:k], self.gen_degrees[:k], self._bounds[:k]) != (
                 base.gen_names, base.gen_degrees, base._bounds
-            ) or any(
-                self._rewrites[i] != tuple(e + pad for e in rep)
-                for i, rep in base._rewrites.items()
             ):
                 raise RingError("the base ring's generators and relations must come first")
-
-    def _check_rewrite(
-        self, i: int, terms: Iterable[tuple[int, ...]], rewritten: list[int]
-    ) -> tuple:
-        """The replacement of g_i**2 as sorted exponent tuples, duplicates
-        cancelled, after checking it lowers g_i, keeps the degree and has no
-        rewrite generator after g_i.  So each rewrite lowers the rewrite
-        exponents read from the last generator down, lexicographically, and
-        normal forms terminate."""
-        want = 2 * self.gen_degrees[i]
-        acc: set[tuple[int, ...]] = set()
-        for exps in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.gen_names) or min(exps) < 0:
-                raise RingError("rewrite terms need one exponent >= 0 per generator")
-            if exps[i] > 1:
-                raise RingError("rewrite must lower the generator exponent")
-            if any(exps[j] for j in rewritten if j > i):
-                raise RingError("a rewrite may not involve a later rewrite generator")
-            if _mono_degree(self.gen_degrees, exps) != want:
-                raise RingError("rewrite replacement has the wrong degree")
-            acc ^= {exps}
-        return tuple(sorted(acc))
+        self._square = square
+        if square is not None:
+            if base is None or len(base.gen_names) != len(self.gen_names) - 1:
+                raise RingError("a square relation needs a base of every generator but the top")
+            d = self.gen_degrees[-1]
+            for w, wd in zip(square, (d, 2 * d)):
+                if w.ring is not base:
+                    raise RingError("w1 and w2 must live in the base ring")
+                if w != w.homogeneous_part(wd):
+                    raise RingError(f"expected a homogeneous element of degree {wd}")
 
     # -- element factories --------------------------------------------------
 
@@ -239,13 +219,19 @@ class RingPresentation:
         return Monomial(self, tuple(exps))
 
     def element(self, *monomials: Monomial) -> "RingElement":
-        """The GF(2) sum of the given monomials (duplicates cancel)."""
+        """The GF(2) sum of the given monomials (duplicates cancel).  A
+        monomial need not be in normal form: each is the product of its
+        generators' powers."""
+        gens = self.gens()
+        total = self.zero()
         for mo in monomials:
             if mo.ring is not self:
                 raise RingError("monomial from a different ring")
-        return self._element_from(mo.exps for mo in monomials)
-
-    # -- normal form ---------------------------------------------------------
+            term = self.one()
+            for g, e in zip(gens, mo.exps):
+                term = term * g ** e
+            total = total + term
+        return total
 
     def _gen_index(self, name: str) -> int:
         try:
@@ -253,37 +239,10 @@ class RingPresentation:
         except KeyError:
             raise RingError(f"{self.name} has no generator {name!r}") from None
 
-    def _trunc_dead(self, exps: tuple[int, ...]) -> bool:
-        return any(b is not None and e >= b for e, b in zip(exps, self._bounds))
-
     def _is_normal_mono(self, exps: tuple[int, ...]) -> bool:
         return len(exps) == len(self._caps) and all(
             0 <= e <= c for e, c in zip(exps, self._caps)
         )
-
-    def _reduce_mono(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """Normal form of one raw monomial, as a set of normal monomials.
-
-        Exponents of truncated generators only ever grow while rewriting,
-        so a truncation hit can prune a branch before full expansion.
-        """
-        if self._trunc_dead(exps):
-            return set()
-        for i, rep in self._rewrites.items():
-            if exps[i] >= 2:
-                rest = list(exps)
-                rest[i] -= 2
-                acc: set[tuple[int, ...]] = set()
-                for rexps in rep:
-                    acc ^= self._reduce_mono(tuple(map(add, rest, rexps)))
-                return acc
-        return {exps}
-
-    def _element_from(self, raw: Iterable[tuple[int, ...]]) -> "RingElement":
-        acc: set[tuple[int, ...]] = set()
-        for exps in raw:
-            acc ^= self._reduce_mono(exps)
-        return RingElement(self, sum(1 << self._position(exps) for exps in acc))
 
     # -- the packed layout ----------------------------------------------------
 
@@ -310,19 +269,22 @@ class RingPresentation:
         """The positions of normal-form monomials."""
         return self._tiled(self._caps)
 
-    @cached_property
-    def _pending(self) -> int:
-        """The positions, among products of two normal monomials, that have
-        a rewrite digit 2 and no truncated digit past its cap."""
-        return self._tiled(
-            2 if i in self._rewrites else c for i, c in enumerate(self._caps)
-        ) & ~self._live
-
-    def _normal_form(self, pos: int) -> int:
-        """The packed normal form of the raw monomial at ``pos``, memoised."""
-        bits = self._normal_forms.get(pos)
-        if bits is None:
-            bits = self._normal_forms[pos] = self._element_from([self._exps_at(pos)]).bits
+    def _mul(self, a: int, b: int) -> int:
+        """The packed product of two packed normal elements."""
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        raw = 0
+        for pos in _positions(a):
+            raw ^= b << pos
+        bits = raw & self._live
+        if self._square is not None:
+            # The top digit has radix 3, so the bits from 2*place up are
+            # the coefficient h of g**2, and g**2 = w1*g + w2.
+            base, place = self.base, self._places[-1]
+            h = raw >> 2 * place & base._live
+            if h:
+                w1, w2 = self._square
+                bits ^= base._mul(h, w2.bits) ^ base._mul(h, w1.bits) << place
         return bits
 
     def _exps_of_degree(self, d: int, i: int = 0) -> Iterator[tuple[int, ...]]:
@@ -381,18 +343,17 @@ class RingPresentation:
         """The element sum_k c_k g**k for base elements c_k = coefficients[k],
         where g is the one generator this ring adds to its base; the inverse
         of ``base_coefficient``.  Powers of a truncated g past its cap are
-        zero and dropped; a rewrite generator takes powers up to 1 only.
-        g is the top digit of the packed layout, so c_k's bits are shifted
-        by k times g's place."""
+        zero and dropped; a g bound by the square relation takes powers 0
+        and 1 only, the normal form's.  g is the top digit of the packed
+        layout, so c_k's bits are shifted by k times g's place."""
         if self.base is None or len(self.gen_names) != len(self.base.gen_names) + 1:
             raise RingError(f"{self.name} does not extend its base by one generator")
         place, cap = self._places[-1], self._caps[-1]
-        truncated = self._bounds[-1] is not None
         bits = 0
         for power, c in coefficients.items():
             if c.ring is not self.base:
                 raise RingError("coefficients must belong to this ring's base")
-            if power < 0 or (power > cap and not truncated):
+            if power < 0 or (power > cap and self._square is not None):
                 raise RingError(f"no power {power} of the added generator here")
             if power <= cap:
                 bits ^= c.bits << (power * place)
@@ -439,18 +400,7 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check_ring(other)
-        ring = self.ring
-        a, b = self.bits, other.bits
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        raw = 0
-        for pos in _positions(a):
-            raw ^= b << pos
-        bits = raw & ring._live
-        if ring._rewrites:
-            for pos in _positions(raw & ring._pending):
-                bits ^= ring._normal_form(pos)
-        return RingElement(ring, bits)
+        return RingElement(self.ring, self.ring._mul(self.bits, other.bits))
 
     def __pow__(self, k: int) -> "RingElement":
         if not isinstance(k, int) or k < 0:
@@ -563,16 +513,13 @@ def ring_projective(m: int) -> RingPresentation:
 
 def ring_yhat(m: int) -> RingPresentation:
     """Generators t, y, x (degrees 1, 2, 1) with t**(m+1) = y**(m+1) = 0
-    and the rewrite x**2 = y + t*x; basis t^i y^j x^eps, 0 <= i,j <= m.
+    and x**2 = t*x + y; basis t^i y^j x^eps, 0 <= i,j <= m.  The base is
+    the truncated GF(2)[t, y].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return RingPresentation(
-        f"Yhat{m}",
-        [("t", 1), ("y", 2), ("x", 1)],
-        truncations={"t": m + 1, "y": m + 1},
-        rewrites={"x": [(0, 1, 0), (1, 0, 1)]},  # y + t*x
-    )
+    base = ring_truncated(f"TY{m}", [("t", 1, m + 1), ("y", 2, m + 1)])
+    return _extend(base, f"Yhat{m}", ("x", 1), square=base.gens())
 
 
 def ring_y0(q: int, m: int) -> RingPresentation:
@@ -595,27 +542,24 @@ def _extend(
     gen: tuple[str, int],
     *,
     truncation: int | None = None,
-    rewrite: Iterable[tuple[int, ...]] | None = None,
+    square: tuple[RingElement, RingElement] | None = None,
 ) -> RingPresentation:
     """A new presentation with one generator appended after the base's,
-    bounded by ``truncation`` or by ``rewrite`` (its square's replacement)."""
+    bounded by ``truncation`` or by ``square``, the pair (w1, w2) of its
+    relation g**2 = w1*g + w2.  The base must be truncated throughout."""
     gname = gen[0]
     if gname in base.gen_names:
         raise RingError(f"generator name {gname!r} clashes with the base ring")
-    trunc = {n: b for n, b in zip(base.gen_names, base._bounds) if b is not None}
-    rules = {
-        base.gen_names[i]: [exps + (0,) for exps in rep]
-        for i, rep in base._rewrites.items()
-    }
+    if base._square is not None:
+        raise RingError(f"{base.name} has a square relation and cannot be extended")
+    trunc = dict(zip(base.gen_names, base._bounds))
     if truncation is not None:
         trunc[gname] = truncation
-    if rewrite is not None:
-        rules[gname] = rewrite
     return RingPresentation(
         name,
         list(zip(base.gen_names, base.gen_degrees)) + [gen],
         truncations=trunc,
-        rewrites=rules,
+        square=square,
         base=base,
     )
 
@@ -630,15 +574,9 @@ def ring_adjoin_x(base: RingPresentation, n: int) -> RingPresentation:
 def ring_proj_bundle(
     base: RingPresentation, w1: RingElement, w2: RingElement
 ) -> RingPresentation:
-    """base[t] with deg t = 1 and the rewrite t**2 = w1*t + w2.
+    """base[t] with deg t = 1 and t**2 = w1*t + w2.
 
     ``w1`` and ``w2`` must be base-ring elements, homogeneous of degrees
     1 and 2 (either may be zero); basis monomials carry t-exponent <= 1.
     """
-    for w, d in ((w1, 1), (w2, 2)):
-        if w.ring is not base:
-            raise RingError("w1 and w2 must live in the base ring")
-        if w and w != w.homogeneous_part(d):
-            raise RingError(f"expected a homogeneous element of degree {d}")
-    rewrite = [exps + (1,) for exps in w1.terms] + [exps + (0,) for exps in w2.terms]
-    return _extend(base, f"{base.name}[t|{w1},{w2}]", ("t", 1), rewrite=rewrite)
+    return _extend(base, f"{base.name}[t|{w1},{w2}]", ("t", 1), square=(w1, w2))

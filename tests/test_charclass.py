@@ -35,6 +35,7 @@ from parlines.charclass import (
 )
 from parlines.cli import main
 from parlines.f2ring import (
+    Monomial,
     RingElement,
     RingError,
     RingPresentation,
@@ -102,7 +103,9 @@ SERIES = {"inv_ty": _INV_TY, "w": _W, "S": _S, "t*S": _T_S}
 
 def closed_form_element(m: int, series, ring) -> RingElement:
     """A series read from its closed form, as an element of ``ring_yhat(m)``."""
-    return ring._element_from(e for d in range(3 * m + 2) for e in _part(m, series, d))
+    return ring.element(
+        *(Monomial(ring, e) for d in range(3 * m + 2) for e in _part(m, series, d))
+    )
 
 
 def set_engine_series(m: int) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,34 @@ from parlines.f2ring import (
 )
 
 
-def _bundle_then_x():
-    # An extension of an extension: the rewrite t**2 = w1*t + w2 must carry
-    # over into the ring that adjoins x, with t capped at exponent 1.
+def _bundle():
+    # The projective bundle over a free truncated base: t**2 = w1*t + w2.
     base = ring_truncated("B", [("w1", 1, 3), ("w2", 2, 3)])
-    w1, w2 = base.gens()
-    return ring_adjoin_x(ring_proj_bundle(base, w1, w2), 2)
+    return ring_proj_bundle(base, *base.gens())
+
+
+def tuple_product(ring, p, q):
+    """The terms of p*q by exponent tuples: every pair's raw monomial,
+    zero past a truncation bound, and with g**2 -> w1*g + w2 applied to the
+    top generator g until its exponent is at most 1."""
+    bounds = ring._bounds
+
+    def reduce(exps):
+        if any(b is not None and e >= b for e, b in zip(exps, bounds)):
+            return set()
+        if ring._square is None or exps[-1] < 2:
+            return {exps}
+        out = set()
+        for w, e in zip(ring._square, (exps[-1] - 1, exps[-1] - 2)):
+            for wexps in w.terms:
+                out ^= reduce(tuple(map(add, exps[:-1], wexps)) + (e,))
+        return out
+
+    acc = set()
+    for a in p.terms:
+        for b in q.terms:
+            acc ^= reduce(tuple(map(add, a, b)))
+    return acc
 
 
 # -- construction and normal form -------------------------------------------
@@ -59,6 +82,11 @@ def test_yhat_rewrite_examples():
     assert str(x * (y + t * x)) == "y*x + t*y + t^2*x"
     assert t ** 4 == ring.zero()
     assert y ** 4 == ring.zero()
+    # element() takes any monomial and returns its normal form.
+    assert ring.element(ring.monomial(x=2)) == y + t * x
+    assert ring.element(ring.monomial(t=2, x=3), ring.monomial(t=4)) == t * t * x ** 3
+    assert ring.base.gen_names == ("t", "y")
+    assert ring.lift_from_base(ring.base.gen("y")) == y
 
 
 def test_yhat_basis_shape():
@@ -108,6 +136,18 @@ def test_adjoin_x():
     assert bool(t * x * x)
     with pytest.raises(RingError):
         ring_adjoin_x(ring, 2)  # name clash with existing x
+
+
+def test_a_square_ring_cannot_be_extended():
+    bundle = _bundle()
+    with pytest.raises(RingError, match="square relation and cannot be extended"):
+        ring_adjoin_x(bundle, 2)
+    # Presented directly, the bundle's t would need a bound it lacks in the base.
+    with pytest.raises(RingError, match="must come first"):
+        RingPresentation(
+            "X", [("w1", 1), ("w2", 2), ("t", 1), ("x", 1)],
+            truncations={"w1": 3, "w2": 3, "t": 2, "x": 3}, base=bundle,
+        )
 
 
 def test_proj_bundle_power_identity():
@@ -188,7 +228,7 @@ def test_invert_examples():
 
 def test_invert_is_two_sided_inverse():
     rng = random.Random(20240817)
-    for ring in (ring_projective(6), ring_yhat(3), _bundle_then_x(), ring_y0(2, 3)):
+    for ring in (ring_projective(6), ring_yhat(3), _bundle(), ring_y0(2, 3)):
         basis = list(ring.basis())
         one = ring.one()
         for _ in range(25):
@@ -262,7 +302,7 @@ def test_ring_laws_exhaustive_tiny():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: ring_yhat(3), lambda: _bundle_then_x(), lambda: ring_y0(2, 3)]
+    "make", [lambda: ring_yhat(3), lambda: _bundle(), lambda: ring_y0(2, 3)]
 )
 def test_ring_laws_sampled(make):
     ring = make()
@@ -294,7 +334,7 @@ def _with_dead_gen():
         lambda: ring_adjoin_x(_with_dead_gen(), 3),
         lambda: ring_adjoin_x(ring_truncated("P2xP3", [("t1", 1, 3), ("t2", 1, 4)]), 4),
         lambda: ring_yhat(3),
-        _bundle_then_x,
+        _bundle,
         # The oracles' rings: P^3 x P^2 [x;5], and the W_4 projective bundle.
         lambda: _product_rings(3, 2, 5)[1][(1, 1)].ring,
         lambda: ring_proj_bundle(
@@ -303,8 +343,8 @@ def _with_dead_gen():
     ],
 )
 def test_mul_matches_normal_form_route(make):
-    # The multiply is held to the generic route: every term pair's raw
-    # product monomial, reduced to normal form by _element_from.
+    # The multiply is held to the tuple route: every term pair's raw
+    # product monomial, reduced to normal form by tuple_product.
     ring = make()
     basis = list(ring.basis())
     rng = random.Random(5)
@@ -312,15 +352,10 @@ def test_mul_matches_normal_form_route(make):
     def sample():
         return ring.element(*[mo for mo in basis if rng.random() < 0.3])
 
-    def via_normal_form(p, q):
-        return ring._element_from(
-            tuple(x + y for x, y in zip(a, b)) for a in p.terms for b in q.terms
-        )
-
     samples = [ring.one(), ring.zero(), *ring.gens()] + [sample() for _ in range(30)]
     for p in samples:
         for q in samples[:8] + [sample()]:
-            assert (p * q).terms == via_normal_form(p, q).terms
+            assert (p * q).terms == tuple_product(ring, p, q)
     if "z" in ring.gen_names:
         z = ring.gen("z")
         assert not z
@@ -367,7 +402,7 @@ def test_from_base_coefficients_inverts_base_coefficient():
         ring.from_base_coefficients({-1: c})
     with pytest.raises(RingError):
         base.from_base_coefficients({0: c})  # base is not an extension
-    # A rewrite generator's square has no place of its own in the layout.
+    # The square generator's square has no place of its own in the layout.
     w1, w2 = ring_truncated("W", [("w1", 1, 3), ("w2", 2, 3)]).gens()
     bundle = ring_proj_bundle(w1.ring, w1, w2)
     t = bundle.gen("t")
@@ -386,30 +421,27 @@ def _mono_degree(ring, exps):
 
 @st.composite
 def small_rings(draw):
-    """A ring of 1-3 generators, each truncated at a bound 1..6, except at
-    most one that takes a random rewrite of its square instead."""
-    k = draw(st.integers(1, 3))
-    degrees = [draw(st.integers(1, 3)) for _ in range(k)]
-    bounds = [draw(st.integers(1, 6)) for _ in range(k)]
-    names = ["a", "b", "c"][:k]
-    rewrite_at = draw(st.sampled_from([None, *range(k)]))
-    rewrites = {}
-    if rewrite_at is not None:
-        want = 2 * degrees[rewrite_at]
-        candidates = [
-            exps
-            for exps in itertools.product(*(range(want // d + 1) for d in degrees))
-            if exps[rewrite_at] <= 1 and sum(e * d for e, d in zip(exps, degrees)) == want
-        ]
-        terms = st.lists(st.sampled_from(candidates), max_size=4) if candidates else st.just([])
-        rewrites[names[rewrite_at]] = draw(terms)
-    ring = RingPresentation(
+    """A truncated base of 1-3 generators, each at a bound 1..6, and maybe
+    a top generator g over it with g**2 = w1*g + w2 for random homogeneous
+    w1, w2 (zero included)."""
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    gens = [(n, draw(st.integers(1, 3)), draw(st.integers(1, 6))) for n in names]
+    base = ring_truncated("B", gens)
+    if not draw(st.booleans()):
+        return base
+    d = draw(st.integers(1, 3))
+
+    def homogeneous(degree):
+        monos = [mo for mo in base.basis() if mo.degree() == degree]
+        return base.element(*draw(st.lists(st.sampled_from(monos), max_size=4))) if monos else base.zero()
+
+    return RingPresentation(
         "R",
-        list(zip(names, degrees)),
-        truncations={n: b for i, (n, b) in enumerate(zip(names, bounds)) if i != rewrite_at},
-        rewrites=rewrites,
+        [(n, deg) for n, deg, _ in gens] + [("g", d)],
+        truncations={n: b for n, _, b in gens},
+        square=(homogeneous(d), homogeneous(2 * d)),
+        base=base,
     )
-    return ring
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,15 +451,10 @@ def test_packed_engine_matches_tuple_route(data):
     basis = [mo.exps for mo in ring.basis()]
     pick = st.sets(st.sampled_from(basis), max_size=len(basis))
     left, right = data.draw(pick), data.draw(pick)
-    p = ring._element_from(left)
-    q = ring._element_from(right)
+    p = ring.element(*(Monomial(ring, e) for e in left))
+    q = ring.element(*(Monomial(ring, e) for e in right))
     assert p.terms == left and q.terms == right
-    # The product: every pair's raw monomial through _reduce_mono, by tuples.
-    want = set()
-    for a in left:
-        for b in right:
-            want ^= ring._reduce_mono(tuple(x + y for x, y in zip(a, b)))
-    assert (p * q).terms == want
+    assert (p * q).terms == tuple_product(ring, p, q)
     for d in range(-1, ring.top_degree() + 2):
         assert p.homogeneous_part(d).terms == {e for e in left if _mono_degree(ring, e) == d}
     for exps in basis:
@@ -438,8 +465,8 @@ def test_packed_engine_matches_tuple_route(data):
 
 
 def test_building_a_large_ring_allocates_nothing_ring_sized():
-    # At m = 4096 the rewrite x^2 = y + t*x reaches bit 1.3e8 of the packed
-    # layout: building the ring, and naming its monomials, must not pack it.
+    # At m = 4096 the packed layout of x^2 = t*x + y reaches bit 1.3e8:
+    # building the ring, and naming its monomials, must not pack it.
     tracemalloc.start()
     try:
         ring = ring_yhat(4096)
@@ -451,34 +478,34 @@ def test_building_a_large_ring_allocates_nothing_ring_sized():
 
 
 def test_every_generator_needs_exactly_one_relation():
-    with pytest.raises(RingError, match="truncation or a rewrite"):
+    base = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
+    a, b = base.gens()
+    gens = [("a", 1), ("b", 2), ("g", 1)]
+    trunc = {"a": 3, "b": 2}
+    ring = RingPresentation("U", gens, truncations=trunc, square=(a, a * a + b), base=base)
+    g = ring.gen("g")
+    assert g * g == ring.lift_from_base(a) * g + ring.lift_from_base(a * a + b)
+    with pytest.raises(RingError, match="needs a truncation"):
         RingPresentation("U", [("a", 1), ("b", 1)], truncations={"a": 3})
-    with pytest.raises(RingError, match="truncation or a rewrite"):
-        RingPresentation(
-            "U", [("a", 1), ("b", 2)], truncations={"a": 3, "b": 2}, rewrites={"a": [(0, 1)]}
-        )
+    with pytest.raises(RingError, match="needs a truncation"):  # b left untruncated
+        RingPresentation("U", gens, truncations={"a": 3}, square=(a, b), base=base)
+    with pytest.raises(RingError, match="needs a truncation"):  # g takes both
+        RingPresentation("U", gens, truncations={**trunc, "g": 2}, square=(a, b), base=base)
     with pytest.raises(RingError, match="unknown generators"):
-        RingPresentation("U", [("a", 1)], truncations={"a": 3}, rewrites={"z": []})
-    with pytest.raises(RingError, match="lower the generator"):
-        RingPresentation("U", [("a", 1), ("b", 2)], truncations={"b": 2}, rewrites={"a": [(2, 0)]})
-    with pytest.raises(RingError, match="wrong degree"):
-        RingPresentation("U", [("a", 1), ("b", 2)], truncations={"b": 2}, rewrites={"a": [(1, 0)]})
-
-
-def test_rewrites_that_could_cycle_are_rejected():
-    # a^2 -> a*b and b^2 -> a*b would rewrite a^2*b -> a*b^2 -> a^2*b forever.
-    with pytest.raises(RingError, match="later rewrite generator"):
-        RingPresentation("C", [("a", 1), ("b", 1)], rewrites={"a": [(1, 1)], "b": [(1, 1)]})
-    # A rewrite may use an earlier rewrite generator: s^2 = w^2, t^2 = s*t + w*s.
-    ring = RingPresentation(
-        "D",
-        [("w", 1), ("s", 1), ("t", 1)],
-        truncations={"w": 4},
-        rewrites={"s": [(2, 0, 0)], "t": [(0, 1, 1), (1, 1, 0)]},
-    )
-    w, s, t = ring.gens()
-    assert t * t == s * t + w * s
-    assert (t * t) * (t * s) == t * (t * (t * s))
+        RingPresentation("U", [("a", 1)], truncations={"a": 3, "z": 2})
+    with pytest.raises(RingError, match="needs a base"):
+        RingPresentation("U", gens, truncations=trunc, square=(a, b))
+    short = ring_truncated("A", [("a", 1, 3)])
+    u = short.gen("a")
+    with pytest.raises(RingError, match="needs a base"):  # the base lacks b
+        RingPresentation("U", gens, truncations=trunc, square=(u, u * u), base=short)
+    other = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
+    with pytest.raises(RingError, match="live in the base"):
+        RingPresentation("U", gens, truncations=trunc, square=(other.gen("a"), b), base=base)
+    with pytest.raises(RingError, match="live in the base"):
+        RingPresentation("U", gens, truncations=trunc, square=(a, other.gen("b")), base=base)
+    with pytest.raises(RingError, match="homogeneous element of degree 2"):
+        RingPresentation("U", gens, truncations=trunc, square=(a, a + b), base=base)
 
 
 def test_base_must_be_a_prefix_with_the_same_relations():
