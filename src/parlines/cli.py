@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 
@@ -113,6 +114,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    metavar=("A", "B"))
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--samples", type=int, default=257)
+    # argparse on Python 3.10-3.13 reads -1e1 or -inf as an unknown option;
+    # every spelling float() parses that starts with "-" starts like this.
+    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
     subs["find-1d"] = p
 
     p = sub.add_parser("singularity", help="local dimension estimate around a collinear witness")
@@ -266,7 +270,7 @@ def _run_table(args) -> int:
 # The oracle grids' caps.  The dual's rings grow as dual-k squared; at the
 # caps the slowest shapes, all product instances in the columns (m1-max
 # 623) or all instances in dual-n-max at dual-k 64, took 0.5-0.8 s and
-# 6.1-10.4 s on a shared 2-vCPU machine.
+# 4.4-6.0 s on a shared 2-vCPU machine.
 _ORACLE_INSTANCE_CAP = 10_000
 _ORACLE_DUAL_K_CAP = 64
 

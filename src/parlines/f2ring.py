@@ -18,10 +18,10 @@ normal monomials with one AND.  Under a square relation g is the top digit,
 of radix 3, so the raw product's bits from twice g's place upward are the
 coefficient h of g**2; two multiplies in the base, h*w2 and h*w1 shifted to
 g's place, replace them.  Addition is XOR and equality of elements is int
-equality.  An extension's new generator is the top digit, so its base's
-layout is a prefix: lifting keeps the bits, and the coefficient of a power
-of the new generator is a shift and a mask.  Masks are built on first use,
-so a ring costs little until it multiplies.
+equality.  An extension is its base plus one generator on top, so the
+base's layout is a prefix: a base element keeps its bits in the extension,
+and the coefficient of a power of the new generator is a shift and a mask.
+Masks are built on first use, so a ring costs little until it multiplies.
 
 All values are immutable and every operation is pure; two elements may only
 be combined when they belong to the *same* presentation object (there is no
@@ -120,12 +120,13 @@ class RingPresentation:
     """Generators, degrees and relations of one presented ring.
 
     ``truncations`` maps a generator name to its bound b (``g**b = 0``,
-    b >= 1).  ``square`` is a pair (w1, w2) of elements of ``base``,
-    homogeneous of degrees d and 2d where d is the top generator's degree,
-    and binds the top generator g by ``g**2 = w1*g + w2``; ``base`` then
-    presents every generator but g.  Every other generator takes a
-    truncation.  ``base`` names the ring this one extends: its generators
-    and truncations must come first, unchanged.
+    b >= 1).  Without ``base`` every generator takes a truncation.  With
+    ``base``, the ring this one extends, ``generators`` is exactly one
+    generator g, put on top of the base's generators, which keep the
+    base's degrees and truncations; g takes a truncation, or ``square``, a
+    pair (w1, w2) of elements of ``base``, homogeneous of degrees d and 2d
+    where d is g's degree, that binds it by ``g**2 = w1*g + w2``.  A base
+    with a square relation cannot be extended.
 
     Instances are built by the module-level constructors and treated as
     immutable afterwards.  Elements keep a reference to their presentation
@@ -141,10 +142,22 @@ class RingPresentation:
         square: "tuple[RingElement, RingElement] | None" = None,
         base: "RingPresentation | None" = None,
     ) -> None:
-        gens = list(generators)
+        own = list(generators)
         self.name = str(name)
-        self.gen_names: tuple[str, ...] = tuple(n for n, _ in gens)
-        self.gen_degrees: tuple[int, ...] = tuple(int(d) for _, d in gens)
+        self.base = base
+        self._square = square
+        bounds: tuple[int | None, ...] = ()
+        if base is not None:
+            if len(own) != 1:
+                raise RingError(f"{self.name} must add exactly one generator to its base")
+            if base._square is not None:
+                raise RingError(f"{base.name} has a square relation and cannot be extended")
+            own = list(zip(base.gen_names, base.gen_degrees)) + own
+            bounds = base._bounds
+        elif square is not None:
+            raise RingError("a square relation needs a base")
+        self.gen_names: tuple[str, ...] = tuple(n for n, _ in own)
+        self.gen_degrees: tuple[int, ...] = tuple(int(d) for _, d in own)
         if len(set(self.gen_names)) != len(self.gen_names):
             raise RingError(f"duplicate generator names in {self.name}")
         if not self.gen_names:
@@ -152,40 +165,24 @@ class RingPresentation:
         if any(d < 1 for d in self.gen_degrees):
             raise RingError("generator degrees must be positive")
         self._index = {n: i for i, n in enumerate(self.gen_names)}
+        # Every added generator takes a truncation, but a top one bound by
+        # the square relation.
+        added = self.gen_names[len(bounds):]
         trunc = dict(truncations or {})
-        unknown = sorted(set(trunc) - set(self.gen_names))
-        if unknown:
-            raise RingError(f"truncations for unknown generators {unknown}")
+        want = sorted(added[:-1] if square is not None else added)
+        if sorted(trunc) != want:
+            raise RingError(f"{self.name} needs truncations for {want}, got {sorted(trunc)}")
         if any(b < 1 for b in trunc.values()):
             raise RingError("truncation bounds must be >= 1")
-        top = self.gen_names[-1] if square is not None else None
-        for n in self.gen_names:
-            if (n in trunc) == (n == top):
-                raise RingError(
-                    f"generator {n!r} of {self.name} needs a truncation, or the square "
-                    "relation if it is the top one, and not both"
-                )
         # The square generator has no bound: a raw product's exponent there
         # reaches 2 before the relation lowers it.
-        self._bounds = tuple(trunc.get(n) for n in self.gen_names)
+        self._bounds = bounds + tuple(trunc.get(n) for n in added)
         self._caps = tuple(1 if b is None else b - 1 for b in self._bounds)
         radices = [2 * c + 1 for c in self._caps]
         self._radices = tuple(radices)
         self._places = tuple(itertools.accumulate([1] + radices[:-1], mul))
         self._degree_masks: dict[int, int] = {}
-        self.base = base
-        if base is not None:
-            # Lifting keeps an element's bits, which is only right when the
-            # base layout is a prefix of this one under the same relations.
-            k = len(base.gen_names)
-            if (self.gen_names[:k], self.gen_degrees[:k], self._bounds[:k]) != (
-                base.gen_names, base.gen_degrees, base._bounds
-            ):
-                raise RingError("the base ring's generators and relations must come first")
-        self._square = square
         if square is not None:
-            if base is None or len(base.gen_names) != len(self.gen_names) - 1:
-                raise RingError("a square relation needs a base of every generator but the top")
             d = self.gen_degrees[-1]
             for w, wd in zip(square, (d, 2 * d)):
                 if w.ring is not base:
@@ -323,31 +320,26 @@ class RingPresentation:
 
     # -- base-ring plumbing ----------------------------------------------------
 
-    def lift_from_base(self, p: "RingElement") -> "RingElement":
-        """Image of a base-ring element under the canonical inclusion."""
-        if self.base is None or p.ring is not self.base:
-            raise RingError("element does not belong to this ring's base")
-        return RingElement(self, p.bits)
-
     def base_coefficient(self, p: "RingElement", power: int) -> "RingElement":
         """The coefficient of g**power in ``p``, as a base element, where g
-        is the one generator this ring adds to its base."""
+        is the generator this ring adds to its base."""
         if p.ring is not self:
             raise RingError("element from a different ring")
-        if self.base is None or len(self.gen_names) != len(self.base.gen_names) + 1:
-            raise RingError(f"{self.name} does not extend its base by one generator")
+        if self.base is None:
+            raise RingError(f"{self.name} does not extend a base")
         place = self._places[-1]
         return RingElement(self.base, p.bits >> (power * place) & ((1 << place) - 1))
 
     def from_base_coefficients(self, coefficients: dict[int, "RingElement"]) -> "RingElement":
         """The element sum_k c_k g**k for base elements c_k = coefficients[k],
-        where g is the one generator this ring adds to its base; the inverse
-        of ``base_coefficient``.  Powers of a truncated g past its cap are
-        zero and dropped; a g bound by the square relation takes powers 0
-        and 1 only, the normal form's.  g is the top digit of the packed
-        layout, so c_k's bits are shifted by k times g's place."""
-        if self.base is None or len(self.gen_names) != len(self.base.gen_names) + 1:
-            raise RingError(f"{self.name} does not extend its base by one generator")
+        where g is the generator this ring adds to its base; the inverse of
+        ``base_coefficient``, and with ``{0: p}`` the inclusion of the base.
+        Powers of a truncated g past its cap are zero and dropped; a g bound
+        by the square relation takes powers 0 and 1 only, the normal form's.
+        g is the top digit of the packed layout, so c_k's bits are shifted
+        by k times g's place."""
+        if self.base is None:
+            raise RingError(f"{self.name} does not extend a base")
         place, cap = self._places[-1], self._caps[-1]
         bits = 0
         for power, c in coefficients.items():
@@ -519,7 +511,7 @@ def ring_yhat(m: int) -> RingPresentation:
     if m < 1:
         raise ValueError("m must be >= 1")
     base = ring_truncated(f"TY{m}", [("t", 1, m + 1), ("y", 2, m + 1)])
-    return _extend(base, f"Yhat{m}", ("x", 1), square=base.gens())
+    return RingPresentation(f"Yhat{m}", [("x", 1)], square=base.gens(), base=base)
 
 
 def ring_y0(q: int, m: int) -> RingPresentation:
@@ -536,39 +528,13 @@ def ring_y0(q: int, m: int) -> RingPresentation:
     )
 
 
-def _extend(
-    base: RingPresentation,
-    name: str,
-    gen: tuple[str, int],
-    *,
-    truncation: int | None = None,
-    square: tuple[RingElement, RingElement] | None = None,
-) -> RingPresentation:
-    """A new presentation with one generator appended after the base's,
-    bounded by ``truncation`` or by ``square``, the pair (w1, w2) of its
-    relation g**2 = w1*g + w2.  The base must be truncated throughout."""
-    gname = gen[0]
-    if gname in base.gen_names:
-        raise RingError(f"generator name {gname!r} clashes with the base ring")
-    if base._square is not None:
-        raise RingError(f"{base.name} has a square relation and cannot be extended")
-    trunc = dict(zip(base.gen_names, base._bounds))
-    if truncation is not None:
-        trunc[gname] = truncation
-    return RingPresentation(
-        name,
-        list(zip(base.gen_names, base.gen_degrees)) + [gen],
-        truncations=trunc,
-        square=square,
-        base=base,
-    )
-
-
 def ring_adjoin_x(base: RingPresentation, n: int) -> RingPresentation:
     """base ⊗ GF(2)[x]/(x**(n+1)) with a fresh degree-1 generator x."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _extend(base, f"{base.name}[x;{n}]", ("x", 1), truncation=n + 1)
+    return RingPresentation(
+        f"{base.name}[x;{n}]", [("x", 1)], truncations={"x": n + 1}, base=base
+    )
 
 
 def ring_proj_bundle(
@@ -579,4 +545,6 @@ def ring_proj_bundle(
     ``w1`` and ``w2`` must be base-ring elements, homogeneous of degrees
     1 and 2 (either may be zero); basis monomials carry t-exponent <= 1.
     """
-    return _extend(base, f"{base.name}[t|{w1},{w2}]", ("t", 1), square=(w1, w2))
+    return RingPresentation(
+        f"{base.name}[t|{w1},{w2}]", [("t", 1)], square=(w1, w2), base=base
+    )

@@ -286,8 +286,7 @@ def parallel_residual(a, b) -> float:
     zero = np.zeros_like(a)
     # The chords of the images (0, a, 0, b) are a and b bit for bit.
     imgs = np.stack([zero, a, zero, np.asarray(b, dtype=float)])
-    with np.errstate(all="ignore"):
-        return float(_residual_rows("parallel_b", imgs[None])[0])
+    return float(_residual_rows("parallel_b", imgs[None])[0])
 
 
 def collinear_residual(q0, q1, q2, q3) -> float:
@@ -298,8 +297,7 @@ def collinear_residual(q0, q1, q2, q3) -> float:
     scale-free in the images.  NaN if a difference is not finite.
     """
     imgs = np.asarray((q0, q1, q2, q3), dtype=float)
-    with np.errstate(all="ignore"):
-        return float(_residual_rows("collinear", imgs[None])[0])
+    return float(_residual_rows("collinear", imgs[None])[0])
 
 
 def lin_dep_residual(p0, p1, p2, p3, f: MapDescriptor) -> float:
@@ -316,20 +314,20 @@ def _scores(case: str, imgs: np.ndarray, worst=False) -> np.ndarray:
     """The solver's score of each row: its residual, with a NaN residual
     and the rows flagged in ``worst`` scored 1.5, above every residual in
     [0, 1]."""
-    with np.errstate(all="ignore"):
-        vals = _residual_rows(case, imgs)
+    vals = _residual_rows(case, imgs)
     vals[worst | np.isnan(vals)] = 1.5
     return vals
 
 
+@np.errstate(all="ignore")
 def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     """The case residual of each row of an (M, 4, c) stack of images.
 
     Every residual is computed here, one row at a time or many: each row
     gets the arithmetic of the one-row formula, bit for bit.  Non-finite
     input gives NaN, which is never clamped to 0 and never reaches an SVD.
-    Callers run it under ``np.errstate(all="ignore")``: overflow is expected
-    here and shows as NaN instead.
+    Overflow is expected here and shows as NaN instead, so floating-point
+    warnings are off inside.
     """
     if case in ("parallel_b", "parallel_a", "line_1d"):
         chords = imgs[:, 1::2] - imgs[:, 0::2]
@@ -457,9 +455,7 @@ def _residual_from_points(case: str, f: MapDescriptor, pts) -> np.ndarray:
     The parallel cases compare the chords f(p1) - f(p0) and f(p3) - f(p2).
     A residual whose images overflow is NaN, not 0.
     """
-    imgs = _images(f, pts)
-    with np.errstate(all="ignore"):
-        return _residual_rows(case, imgs)
+    return _residual_rows(case, _images(f, pts))
 
 
 def _distances(pts) -> np.ndarray:

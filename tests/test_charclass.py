@@ -358,7 +358,7 @@ def test_product_comparison_is_not_vacuous(monkeypatch):
     right = euler_line_tensor_quotient
 
     def wrong(e_line, n, ring_x):
-        return right(e_line, n, ring_x) + e_line ** n
+        return right(e_line, n, ring_x) + ring_x.from_base_coefficients({0: e_line ** n})
 
     monkeypatch.setattr(charclass, "euler_line_tensor_quotient", wrong)
     _product_rings.cache_clear()
@@ -380,6 +380,8 @@ def test_product_comparison_is_not_vacuous(monkeypatch):
 
 
 def _euler_by_defining_sum(e, n, ring_x):
+    # Multiplied out in the ring with x, from e lifted to it.
+    e = ring_x.from_base_coefficients({0: e})
     x = ring_x.gen("x")
     want = ring_x.zero()
     for j in range(n + 1):
@@ -396,7 +398,7 @@ def test_euler_recurrence_matches_defining_sum():
                 for n in (9, 2, 12, *range(1, 13)):
                     ring_x = ring_adjoin_x(base, n)
                     for bits in _LINE_BITS:
-                        e = _line_class(ring_x, bits)
+                        e = _line_class(base, bits)
                         got = euler_line_tensor_quotient(e, n, ring_x)
                         want = _euler_by_defining_sum(e, n, ring_x)
                         assert got.terms == want.terms, (m1, m2, n, bits)
@@ -413,7 +415,7 @@ def test_euler_class_with_x_truncated_below_the_rank():
         ring_x = ring_adjoin_x(base, k)
         for n in range(8):
             for bits in _LINE_BITS:
-                e = _line_class(ring_x, bits)
+                e = _line_class(base, bits)
                 got = euler_line_tensor_quotient(e, n, ring_x)
                 assert got == _euler_by_defining_sum(e, n, ring_x), (k, n, bits)
 
@@ -583,11 +585,12 @@ def test_umkehr_px_examples():
 def test_euler_class_of_tensor():
     base = ring_truncated("P3", [("u", 1, 4)])
     ring_x = ring_adjoin_x(base, 2)
-    u = ring_x.gen("u")
-    x = ring_x.gen("x")
+    u = base.gen("u")
     e = euler_line_tensor_quotient(u, 2, ring_x)
-    assert e == x ** 2 + u * x + u ** 2
-    assert euler_line_tensor_quotient(ring_x.zero(), 2, ring_x) == x ** 2
+    assert e == ring_x.from_base_coefficients({2: base.one(), 1: u, 0: u * u})
+    ux, x = ring_x.gens()
+    assert e == x ** 2 + ux * x + ux ** 2
+    assert euler_line_tensor_quotient(base.zero(), 2, ring_x) == x ** 2
     with pytest.raises(RingError):
         euler_line_tensor_quotient(u * u, 2, ring_x)
 
@@ -595,20 +598,28 @@ def test_euler_class_of_tensor():
 def test_euler_class_needs_a_line_class_of_the_base():
     base = ring_truncated("P2xP1", [("t1", 1, 3), ("t2", 1, 2)])
     ring_x = ring_adjoin_x(base, 3)
-    t1, t2, x = ring_x.gens()
-    for e_line in (x, t1 + x, t2 + x, t1 * x, x * x):
-        with pytest.raises(RingError, match="no x term"):
+    t1, t2 = base.gens()
+    # A class of ring_x is refused, even one with no x term.
+    for e_line in (*ring_x.gens(), ring_x.gen("t1") + ring_x.gen("x"), ring_x.zero()):
+        with pytest.raises(RingError, match="base of ring_x"):
             euler_line_tensor_quotient(e_line, 3, ring_x)
+    # So is a class of another ring, even an equal presentation of the base.
+    twin = ring_truncated("P2xP1", [("t1", 1, 3), ("t2", 1, 2)])
+    with pytest.raises(RingError, match="base of ring_x"):
+        euler_line_tensor_quotient(twin.gen("t1"), 3, ring_x)
     with pytest.raises(RingError, match="degree 1"):
         euler_line_tensor_quotient(t1 * t2, 3, ring_x)
     with pytest.raises(RingError, match="degree 1"):
-        euler_line_tensor_quotient(ring_x.one(), 3, ring_x)
-    # A ring without x, or with x not adjoined last, is refused.
+        euler_line_tensor_quotient(base.one(), 3, ring_x)
+    # A ring without x on top of a base is refused.
     with pytest.raises(RingError, match="generator x"):
-        euler_line_tensor_quotient(base.gen("t1"), 3, base)
+        euler_line_tensor_quotient(t1, 3, base)
     ring_xt = ring_truncated("XT", [("x", 1, 4), ("t", 1, 3)])
     with pytest.raises(RingError, match="generator x"):
         euler_line_tensor_quotient(ring_xt.gen("t"), 3, ring_xt)
+    bundle = ring_proj_bundle(base, t1, t1 * t2)
+    with pytest.raises(RingError, match="generator x"):
+        euler_line_tensor_quotient(t1, 3, bundle)
 
 
 # -- report plumbing -------------------------------------------------------------

@@ -757,6 +757,16 @@ def test_find_1d_parabola_cli(capsys):
     assert xs[0] < xs[2] < xs[3] < xs[1]
 
 
+@pytest.mark.parametrize("low", ["-1e1", "-1E1"])
+def test_find_1d_interval_takes_negative_exponent_spellings(capsys, low):
+    # argparse on Python 3.10-3.13 reads "-1e1" as an unknown option unless
+    # told otherwise, and then --interval stops short of its two values.
+    code, _, out = run_cli(capsys, "find-1d", "--builtin", "parabola", "--interval", low, "1e1")
+    assert code == 0
+    _, _, plain = run_cli(capsys, "find-1d", "--builtin", "parabola", "--interval", "-10", "10")
+    assert out.splitlines()[0] == plain.splitlines()[0]
+
+
 @pytest.mark.parametrize("coeff", [1e160, 1e200, 1e307])
 def test_find_1d_maps_beyond_1e154(tmp_path, capsys, coeff):
     # Their squared images overflow; unscaled, 1e307 * t gave overflow
@@ -914,6 +924,7 @@ def test_find_witness_restarts_and_iterations_are_capped(tmp_path, capsys, monke
         (["verify-witness", "--tol", "inf"], "tol"),
         (["find-1d", "--builtin", "parabola", "--tol", "nan"], "tol"),
         (["find-1d", "--builtin", "parabola", "--interval", "0", "inf"], "interval"),
+        (["find-1d", "--builtin", "parabola", "--interval", "-inf", "1"], "interval"),
     ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, name):

@@ -86,7 +86,7 @@ def test_yhat_rewrite_examples():
     assert ring.element(ring.monomial(x=2)) == y + t * x
     assert ring.element(ring.monomial(t=2, x=3), ring.monomial(t=4)) == t * t * x ** 3
     assert ring.base.gen_names == ("t", "y")
-    assert ring.lift_from_base(ring.base.gen("y")) == y
+    assert ring.from_base_coefficients({0: ring.base.gen("y")}) == y
 
 
 def test_yhat_basis_shape():
@@ -139,15 +139,12 @@ def test_adjoin_x():
 
 
 def test_a_square_ring_cannot_be_extended():
-    bundle = _bundle()
-    with pytest.raises(RingError, match="square relation and cannot be extended"):
-        ring_adjoin_x(bundle, 2)
-    # Presented directly, the bundle's t would need a bound it lacks in the base.
-    with pytest.raises(RingError, match="must come first"):
-        RingPresentation(
-            "X", [("w1", 1), ("w2", 2), ("t", 1), ("x", 1)],
-            truncations={"w1": 3, "w2": 3, "t": 2, "x": 3}, base=bundle,
-        )
+    # Its top generator has no bound for a generator on top of it to keep.
+    for ring in (_bundle(), ring_yhat(2)):
+        with pytest.raises(RingError, match="square relation and cannot be extended"):
+            ring_adjoin_x(ring, 2)
+        with pytest.raises(RingError, match="square relation and cannot be extended"):
+            ring_proj_bundle(ring, ring.zero(), ring.zero())
 
 
 def test_proj_bundle_power_identity():
@@ -155,7 +152,10 @@ def test_proj_bundle_power_identity():
     w1, w2 = base.gens()
     ring = ring_proj_bundle(base, w1, w2)
     t = ring.gen("t")
-    lift = ring.lift_from_base
+
+    def lift(p):
+        return ring.from_base_coefficients({0: p})
+
     assert t * t == lift(w1) * t + lift(w2)
     # t^3 = (w1^2 + w2) t + w1 w2, derived by substituting twice
     assert t ** 3 == lift(w1 * w1 + w2) * t + lift(w1 * w2)
@@ -166,7 +166,7 @@ def test_proj_bundle_zero_classes():
     z = base.zero()
     ring = ring_proj_bundle(base, z, z)
     assert ring.gen("t") ** 2 == ring.zero()
-    assert bool(ring.lift_from_base(base.gen("u")) * ring.gen("t"))
+    assert bool(ring.from_base_coefficients({0: base.gen("u")}) * ring.gen("t"))
 
 
 def test_proj_bundle_rejects_wrong_degrees():
@@ -374,17 +374,6 @@ def test_normal_form_closure_under_mul():
             assert ring._is_normal_mono(exps)
 
 
-def test_lift_from_base_is_multiplicative():
-    base = ring_projective(4)
-    ring = ring_adjoin_x(base, 3)
-    t = base.gen("t")
-    lift = ring.lift_from_base
-    assert lift(t * t) == lift(t) * lift(t)
-    assert lift(base.one()) == ring.one()
-    with pytest.raises(RingError):
-        base.lift_from_base(t)
-
-
 def test_from_base_coefficients_inverts_base_coefficient():
     base = ring_truncated("B", [("u", 1, 3), ("v", 2, 2)])
     ring = ring_adjoin_x(base, 3)
@@ -406,8 +395,9 @@ def test_from_base_coefficients_inverts_base_coefficient():
     w1, w2 = ring_truncated("W", [("w1", 1, 3), ("w2", 2, 3)]).gens()
     bundle = ring_proj_bundle(w1.ring, w1, w2)
     t = bundle.gen("t")
-    lift = bundle.lift_from_base
-    assert bundle.from_base_coefficients({0: w2, 1: w1}) == lift(w2) + lift(w1) * t
+    w1_t = bundle.from_base_coefficients({1: w1})
+    assert w1_t == bundle.gen("w1") * t
+    assert bundle.from_base_coefficients({0: w2, 1: w1}) == bundle.gen("w2") + w1_t
     with pytest.raises(RingError):
         bundle.from_base_coefficients({2: w1.ring.one()})
 
@@ -420,28 +410,34 @@ def _mono_degree(ring, exps):
 
 
 @st.composite
-def small_rings(draw):
-    """A truncated base of 1-3 generators, each at a bound 1..6, and maybe
-    a top generator g over it with g**2 = w1*g + w2 for random homogeneous
-    w1, w2 (zero included)."""
+def truncated_bases(draw):
+    """A truncated ring of 1-3 generators, each of degree 1..3 at a bound 1..6."""
     names = ["a", "b", "c"][: draw(st.integers(1, 3))]
-    gens = [(n, draw(st.integers(1, 3)), draw(st.integers(1, 6))) for n in names]
-    base = ring_truncated("B", gens)
-    if not draw(st.booleans()):
-        return base
+    return ring_truncated(
+        "B", [(n, draw(st.integers(1, 3)), draw(st.integers(1, 6))) for n in names]
+    )
+
+
+@st.composite
+def extensions(draw):
+    """A truncated base with a top generator g of degree 1..3 over it,
+    truncated at a bound 1..3 or bound by g**2 = w1*g + w2 for random
+    homogeneous w1, w2 (zero included)."""
+    base = draw(truncated_bases())
     d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return RingPresentation("R", [("g", d)], truncations={"g": draw(st.integers(1, 3))}, base=base)
 
     def homogeneous(degree):
         monos = [mo for mo in base.basis() if mo.degree() == degree]
         return base.element(*draw(st.lists(st.sampled_from(monos), max_size=4))) if monos else base.zero()
 
-    return RingPresentation(
-        "R",
-        [(n, deg) for n, deg, _ in gens] + [("g", d)],
-        truncations={n: b for n, _, b in gens},
-        square=(homogeneous(d), homogeneous(2 * d)),
-        base=base,
-    )
+    return RingPresentation("R", [("g", d)], square=(homogeneous(d), homogeneous(2 * d)), base=base)
+
+
+def small_rings():
+    """A truncated ring, or an extension of one by a top generator."""
+    return st.one_of(truncated_bases(), extensions())
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,45 +473,67 @@ def test_building_a_large_ring_allocates_nothing_ring_sized():
     assert peak < 1 << 20, peak
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lifting_from_the_base_keeps_bits_and_is_multiplicative(data):
+    # Lifting is from_base_coefficients({0: p}): it keeps p's bits, and it
+    # is a ring map; and base_coefficient reads back what it placed.
+    ring = data.draw(extensions())
+    base = ring.base
+    pick = st.lists(st.sampled_from(list(base.basis())), max_size=6)
+    p, q = base.element(*data.draw(pick)), base.element(*data.draw(pick))
+
+    def lift(c):
+        return ring.from_base_coefficients({0: c})
+
+    assert lift(p).bits == p.bits
+    assert lift(p * q) == lift(p) * lift(q)
+    assert lift(p + q) == lift(p) + lift(q)
+    assert lift(base.one()) == ring.one()
+    k = data.draw(st.integers(0, ring._caps[-1]))
+    assert ring.base_coefficient(ring.from_base_coefficients({k: p}), k) == p
+    with pytest.raises(RingError):
+        base.from_base_coefficients({0: p})  # a truncated base extends nothing
+
+
+def test_an_extension_adds_one_generator_on_top():
+    base = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
+    ring = RingPresentation("E", [("g", 1)], truncations={"g": 3}, base=base)
+    assert (ring.base, ring.gen_names, ring.gen_degrees) == (base, ("a", "b", "g"), (1, 2, 1))
+    a, b, g = ring.gens()
+    assert b * b == ring.zero() and bool(a * a * g * g)  # the base's bounds are kept
+    with pytest.raises(RingError, match="exactly one generator"):
+        RingPresentation("E", [], base=base)
+    with pytest.raises(RingError, match="exactly one generator"):
+        RingPresentation("E", [("g", 1), ("h", 1)], truncations={"g": 3, "h": 3}, base=base)
+    with pytest.raises(RingError, match="duplicate generator names"):
+        RingPresentation("E", [("a", 1)], truncations={"a": 3}, base=base)
+    with pytest.raises(RingError, match="needs truncations"):  # a's bound is the base's
+        RingPresentation("E", [("g", 1)], truncations={"g": 3, "a": 2}, base=base)
+    with pytest.raises(RingError, match="square relation and cannot be extended"):
+        RingPresentation("E", [("g", 1)], truncations={"g": 3}, base=_bundle())
+
+
 def test_every_generator_needs_exactly_one_relation():
     base = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
     a, b = base.gens()
-    gens = [("a", 1), ("b", 2), ("g", 1)]
-    trunc = {"a": 3, "b": 2}
-    ring = RingPresentation("U", gens, truncations=trunc, square=(a, a * a + b), base=base)
+    ring = RingPresentation("U", [("g", 1)], square=(a, a * a + b), base=base)
     g = ring.gen("g")
-    assert g * g == ring.lift_from_base(a) * g + ring.lift_from_base(a * a + b)
-    with pytest.raises(RingError, match="needs a truncation"):
+    assert g * g == ring.from_base_coefficients({0: a * a + b, 1: a})
+    with pytest.raises(RingError, match="needs truncations"):  # b left untruncated
         RingPresentation("U", [("a", 1), ("b", 1)], truncations={"a": 3})
-    with pytest.raises(RingError, match="needs a truncation"):  # b left untruncated
-        RingPresentation("U", gens, truncations={"a": 3}, square=(a, b), base=base)
-    with pytest.raises(RingError, match="needs a truncation"):  # g takes both
-        RingPresentation("U", gens, truncations={**trunc, "g": 2}, square=(a, b), base=base)
-    with pytest.raises(RingError, match="unknown generators"):
+    with pytest.raises(RingError, match="needs truncations"):
         RingPresentation("U", [("a", 1)], truncations={"a": 3, "z": 2})
+    with pytest.raises(RingError, match="needs truncations"):  # g takes neither
+        RingPresentation("U", [("g", 1)], base=base)
+    with pytest.raises(RingError, match="needs truncations"):  # g takes both
+        RingPresentation("U", [("g", 1)], truncations={"g": 2}, square=(a, b), base=base)
     with pytest.raises(RingError, match="needs a base"):
-        RingPresentation("U", gens, truncations=trunc, square=(a, b))
-    short = ring_truncated("A", [("a", 1, 3)])
-    u = short.gen("a")
-    with pytest.raises(RingError, match="needs a base"):  # the base lacks b
-        RingPresentation("U", gens, truncations=trunc, square=(u, u * u), base=short)
+        RingPresentation("U", [("a", 1), ("g", 1)], truncations={"a": 3}, square=(a, b))
     other = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
     with pytest.raises(RingError, match="live in the base"):
-        RingPresentation("U", gens, truncations=trunc, square=(other.gen("a"), b), base=base)
+        RingPresentation("U", [("g", 1)], square=(other.gen("a"), b), base=base)
     with pytest.raises(RingError, match="live in the base"):
-        RingPresentation("U", gens, truncations=trunc, square=(a, other.gen("b")), base=base)
+        RingPresentation("U", [("g", 1)], square=(a, other.gen("b")), base=base)
     with pytest.raises(RingError, match="homogeneous element of degree 2"):
-        RingPresentation("U", gens, truncations=trunc, square=(a, a + b), base=base)
-
-
-def test_base_must_be_a_prefix_with_the_same_relations():
-    base = ring_projective(3)
-    ok = RingPresentation("E", [("t", 1), ("x", 1)], truncations={"t": 4, "x": 3}, base=base)
-    assert ok.lift_from_base(base.gen("t") ** 2) == ok.gen("t") ** 2
-    for gens, trunc in (
-        ([("t", 1), ("x", 1)], {"t": 5, "x": 3}),  # another bound for t
-        ([("x", 1), ("t", 1)], {"t": 4, "x": 3}),  # t not first
-        ([("t", 2), ("x", 1)], {"t": 4, "x": 3}),  # another degree for t
-    ):
-        with pytest.raises(RingError, match="must come first"):
-            RingPresentation("E", gens, truncations=trunc, base=base)
+        RingPresentation("U", [("g", 1)], square=(a, a + b), base=base)

@@ -99,6 +99,16 @@ def test_parallel_residual_zero_vector_convention():
     assert parallel_residual([1e-14, 0.0], [0.0, 1.0]) == 0.0
 
 
+def test_residual_rows_keeps_overflow_to_itself():
+    # Chords of size 1e200 overflow the products inside the kernel, which
+    # scales them; no floating-point warning may leave it.
+    imgs = np.random.default_rng(3).standard_normal((6, 4, 3)) * 1e200
+    got = witness._residual_rows("parallel_b", imgs)
+    want = [parallel_residual(im[1] - im[0], im[3] - im[2]) for im in imgs]
+    assert got.tolist() == want
+    assert ((0.0 <= got) & (got <= 1.0)).all()
+
+
 def test_collinear_residual_detects_planarity():
     # Any 4 points in a plane give zero, whether truly on a line ...
     on_line = [np.array([s, 2.0 * s, -s, 0.0]) for s in (0.0, 1.0, 2.5, -3.0)]
