@@ -2,7 +2,6 @@
 for parallel and collinear image configurations of continuous maps."""
 
 from .f2ring import (
-    Monomial,
     RingElement,
     RingError,
     RingPresentation,

@@ -108,15 +108,17 @@ def euler_line_tensor_quotient(
     """Mod-2 Euler class of (line bundle) ⊗ (trivial^(n+1) / tautological).
 
     ``ring_x`` extends its base by one generator ``x``, truncated as
-    ``ring_adjoin_x`` makes it.  ``e_line``, the Euler class of the line
-    bundle, is an element of that base, homogeneous of degree 1
-    (``RingError`` otherwise).  The Euler class of the rank-n tensor is
-    sum_j e^j x^(n-j).  The powers e^j are taken in the base, up to the
-    first zero one, and set at x^(n-j) by ``from_base_coefficients``: the
-    ring with x does no multiply.
+    ``ring_adjoin_x`` makes it, not bound by a square relation.
+    ``e_line``, the Euler class of the line bundle, is an element of that
+    base, homogeneous of degree 1 (``RingError`` otherwise).  The Euler
+    class of the rank-n tensor is sum_j e^j x^(n-j).  The powers e^j are
+    taken in the base, up to the first zero one, and set at x^(n-j) by
+    ``from_base_coefficients``: the ring with x does no multiply.
     """
     if ring_x.base is None or ring_x.gen_names[-1] != "x":
         raise RingError("ring_x must extend its base by the generator x")
+    if ring_x.square is not None:
+        raise RingError("ring_x must truncate x, not bind it by a square relation")
     if e_line.ring is not ring_x.base:
         raise RingError("e_line must live in the base of ring_x")
     if n < 0:
@@ -200,8 +202,9 @@ _T_S = (1, 1, 1)
 
 def _part(m: int, series: tuple[int, int, int], d: int) -> list[tuple[int, int, int]]:
     """The exponents (i, j, e) of ``series`` present in degree
-    d = i + 2j + e, in the (degree, exponents) order of
-    ``RingElement.support``; t^i is in u_j exactly when i & j == 0."""
+    d = i + 2j + e, in increasing order, which within one degree is the
+    (degree, exponents) order ``str`` prints elements in; t^i is in u_j
+    exactly when i & j == 0."""
     row, shift, x_exp = series
     out = []
     for i in range(max(shift, d - 2 * m - 1), min(m, d) + 1):
@@ -221,7 +224,7 @@ def check_prelude(m: int, n: int) -> VerificationReport:
         raise ValueError("m and n must be >= 1")
     ring = ring_projective(m)
     w = invert(ring.one() + ring.gen("t"))
-    part = [mo.exps for mo in w.homogeneous_part(n).support()]
+    part = sorted(w.homogeneous_part(n).terms)
     return _report(
         "prelude", m, n, ("t",), (n,), int((n,) in part), bool(part),
         f"expected nonzero iff n <= m (here {n <= m}); witnesses: {_witnesses(('t',), part)}",

@@ -37,14 +37,12 @@ characteristic-class checks: truncated polynomial rings, the ring
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator
 
 __all__ = [
     "RingError",
-    "Monomial",
     "monomial_name",
     "RingElement",
     "RingPresentation",
@@ -68,30 +66,6 @@ def monomial_name(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     if not any(exps):
         return "1"
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e > 0)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A single monomial of one ring, stored as an exponent tuple.
-
-    ``exps`` is aligned with ``ring.gen_names``.  Instances are plain data:
-    they are *not* checked for normal form on construction (the element
-    operations that require normal form check it themselves).
-    """
-
-    ring: "RingPresentation"
-    exps: tuple[int, ...]
-
-    @property
-    def exponents(self) -> dict[str, int]:
-        """The nonzero exponents keyed by generator name."""
-        return {n: e for n, e in zip(self.ring.gen_names, self.exps) if e}
-
-    def degree(self) -> int:
-        return _mono_degree(self.ring.gen_degrees, self.exps)
-
-    def __str__(self) -> str:
-        return monomial_name(self.ring.gen_names, self.exps)
 
 
 def _positions(bits: int) -> list[int]:
@@ -126,7 +100,8 @@ class RingPresentation:
     base's degrees and truncations; g takes a truncation, or ``square``, a
     pair (w1, w2) of elements of ``base``, homogeneous of degrees d and 2d
     where d is g's degree, that binds it by ``g**2 = w1*g + w2``.  A base
-    with a square relation cannot be extended.
+    with a square relation cannot be extended.  ``base`` and ``square``
+    stay attributes, None when not given.
 
     Instances are built by the module-level constructors and treated as
     immutable afterwards.  Elements keep a reference to their presentation
@@ -145,12 +120,12 @@ class RingPresentation:
         own = list(generators)
         self.name = str(name)
         self.base = base
-        self._square = square
+        self.square = square
         bounds: tuple[int | None, ...] = ()
         if base is not None:
             if len(own) != 1:
                 raise RingError(f"{self.name} must add exactly one generator to its base")
-            if base._square is not None:
+            if base.square is not None:
                 raise RingError(f"{base.name} has a square relation and cannot be extended")
             own = list(zip(base.gen_names, base.gen_degrees)) + own
             bounds = base._bounds
@@ -206,40 +181,11 @@ class RingPresentation:
     def gens(self) -> tuple["RingElement", ...]:
         return tuple(self.gen(n) for n in self.gen_names)
 
-    def monomial(self, **exponents: int) -> Monomial:
-        exps = [0] * len(self.gen_names)
-        for name, e in exponents.items():
-            i = self._gen_index(name)
-            if e < 0:
-                raise RingError(f"negative exponent for {name}")
-            exps[i] = int(e)
-        return Monomial(self, tuple(exps))
-
-    def element(self, *monomials: Monomial) -> "RingElement":
-        """The GF(2) sum of the given monomials (duplicates cancel).  A
-        monomial need not be in normal form: each is the product of its
-        generators' powers."""
-        gens = self.gens()
-        total = self.zero()
-        for mo in monomials:
-            if mo.ring is not self:
-                raise RingError("monomial from a different ring")
-            term = self.one()
-            for g, e in zip(gens, mo.exps):
-                term = term * g ** e
-            total = total + term
-        return total
-
     def _gen_index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise RingError(f"{self.name} has no generator {name!r}") from None
-
-    def _is_normal_mono(self, exps: tuple[int, ...]) -> bool:
-        return len(exps) == len(self._caps) and all(
-            0 <= e <= c for e, c in zip(exps, self._caps)
-        )
 
     # -- the packed layout ----------------------------------------------------
 
@@ -274,13 +220,13 @@ class RingPresentation:
         for pos in _positions(a):
             raw ^= b << pos
         bits = raw & self._live
-        if self._square is not None:
+        if self.square is not None:
             # The top digit has radix 3, so the bits from 2*place up are
             # the coefficient h of g**2, and g**2 = w1*g + w2.
             base, place = self.base, self._places[-1]
             h = raw >> 2 * place & base._live
             if h:
-                w1, w2 = self._square
+                w1, w2 = self.square
                 bits ^= base._mul(h, w2.bits) ^ base._mul(h, w1.bits) << place
         return bits
 
@@ -303,16 +249,6 @@ class RingPresentation:
                 1 << self._position(exps) for exps in self._exps_of_degree(d)
             )
         return mask
-
-    # -- basis enumeration ----------------------------------------------------
-
-    def basis(self, max_degree: int | None = None) -> Iterator[Monomial]:
-        """All normal-form monomials (optionally up to a degree cut-off)."""
-        degs = self.gen_degrees
-        for exps in itertools.product(*(range(c + 1) for c in self._caps)):
-            if max_degree is not None and _mono_degree(degs, exps) > max_degree:
-                continue
-            yield Monomial(self, exps)
 
     def top_degree(self) -> int:
         """An upper bound for the degree of any nonzero element."""
@@ -345,7 +281,7 @@ class RingPresentation:
         for power, c in coefficients.items():
             if c.ring is not self.base:
                 raise RingError("coefficients must belong to this ring's base")
-            if power < 0 or (power > cap and self._square is not None):
+            if power < 0 or (power > cap and self.square is not None):
                 raise RingError(f"no power {power} of the added generator here")
             if power <= cap:
                 bits ^= c.bits << (power * place)
@@ -353,10 +289,6 @@ class RingPresentation:
 
     def __repr__(self) -> str:
         return f"<ring {self.name}: {', '.join(self.gen_names)}>"
-
-
-def _mono_degree(degs: tuple[int, ...], exps: tuple[int, ...]) -> int:
-    return sum(map(mul, exps, degs))
 
 
 class RingElement:
@@ -425,32 +357,15 @@ class RingElement:
     def constant_term(self) -> int:
         return self.bits & 1
 
-    def coefficient(self, mono: Monomial) -> int:
-        """The GF(2) coefficient of a normal-form monomial (0 or 1)."""
-        if mono.ring is not self.ring:
-            raise RingError("monomial from a different ring")
-        if not self.ring._is_normal_mono(mono.exps):
-            raise RingError(f"{mono} is not a normal-form monomial of {self.ring.name}")
-        return self.bits >> self.ring._position(mono.exps) & 1
-
     def homogeneous_part(self, d: int) -> "RingElement":
         return RingElement(self.ring, self.bits & self.ring._degree_mask(d))
-
-    def max_nonzero_degree(self) -> int:
-        """The top degree with a nonzero part, or -1 for the zero element."""
-        degs = self.ring.gen_degrees
-        return max((_mono_degree(degs, t) for t in self.terms), default=-1)
-
-    def support(self) -> tuple[Monomial, ...]:
-        """The monomials present, in the canonical (degree, exponents) order."""
-        degs = self.ring.gen_degrees
-        ordered = sorted(self.terms, key=lambda t: (_mono_degree(degs, t), t))
-        return tuple(Monomial(self.ring, t) for t in ordered)
 
     def __str__(self) -> str:
         if not self.bits:
             return "0"
-        return " + ".join(str(mo) for mo in self.support())
+        names, degs = self.ring.gen_names, self.ring.gen_degrees
+        ordered = sorted(self.terms, key=lambda t: (sum(map(mul, t, degs)), t))
+        return " + ".join(monomial_name(names, t) for t in ordered)
 
     def __repr__(self) -> str:
         return str(self)

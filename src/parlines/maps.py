@@ -272,6 +272,8 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
             raise ValueError("need m, n >= 0 and degree >= 1")
         if seed is None:
             raise ValueError("random_poly requires a seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         d = m + 1
         # Each coordinate has at least degree + 1 terms; checking that first
         # keeps the binomial below cheap.

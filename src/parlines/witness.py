@@ -839,7 +839,9 @@ def find_1d(
 
     If the sampled image is collinear within tol, any increasing 4 points
     witness the statement; a gray zone in between raises
-    :class:`CollinearityAmbiguity` rather than guessing.
+    :class:`CollinearityAmbiguity` rather than guessing.  An interval too
+    narrow for its samples to be strictly increasing floats raises
+    ValueError: the points it would give are not distinct.
     """
     if f.domain_dim != 1 or f.codomain_dim != 2:
         raise ValueError("find_1d needs a map R -> R^2")
@@ -853,6 +855,11 @@ def find_1d(
         raise ValueError(f"samples must lie in 8..{_MAX_1D_SAMPLES}, got {samples}")
 
     ts = np.linspace(a, b, samples)
+    if not (np.diff(ts) > 0).all():
+        raise ValueError(
+            f"interval {(a, b)!r} is too narrow: {samples} samples are not "
+            "strictly increasing floats"
+        )
     with np.errstate(all="ignore"):
         imgs = eval_map(f, ts[:, None])
     if not np.isfinite(imgs).all():

@@ -1,13 +1,15 @@
 """Shared helpers: independent small-scale oracles for the GF(2) series,
-and the reference formula for map evaluation.
+ring elements named by exponent tuples, and the reference formula for map
+evaluation.
 
-The expansions here deliberately avoid the package's own ring engine and
-its bitwise binomial shortcut, computing binomials from a Pascal triangle
-instead, so engine and oracle can only agree by being right.
+The series expansions here deliberately avoid the package's own ring
+engine and its bitwise binomial shortcut, computing binomials from a Pascal
+triangle instead, so engine and oracle can only agree by being right.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +65,26 @@ def series_inv_ty(m: int, shift: int) -> set:
             if binom2(i + j + shift - 1, i):
                 out.add((i, j))
     return out
+
+
+def element(ring, *exps):
+    """The GF(2) sum of the monomials with these exponent tuples, aligned
+    with ``ring.gen_names`` (duplicates cancel).  An exponent tuple need not
+    be in normal form: each monomial is the product of its generators'
+    powers."""
+    gens = ring.gens()
+    total = ring.zero()
+    for e in exps:
+        term = ring.one()
+        for g, k in zip(gens, e, strict=True):
+            term = term * g ** k
+        total = total + term
+    return total
+
+
+def basis(ring) -> list:
+    """The normal-form exponent tuples of a ring, in lexicographic order."""
+    return list(itertools.product(*(range(c + 1) for c in ring._caps)))
 
 
 def reference_eval_map(f, points):

@@ -799,6 +799,23 @@ def test_find_1d_samples_are_capped(capsys, samples):
                  "samples must lie in 8..32768")
 
 
+@pytest.mark.parametrize("interval", [("1", "1.0000000000000002"), ("0", "5e-324")])
+def test_find_1d_interval_too_narrow_for_its_samples(capsys, interval):
+    # np.linspace would collapse the samples onto the interval's two floats,
+    # and the four "witness" points with them.
+    _exit_2_with(capsys, ["find-1d", "--builtin", "parabola", "--interval", *interval],
+                 "not strictly increasing")
+
+
+def test_negative_map_seed_exits_2(tmp_path, capsys):
+    flags = ["--builtin", "random_poly", "--m", "1", "--n", "4", "--degree", "2"]
+    _exit_2_with(capsys, ["find-witness", *flags, "--map-seed", "-1", "--case", "b"],
+                 "seed must be >= 0")
+    path = write_json(tmp_path / "map.json",
+                      {"builtin": "random_poly", "m": 1, "n": 4, "degree": 2, "seed": -1})
+    _exit_2_with(capsys, ["find-witness", "--map", path, "--case", "b"], "seed must be >= 0")
+
+
 def test_find_1d_wrong_shape_map(capsys):
     code, lines, _ = run_cli(
         capsys, "find-1d", "--builtin", "moment", "--m", "1", "--n", "2",

@@ -1,18 +1,21 @@
-"""Every module-level import of the package is used.
+"""Every module-level import of the package is used, and so is every name
+of its public API.
 
 No linter runs with the suite, so this walks each module's syntax tree.
-It skips ``from __future__`` imports, ``__init__.py`` (whose imports are
-re-exports) and import statements marked ``# noqa: F401``.
+The import check skips ``from __future__`` imports, ``__init__.py`` (whose
+imports are re-exports) and import statements marked ``# noqa: F401``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parlines"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "parlines"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,3 +67,85 @@ def test_the_check_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(module) == ["m.py:2 os", "m.py:4 Iterator"]
+
+
+# -- the public API has a user ---------------------------------------------------
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _uses_in_modules(paths) -> set[str]:
+    """Every name and attribute the modules read, leaving out reads inside
+    a function or class of the same name: a definition is no use of
+    itself."""
+    used: set[str] = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(name, str) and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def _words_in_code(markdown: str) -> set[str]:
+    """The identifiers in a Markdown text's code blocks and code spans."""
+    fences = re.findall(r"```.*?```", markdown, flags=re.S)
+    spans = re.findall(r"`[^`\n]+`", re.sub(r"```.*?```", "", markdown, flags=re.S))
+    return set(_WORD.findall("\n".join(fences + spans)))
+
+
+def _unused_api(names, modules, readme: Path, tracer: Path) -> list[str]:
+    used = (
+        _uses_in_modules(modules)
+        | _words_in_code(readme.read_text(encoding="utf-8"))
+        | set(_WORD.findall(tracer.read_text(encoding="utf-8")))
+    )
+    return [name for name in names if name.rpartition(".")[2] not in used]
+
+
+def _public_api() -> list[str]:
+    """The names ``parlines`` exports, and the public methods and
+    properties of the two ring classes."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    f2ring = ast.parse((PACKAGE / "f2ring.py").read_text(encoding="utf-8"))
+    for cls in f2ring.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("RingPresentation", "RingElement"):
+            names += [f"{cls.name}.{node.name}" for node in cls.body
+                      if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    return names
+
+
+def test_every_public_name_has_a_user():
+    # A user is the package itself, the README's code, or the benchmark's
+    # tracer, which wraps some names it never calls; tests do not count.
+    names = _public_api()
+    assert "RingElement.terms" in names and "RingPresentation.gen" in names
+    unused = _unused_api(names, MODULES, ROOT / "README.md", ROOT / "clibench" / "tracer.py")
+    assert unused == []
+
+
+def test_the_check_sees_an_unused_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def own(n):\n"
+        "    return own(n - 1) if n else used()\n"
+        "class Only:\n"
+        "    def make(self):\n"
+        "        return Only()\n",
+        encoding="utf-8",
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `documented()`.  The prose word spoken is no use.\n", encoding="utf-8")
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text('SPANS = [("m", "traced")]\n', encoding="utf-8")
+    names = ["own", "used", "Only", "Only.make", "documented", "spoken", "traced"]
+    assert _unused_api(names, [module], readme, tracer) == ["own", "Only", "Only.make", "spoken"]

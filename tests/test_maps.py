@@ -211,6 +211,12 @@ def test_random_poly_deterministic_in_seed():
 def test_random_poly_requires_seed():
     with pytest.raises(ValueError):
         builtin_map("random_poly", {"m": 1, "n": 1, "degree": 1})
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        builtin_map("random_poly", {"m": 1, "n": 1, "degree": 1}, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        MapDescriptor.from_json_dict(
+            {"builtin": "random_poly", "params": {"m": 1, "n": 1, "degree": 1}, "seed": -1}
+        )
 
 
 def test_builtin_param_validation():

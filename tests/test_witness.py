@@ -1017,6 +1017,37 @@ def test_find_1d_validation():
         find_1d(f, (1.0, 1.0))
     with pytest.raises(ValueError):
         find_1d(f, (0.0, 1.0), samples=4)
+    # 257 samples of these intervals are two floats, and the "witness" their
+    # points would make fails the ordering x0 < y0 < y1 < x1.
+    for interval in ((1.0, 1.0000000000000002), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            find_1d(f, interval)
+
+
+_MAPS_1D = (
+    builtin_map("parabola"),
+    builtin_map("random_poly", {"m": 0, "n": 1, "degree": 3}, seed=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.sampled_from(_MAPS_1D),
+    a=st.sampled_from([0.0, 1.0, -1.0, 3.7, 5e-324]),
+    ulps=st.one_of(st.integers(1, 600), st.integers(600, 2**40)),
+)
+def test_find_1d_found_records_verify(f, a, ulps):
+    # Down to intervals a few floats wide, find_1d raises or returns a
+    # record that verify_witness passes whenever it says found.
+    b = a
+    for _ in range(min(ulps, 600)):
+        b = math.nextafter(b, math.inf)
+    b = a + (b - a) * max(1, ulps // 600)
+    try:
+        rec = find_1d(f, (a, b))
+    except (ValueError, CollinearityAmbiguity):
+        return
+    assert not rec.found or verify_witness(rec, f).passed
 
 
 # -- singularity estimate ---------------------------------------------------------
