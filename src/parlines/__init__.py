@@ -17,7 +17,6 @@ from .charclass import (
     DimensionParams,
     VerificationReport,
     all_checks,
-    alpha_of,
     check_corollary,
     check_prelude,
     check_prop_q,
@@ -26,8 +25,6 @@ from .charclass import (
     check_theorem_b,
     euler_line_tensor_quotient,
     expected_outcome,
-    hurwitz_comparison,
-    hurwitz_radon,
     oracle_umkehr_dual,
     oracle_umkehr_product,
 )

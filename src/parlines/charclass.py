@@ -57,9 +57,6 @@ __all__ = [
     "check_corollary",
     "check_prop_q",
     "prop_q_max_degree",
-    "hurwitz_radon",
-    "alpha_of",
-    "hurwitz_comparison",
     "LINE_SPECS",
     "oracle_umkehr_product",
     "oracle_umkehr_dual",
@@ -316,12 +313,12 @@ def check_prop_q(m: int, n: int) -> VerificationReport:
     bound = _prop_q_bound(m)
     a = max(0, n - 2 * m - 1)
     key = (a, n - a) if a < 1 << q else None
-    hc = hurwitz_comparison(m)
+    alpha = _alpha(q)
     return _report(
         "prop_q", m, n, ("t0", "s"), key, int(key is not None), key is not None,
         f"nonzero iff n <= 2m+2^q = {bound}; max nonzero degree {bound}; "
-        f"alpha = {hc['alpha']} <= q = {q}: exponent bound 2^alpha-1 = "
-        f"{hc['remark_exponent']} vs sharp 2^q-1 = {hc['sharp_exponent']}",
+        f"alpha = {alpha} <= q = {q}: exponent bound 2^alpha-1 = "
+        f"{(1 << alpha) - 1} vs sharp 2^q-1 = {(1 << q) - 1}",
     )
 
 
@@ -340,44 +337,13 @@ def _prop_q_bound(m: int) -> int:
     return 2 * m + (1 << DimensionParams(m).q)
 
 
-def hurwitz_radon(n: int) -> int:
-    """The Hurwitz-Radon number rho(n) = 8a + 2^b where n = 2^(4a+b) * odd."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = (n & -n).bit_length() - 1
-    a, b = divmod(v, 4)
-    return 8 * a + (1 << b)
-
-
-def alpha_of(m: int) -> int:
-    """The largest alpha >= 0 with (alpha = 0 or 2^(alpha-1) + 1 <= rho(m+1)).
-
-    This is the number of independent vector fields bound expressed on the
-    exponent scale used by the sharpness remark: degrees up to 2^alpha - 1
-    survive for Hurwitz-Radon reasons, and alpha <= q always.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    rho = hurwitz_radon(m + 1)
-    alpha = 0
-    while (1 << alpha) + 1 <= rho:
-        alpha += 1
-    return alpha
-
-
-def hurwitz_comparison(m: int) -> dict:
-    """Side-by-side of the Hurwitz-Radon exponent bound and the sharp one."""
-    q = DimensionParams(m).q
-    alpha = alpha_of(m)
-    return {
-        "m": m,
-        "q": q,
-        "rho": hurwitz_radon(m + 1),
-        "alpha": alpha,
-        "remark_exponent": (1 << alpha) - 1,
-        "sharp_exponent": (1 << q) - 1,
-        "alpha_le_q": alpha <= q,
-    }
+def _alpha(q: int) -> int:
+    """The Hurwitz-Radon exponent of the sharpness remark at 2-adic
+    valuation q of m+1: the least alpha with 2^alpha >= rho(m+1), where
+    rho(m+1) = 8a + 2^b for q = 4a + b depends on q alone (Adams, Vector
+    fields on spheres, 1962).  alpha <= q always."""
+    a, b = divmod(q, 4)
+    return (8 * a + (1 << b) - 1).bit_length()
 
 
 # The four line classes in the span of t1, t2 over a product of two

@@ -346,7 +346,7 @@ def _run_find_witness(args) -> int:
         }
     )
     rec = search(f, args.case, cfg)
-    line = canonical_json(rec.to_json_dict())
+    line = rec.canonical()
     sys.stdout.write(line + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -72,8 +72,10 @@ def json_typed(data: dict, key: str, kind):
     """``data[key]`` if it is a JSON value of ``kind``, a TypeError otherwise.
 
     ``kind`` is bool; int, which a bool is not; float, which takes any number
-    but a bool and returns it as a float, so an integer beyond the float
-    range is refused; str; or ``list[k]`` of such a kind, returned as a list.
+    but a bool and returns it as a finite float, so an integer beyond the
+    float range is refused, and so are the inf and nan that ``json.load``
+    reads from 1e400, Infinity and NaN; str; or ``list[k]`` of such a kind,
+    returned as a list.
     """
     return _typed(data[key], kind, key)
 
@@ -91,6 +93,9 @@ def _typed(value, kind, where: str):
     if kind is not float:
         return value
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise TypeError(f"{where} must be a number in the float range") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise TypeError(f"{where} must be a number in the float range")
+    return number

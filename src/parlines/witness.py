@@ -99,7 +99,7 @@ def canonical_case(case: str) -> str:
     try:
         return _ALIASES[case]
     except KeyError:
-        raise ValueError(f"unknown case {case!r}; choose from {sorted(set(_ALIASES.values()))}") from None
+        raise ValueError(f"unknown case {case!r}; choose from {sorted(CASES)}") from None
 
 
 @dataclass
@@ -155,8 +155,9 @@ class SearchConfig:
     ``restarts`` independent Gauss-Newton runs start from streams derived
     from (seed, restart index); each run takes at most ``max_iters`` steps.
     A residual at or below ``tol`` is a witness, and the search stops at
-    the first one.  ``restarts`` and ``max_iters`` are capped at 256 and
-    500.
+    the first one.  ``delta`` lies in (1e-9, 1/2): above the distinctness
+    threshold of the records, so that the four points can be told apart.
+    ``restarts`` and ``max_iters`` are capped at 256 and 500.
     """
 
     delta: float = 0.25
@@ -166,8 +167,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 0.5):
-            raise ValueError("delta must lie in (0, 1/2)")
+        # At delta <= _DISTINCT_EPS the closest two of the four points, at
+        # sqrt(2)*delta or 2*delta, can be no farther apart than the
+        # distinctness threshold, so a search would report non-witnesses.
+        if not (_DISTINCT_EPS < self.delta < 0.5):
+            raise ValueError(f"delta must lie in ({_DISTINCT_EPS:g}, 1/2), got {self.delta!r}")
         _require_positive("tol", self.tol)
         for name, cap in (("restarts", _MAX_RESTARTS), ("max_iters", _MAX_ITERS)):
             if not 1 <= getattr(self, name) <= cap:
@@ -380,10 +384,12 @@ def _chord_products(chords: np.ndarray):
     return a2, b2, ab
 
 
+@np.errstate(all="ignore")
 def _sv_ratio(mats: np.ndarray) -> np.ndarray:
     """(sigma_min / sigma_1)^2 of each (c, k) matrix, with sigma_min the
     k-th singular value: 0 if c < k or sigma_1 <= _ZERO_EPS, NaN if the
-    matrix is not finite."""
+    matrix is not finite.  A zero matrix divides 0 by 0 before its ratio is
+    set to 0, so floating-point warnings are off inside."""
     k = mats.shape[2]
     ok = np.isfinite(mats).all(axis=(1, 2))
     out = np.where(ok, 0.0, np.nan)

@@ -18,7 +18,6 @@ from parlines.charclass import (
     LINE_SPECS,
     DimensionParams,
     all_checks,
-    alpha_of,
     check_corollary,
     check_prelude,
     check_prop_q,
@@ -27,8 +26,6 @@ from parlines.charclass import (
     check_theorem_b,
     euler_line_tensor_quotient,
     expected_outcome,
-    hurwitz_comparison,
-    hurwitz_radon,
     oracle_umkehr_dual,
     oracle_umkehr_product,
     prop_q_max_degree,
@@ -302,36 +299,52 @@ def test_check_prop_q_iff_below_bound():
         assert f"2m+2^q = {bound}" in check_prop_q(m, bound).detail
 
 
+# The Hurwitz-Radon number and the exponent loop as charclass defined them
+# before the closed form _alpha(q): the reference _alpha is held to.
+
+
+def _old_hurwitz_radon(n: int) -> int:
+    """rho(n) = 8a + 2^b where n = 2^(4a+b) * odd."""
+    v = (n & -n).bit_length() - 1
+    a, b = divmod(v, 4)
+    return 8 * a + (1 << b)
+
+
+def _old_alpha_of(m: int) -> int:
+    """The largest alpha >= 0 with (alpha = 0 or 2^(alpha-1) + 1 <= rho(m+1))."""
+    rho = _old_hurwitz_radon(m + 1)
+    alpha = 0
+    while (1 << alpha) + 1 <= rho:
+        alpha += 1
+    return alpha
+
+
 def test_hurwitz_radon_frozen_values():
     table = {1: 1, 2: 2, 3: 1, 4: 4, 8: 8, 12: 4, 16: 9, 32: 10,
              48: 9, 64: 12, 128: 16, 256: 17, 512: 18}
     for n, rho in table.items():
-        assert hurwitz_radon(n) == rho
-    with pytest.raises(ValueError):
-        hurwitz_radon(0)
+        assert _old_hurwitz_radon(n) == rho
+        q = (n & -n).bit_length() - 1
+        # The closed form is the least alpha with 2^alpha >= rho.
+        assert charclass._alpha(q) == (rho - 1).bit_length(), n
 
 
 def test_alpha_at_most_q():
+    # m = 2^q - 1 is the least m whose m + 1 has 2-adic valuation q.
+    for q in range(65):
+        assert charclass._alpha(q) == _old_alpha_of((1 << q) - 1) <= q, q
     for m in range(301):
-        assert alpha_of(m) <= DimensionParams(m).q
+        assert charclass._alpha(DimensionParams(m).q) == _old_alpha_of(m), m
 
 
 def test_hurwitz_comparison_keys():
-    hc = hurwitz_comparison(7)
-    assert hc == {
-        "m": 7,
-        "q": 3,
-        "rho": 8,
-        "alpha": 3,
-        "remark_exponent": 7,
-        "sharp_exponent": 7,
-        "alpha_le_q": True,
-    }
+    def tail(m):
+        return check_prop_q(m, prop_q_max_degree(m)).detail.split("; ")[-1]
+
+    assert tail(7) == "alpha = 3 <= q = 3: exponent bound 2^alpha-1 = 7 vs sharp 2^q-1 = 7"
+    assert tail(15) == "alpha = 4 <= q = 4: exponent bound 2^alpha-1 = 15 vs sharp 2^q-1 = 15"
     # A case where the generic bound is strictly weaker than the sharp one.
-    hc = hurwitz_comparison(15)
-    assert hc["alpha"] == 4 and hc["q"] == 4
-    hc = hurwitz_comparison(31)
-    assert hc["alpha"] < hc["q"] and hc["alpha_le_q"]
+    assert tail(31) == "alpha = 4 <= q = 5: exponent bound 2^alpha-1 = 15 vs sharp 2^q-1 = 31"
 
 
 # -- direct-image oracles -------------------------------------------------------

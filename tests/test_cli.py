@@ -487,12 +487,15 @@ _PLANE = '[{"c": 1.0, "e": [2]}]'  # a second coordinate, so the map is R -> R^2
         (f'{{"coords": [[{{"c": 1.0, "e": [1.5]}}], {_PLANE}]}}',
          "e[0] must be an integer, got 1.5"),
         (f'{{"coords": [[{{"c": true, "e": [1]}}], {_PLANE}]}}', "c must be a number, got True"),
+        (f'{{"coords": [[{{"c": NaN, "e": [1]}}], {_PLANE}]}}',
+         "c must be a number in the float range"),
         ('{"builtin": "affine_graph", "m": 0.5}', "m must be an integer, got 0.5"),
         (f'{{"domain_dim": true, "coords": [[{{"c": 1.0, "e": [1]}}], {_PLANE}]}}',
          "domain_dim must be an integer, got True"),
     ],
     ids=["huge-coefficient", "huge-exponent", "huge-moment", "huge-affine-graph",
-         "float-exponent", "bool-coefficient", "float-builtin-param", "bool-dimension"],
+         "float-exponent", "bool-coefficient", "nan-coefficient", "float-builtin-param",
+         "bool-dimension"],
 )
 def test_map_file_numbers_are_neither_coerced_nor_overflowing(tmp_path, capsys, content, message):
     path = tmp_path / "map.json"
@@ -521,6 +524,38 @@ def test_record_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, field, m
         "verify-witness", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
         "--record", write_json(tmp_path / "rec.json", data),
     ], f"malformed witness record: {message}")
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("points", "points[0][0]"),
+        ("residual", "residual"),
+        ("min_pairwise_distance", "min_pairwise_distance"),
+        ("x", "x[0]"),
+        ("delta", "delta"),
+    ],
+)
+def test_record_non_finite_numbers_exit_2(tmp_path, capsys, field, message, literal):
+    # json.load reads these literals as inf or nan; no record holds them.
+    f = linear_r2_r3()
+    data = exact_collinear_record_dict(f)
+    slot = "@non-finite@"
+    if field == "points":
+        data["points"][0][0] = slot
+    elif field == "x":
+        data["config"]["x"][0] = slot
+    elif field == "delta":
+        data["config"]["delta"] = slot
+    else:
+        data[field] = slot
+    record = tmp_path / "rec.json"
+    record.write_text(canonical_json(data).replace(f'"{slot}"', literal) + "\n", encoding="utf-8")
+    _exit_2_with(capsys, [
+        "verify-witness", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
+        "--record", str(record),
+    ], f"malformed witness record: {message} must be a number in the float range")
 
 
 @pytest.mark.parametrize(
@@ -923,6 +958,17 @@ def test_find_witness_restarts_and_iterations_are_capped(tmp_path, capsys, monke
     for value in (str(witness._MAX_ITERS + 1), "0"):
         _exit_2_with(capsys, [*argv, "--max-iters", value],
                      f"max_iters must lie in 1..{witness._MAX_ITERS}, got {value}")
+
+
+@pytest.mark.parametrize(
+    "case, delta", [("b", "1e-300"), ("a", "5e-10"), ("collinear", "1e-9"), ("lindep", "1e-300")],
+)
+def test_find_witness_refuses_a_delta_too_small_to_tell_points_apart(capsys, case, delta):
+    # The closest two of the four points lie sqrt(2)*delta or 2*delta
+    # apart: at delta <= 1e-9 every record would fail its distinctness
+    # check, so no search runs and the command exits 2.
+    _exit_2_with(capsys, ["find-witness", *README_MAP_FLAGS, "--case", case, "--delta", delta],
+                 f"delta must lie in (1e-09, 1/2), got {float(delta)!r}")
 
 
 # -- non-finite numbers ---------------------------------------------------------------

@@ -77,15 +77,16 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def _uses_in_modules(paths) -> set[str]:
     """Every name and attribute the modules read, leaving out reads inside
     a function or class of the same name: a definition is no use of
-    itself."""
+    itself, and neither is an assignment."""
     used: set[str] = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(name, str) and name not in inside:
-            used.add(name)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                used.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -111,16 +112,21 @@ def _unused_api(names, modules, readme: Path, tracer: Path) -> list[str]:
 
 
 def _public_api() -> list[str]:
-    """The names ``parlines`` exports, and the public methods and
-    properties of the two ring classes."""
+    """The names ``parlines`` exports, every module's ``__all__``, and the
+    public methods and properties of every class in the package."""
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     names = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
              for a in node.names]
-    f2ring = ast.parse((PACKAGE / "f2ring.py").read_text(encoding="utf-8"))
-    for cls in f2ring.body:
-        if isinstance(cls, ast.ClassDef) and cls.name in ("RingPresentation", "RingElement"):
-            names += [f"{cls.name}.{node.name}" for node in cls.body
-                      if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)]
+            elif isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{fn.name}" for fn in node.body
+                          if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
     return names
 
 
@@ -129,6 +135,7 @@ def test_every_public_name_has_a_user():
     # tracer, which wraps some names it never calls; tests do not count.
     names = _public_api()
     assert "RingElement.terms" in names and "RingPresentation.gen" in names
+    assert "witness.CASES" in names and "WitnessRecord.canonical" in names
     unused = _unused_api(names, MODULES, ROOT / "README.md", ROOT / "clibench" / "tracer.py")
     assert unused == []
 
@@ -140,12 +147,18 @@ def test_the_check_sees_an_unused_name(tmp_path):
         "    return own(n - 1) if n else used()\n"
         "class Only:\n"
         "    def make(self):\n"
-        "        return Only()\n",
+        "        self.kept = Only()\n"
+        "        return self.kept\n"
+        "ASSIGNED = 1\n"
+        "def store(obj):\n"
+        "    obj.stored = 1\n",
         encoding="utf-8",
     )
     readme = tmp_path / "README.md"
     readme.write_text("Call `documented()`.  The prose word spoken is no use.\n", encoding="utf-8")
     tracer = tmp_path / "tracer.py"
     tracer.write_text('SPANS = [("m", "traced")]\n', encoding="utf-8")
-    names = ["own", "used", "Only", "Only.make", "documented", "spoken", "traced"]
-    assert _unused_api(names, [module], readme, tracer) == ["own", "Only", "Only.make", "spoken"]
+    names = ["own", "used", "Only", "Only.make", "Only.kept", "ASSIGNED", "Only.stored",
+             "documented", "spoken", "traced"]
+    assert _unused_api(names, [module], readme, tracer) == [
+        "own", "Only", "Only.make", "ASSIGNED", "Only.stored", "spoken"]

@@ -701,6 +701,10 @@ def test_search_config_validation():
     for kwargs in (
         {"delta": 0.5},
         {"delta": 0.0},
+        # At or below the distinctness threshold no four points can be
+        # told apart.
+        {"delta": 1e-300},
+        {"delta": 1e-9},
         {"tol": 0.0},
         {"restarts": 0},
         {"restarts": 257},
@@ -710,6 +714,17 @@ def test_search_config_validation():
     ):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+
+def test_search_just_above_the_smallest_delta_finds_only_witnesses():
+    # Just above the distinctness threshold, the closest points are still
+    # sqrt(2)*delta or 2*delta apart: every record found verifies.
+    for m, n, degree, seed in (_SUITE_MAP_B, _SUITE_MAP_A):
+        f = builtin_map("random_poly", {"m": m, "n": n, "degree": degree}, seed=seed)
+        for case in ("b", "collinear", "lindep"):
+            rec = search(f, case, SearchConfig(delta=1.0000001e-9, restarts=16))
+            if rec.found:
+                assert verify_witness(rec, f).passed, (m, case)
 
 
 def test_search_config_has_no_schedule_or_zero_knobs():
@@ -907,6 +922,14 @@ def test_record_json_rejects_instead_of_coercing(key, value):
 
 
 # -- the 1-d construction --------------------------------------------------------
+
+
+def test_find_1d_constant_map_warns_nothing():
+    # Every centered sample is 0, so the singular-value ratio divides 0 by
+    # 0 before it is set to 0; the suite turns a warning into an error.
+    f = MapDescriptor(1, 2, (((1.5, (0,)),), ((-2.0, (0,)),)))
+    rec = find_1d(f, (0.0, 1.0))
+    assert rec.found and rec.residual == 0.0
 
 
 def test_find_1d_parabola():
