@@ -283,21 +283,18 @@ def _run_oracles(args) -> int:
         raise ValueError("n-max, dual-n-max and dual-k must be >= 1")
     if args.dual_k > _ORACLE_DUAL_K_CAP:
         raise ValueError(f"dual-k must be <= {_ORACLE_DUAL_K_CAP}")
-    instances = (
-        (args.m1_max + 1) * (args.m2_max + 1) * args.n_max * len(LINE_SPECS) + args.dual_n_max
-    )
+    product_instances = (args.m1_max + 1) * (args.m2_max + 1) * args.n_max * len(LINE_SPECS)
+    instances = product_instances + args.dual_n_max
     if instances > _ORACLE_INSTANCE_CAP:
         raise ValueError(
             f"the grids have {instances} instances, more than the cap of "
             f"{_ORACLE_INSTANCE_CAP}: (m1-max+1)(m2-max+1) n-max 16 + dual-n-max"
         )
     failures = 0
-    product_runs = 0
     for m1 in range(args.m1_max + 1):
         for m2 in range(args.m2_max + 1):
             for n in range(1, args.n_max + 1):
                 for spec in LINE_SPECS:
-                    product_runs += 1
                     if not oracle_umkehr_product(m1, m2, n, spec):
                         failures += 1
                         _emit(
@@ -310,17 +307,15 @@ def _run_oracles(args) -> int:
                                 "agrees": False,
                             }
                         )
-    dual_runs = 0
     for n in range(1, args.dual_n_max + 1):
-        dual_runs += 1
         if not oracle_umkehr_dual(args.dual_k, n):
             failures += 1
             _emit({"oracle": "umkehr_dual", "k": args.dual_k, "n": n, "agrees": False})
     _emit(
         {
             "check": "oracles",
-            "product_instances": product_runs,
-            "dual_instances": dual_runs,
+            "product_instances": product_instances,
+            "dual_instances": args.dual_n_max,
             "failures": failures,
         }
     )
@@ -444,3 +439,7 @@ def console_main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    console_main()

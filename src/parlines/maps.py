@@ -1,17 +1,18 @@
 """Polynomial map descriptors R^d -> R^c, with a few named builtins.
 
 A map is a list of coordinate polynomials; each polynomial is a list of
-(coefficient, exponent-tuple) terms.  Descriptors round-trip through JSON in
-two forms: an explicit ``coords`` form and a compact ``builtin`` form that
-names a generator plus its parameters.  The digest identifying a map is
-taken over the explicit form, so both spellings of the same map agree.
+(coefficient, exponent-tuple) terms.  Descriptors are read from JSON in an
+explicit ``coords`` form or a ``builtin`` form that names a generator plus
+its parameters, and written in the explicit form.  The digest identifying a
+map is taken over the explicit form, so both spellings of one map agree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ class MapDescriptor:
     domain_dim: int
     codomain_dim: int
     coords: Coords
-    builtin: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_dim < 1 or self.codomain_dim < 1:
@@ -83,11 +83,6 @@ class MapDescriptor:
             )
 
     def to_json_dict(self) -> dict:
-        if self.builtin is not None:
-            return dict(self.builtin)
-        return self._coords_json_dict()
-
-    def _coords_json_dict(self) -> dict:
         return {
             "domain_dim": self.domain_dim,
             "codomain_dim": self.codomain_dim,
@@ -100,7 +95,7 @@ class MapDescriptor:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MapDescriptor":
         """Parse either JSON form.  The builtin form takes its parameters flat,
-        as :meth:`to_json_dict` writes them, or nested under ``params``:
+        as earlier versions wrote them, or nested under ``params``:
         ``{"builtin": "random_poly", "params": {"m": 1, ...}, "seed": 42}``.
         In the coords form, ``domain_dim`` defaults to the length of the
         exponent vectors and ``codomain_dim`` to the number of coordinates.
@@ -176,28 +171,25 @@ def eval_map(f: MapDescriptor, points) -> np.ndarray:
 
 def map_digest(f: MapDescriptor) -> str:
     """SHA-256 of the canonical explicit-form JSON of the map."""
-    return sha256_of(canonical_json(f._coords_json_dict()))
+    return sha256_of(canonical_json(f.to_json_dict()))
 
 
-def _monomial_exponents(d: int, degrees) -> list[tuple[int, ...]]:
-    """Exponent tuples over d variables, in (total degree, reverse-lex) order."""
-    out = []
+def _monomial_exponents(d: int, degrees) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples over d variables, in (total degree, reverse-lex) order.
+    Lazy, so that ``moment`` builds only the n+1 tuples it uses, not all d of
+    degree 1, each of length d."""
     for deg in degrees:
         for combo in itertools.combinations_with_replacement(range(d), deg):
             exps = [0] * d
             for i in combo:
                 exps[i] += 1
-            out.append(tuple(exps))
-    return out
+            yield tuple(exps)
 
 
-def _build_affine_graph(m: int) -> Coords:
-    d = m + 1
-    rows = [(((1.0, (0,) * d)),)]
-    for i in range(d):
-        exps = tuple(1 if j == i else 0 for j in range(d))
-        rows.append(((1.0, exps),))
-    return tuple(rows)
+def _monomial_map(d: int, exps) -> MapDescriptor:
+    """The map over d variables whose coordinates are these monomials."""
+    coords = tuple(((1.0, e),) for e in exps)
+    return MapDescriptor(d, len(coords), coords)
 
 
 # A builtin is built term by term in memory: it may hold at most this many
@@ -244,13 +236,11 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
         if m < 0:
             raise ValueError("m must be >= 0")
         fits(m + 2, m + 1)
-        coords = _build_affine_graph(m)
-        return MapDescriptor(m + 1, m + 2, coords, builtin={"builtin": name, "m": m})
+        return _monomial_map(m + 1, _monomial_exponents(m + 1, [0, 1]))
 
     if name == "parabola":
         want()
-        coords = (((1.0, (1,)),), ((1.0, (2,)),))
-        return MapDescriptor(1, 2, coords, builtin={"builtin": name})
+        return _monomial_map(1, [(1,), (2,)])
 
     if name == "moment":
         m, n = want("m", "n")
@@ -258,13 +248,7 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
             raise ValueError("m and n must be >= 0")
         d = m + 1
         fits(n + 1, d)
-        gen = (
-            e
-            for deg in itertools.count(1)
-            for e in _monomial_exponents(d, [deg])
-        )
-        coords = tuple(((1.0, next(gen)),) for _ in range(n + 1))
-        return MapDescriptor(d, n + 1, coords, builtin={"builtin": name, "m": m, "n": n})
+        return _monomial_map(d, itertools.islice(_monomial_exponents(d, itertools.count(1)), n + 1))
 
     if name == "random_poly":
         m, n, degree = want("m", "n", "degree")
@@ -279,16 +263,13 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
         # keeps the binomial below cheap.
         fits((n + 1) * (degree + 1), d)
         fits((n + 1) * math.comb(d + degree, degree), d)
-        exps = _monomial_exponents(d, range(0, degree + 1))
+        exps = list(_monomial_exponents(d, range(0, degree + 1)))
         rng = np.random.default_rng(seed)
         coords = tuple(
             tuple((float(c), e) for c, e in zip(rng.uniform(-1.0, 1.0, len(exps)), exps))
             for _ in range(n + 1)
         )
-        return MapDescriptor(
-            d, n + 1, coords,
-            builtin={"builtin": name, "m": m, "n": n, "degree": degree, "seed": seed},
-        )
+        return MapDescriptor(d, n + 1, coords)
 
     raise ValueError(f"unknown builtin map {name!r}")
 

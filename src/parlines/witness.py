@@ -135,6 +135,8 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
+        if not isinstance(data, dict):
+            raise ValueError("malformed witness record: config must be a JSON object or null")
         x, u, v = (np.array(json_typed(data, k, list[float])) for k in "xuv")
         return cls(x=x, u=u, v=v, delta=json_typed(data, "delta", float))
 
@@ -211,6 +213,8 @@ class WitnessRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WitnessRecord":
+        if not isinstance(data, dict):
+            raise ValueError("malformed witness record: expected a JSON object")
         try:
             return cls(
                 case=canonical_case(data["case"]),

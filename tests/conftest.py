@@ -1,6 +1,6 @@
 """Shared helpers: independent small-scale oracles for the GF(2) series,
-ring elements named by exponent tuples, and the reference formula for map
-evaluation.
+ring elements named by exponent tuples, the reference formula for map
+evaluation, and a linear map with an exact collinear record on it.
 
 The series expansions here deliberately avoid the package's own ring
 engine and its bitwise binomial shortcut, computing binomials from a Pascal
@@ -13,6 +13,9 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+
+from parlines.maps import MapDescriptor, eval_map, map_digest
+from parlines.witness import Configuration, collinear_residual, record_points
 
 # One line per acceptance criterion, replayed after the run summary so they
 # stay visible under pytest's output capture.
@@ -105,3 +108,33 @@ def reference_eval_map(f, points):
     terms = np.array(coeffs) * np.prod(p[:, None, :] ** exps[None, :, :], axis=2)
     out = np.add.reduceat(terms, np.array(starts, dtype=np.intp), axis=1)
     return out[0] if single else out
+
+
+def linear_r2_r3() -> MapDescriptor:
+    """(x, y) -> (x, y, x + y): injective linear, so it maps lines to lines."""
+    return MapDescriptor(
+        2, 3,
+        (((1.0, (1, 0)),), ((1.0, (0, 1)),), ((1.0, (1, 0)), (1.0, (0, 1)))),
+    )
+
+
+def exact_collinear_record_dict(f: MapDescriptor) -> dict:
+    """A found collinear record on a linear map, as JSON: x, u, v all along
+    e1 put the four sampled points on one domain line, and a linear map
+    keeps their images on a line."""
+    e1 = np.array([1.0, 0.0])
+    config = Configuration(x=e1, u=e1, v=e1, delta=0.25)
+    pts = record_points("collinear", config)
+    residual = collinear_residual(*eval_map(f, np.stack(pts)))
+    return {
+        "case": "collinear",
+        "found": True,
+        "points": [[float(a) for a in p] for p in pts],
+        "residual": residual,
+        "min_pairwise_distance": 0.5,
+        "pair_sets_distinct": True,
+        "config": config.to_json_dict(),
+        "map_digest": map_digest(f),
+        "seed": 0,
+        "restarts_used": 0,
+    }

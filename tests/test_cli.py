@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import exact_collinear_record_dict, linear_r2_r3
 
 import parlines
 from parlines import charclass, cli, witness
@@ -23,7 +24,7 @@ from parlines.charclass import DimensionParams, all_checks
 from parlines.cli import main
 from parlines.jsonio import canonical_json
 from parlines.maps import MapDescriptor, builtin_map, eval_map, map_digest
-from parlines.witness import Configuration, collinear_residual, record_points
+from parlines.witness import collinear_residual
 
 
 def run_cli(capsys, *argv, parse_lines=True):
@@ -50,32 +51,6 @@ def scalar_map_file(tmp_path):
             "coords": [[{"c": 1.0, "e": [1, 0]}, {"c": 0.5, "e": [0, 1]}]],
         },
     )
-
-
-def linear_r2_r3() -> MapDescriptor:
-    return MapDescriptor(
-        2, 3,
-        (((1.0, (1, 0)),), ((1.0, (0, 1)),), ((1.0, (1, 0)), (1.0, (0, 1)))),
-    )
-
-
-def exact_collinear_record_dict(f: MapDescriptor) -> dict:
-    e1 = np.array([1.0, 0.0])
-    config = Configuration(x=e1, u=e1, v=e1, delta=0.25)
-    pts = record_points("collinear", config)
-    residual = collinear_residual(*eval_map(f, np.stack(pts)))
-    return {
-        "case": "collinear",
-        "found": True,
-        "points": [[float(a) for a in p] for p in pts],
-        "residual": residual,
-        "min_pairwise_distance": 0.5,
-        "pair_sets_distinct": True,
-        "config": config.to_json_dict(),
-        "map_digest": map_digest(f),
-        "seed": 0,
-        "restarts_used": 0,
-    }
 
 
 # -- verify-classes ---------------------------------------------------------------
@@ -373,6 +348,16 @@ def test_verify_witness_malformed_record(tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", bad)
     assert code == 2
     assert "malformed" in lines[0]["error"]
+    # A record or a config that is no JSON object gets a message of its own.
+    config_not_object = {**exact_collinear_record_dict(linear_r2_r3()), "config": "abc"}
+    for record, message in [
+        ([1, 2], "malformed witness record: expected a JSON object"),
+        (config_not_object, "malformed witness record: config must be a JSON object or null"),
+    ]:
+        bad = write_json(tmp_path / "bad.json", record)
+        code, lines, _ = run_cli(capsys, "verify-witness", "--map", path, "--record", bad)
+        assert code == 2
+        assert lines[0] == {"error": message}
 
 
 README_MAP_FLAGS = (
@@ -1063,6 +1048,22 @@ def test_readme_cli_block_runs(tmp_path):
         )
         assert proc.returncode == 0, (argv, proc.stdout[-500:], proc.stderr)
         assert '"outcome":"ok"' in proc.stdout.splitlines()[-1]
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # "python -m parlines.cli" runs its command and exits with its code, as
+    # the console script does, instead of importing the module and exiting 0.
+    src = str(Path(parlines.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        subprocess.run([sys.executable, "-m", "parlines.cli", *argv], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=120)
+        for argv in (["verify-classes", "--m", "2"], ["table"])
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert len(runs[0].stdout.splitlines()) == 7
+    assert runs[1].returncode == 2
+    assert "--m-max" in runs[1].stderr
 
 
 def test_closed_pipe_ends_without_traceback(tmp_path):

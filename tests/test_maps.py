@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,19 @@ def test_moment_map_coordinates():
     assert np.allclose(out, [2.0, 3.0, 4.0, 6.0, 9.0])
 
 
+def test_moment_over_many_variables_builds_only_its_coordinates():
+    # The 10^6-exponent cap lets moment take m+1 = 10^6 variables at n = 0;
+    # building every degree-1 exponent tuple first would hold d^2 integers.
+    tracemalloc.start()
+    try:
+        f = builtin_map("moment", {"m": 2999, "n": 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.coords[2] == ((1.0, (0, 0, 1) + (0,) * 2997),)
+    assert peak < 10 * 2**20
+
+
 def test_random_poly_deterministic_in_seed():
     a = builtin_map("random_poly", {"m": 2, "n": 4, "degree": 3}, seed=42)
     b = builtin_map("random_poly", {"m": 2, "n": 4, "degree": 3}, seed=42)
@@ -242,12 +256,17 @@ def test_json_round_trip_coords_form():
 
 
 def test_json_round_trip_builtin_form():
+    # A builtin is written in the explicit form and reads back as the same
+    # map; the flat builtin spelling, which earlier versions wrote, still reads.
     f = builtin_map("random_poly", {"m": 1, "n": 2, "degree": 2}, seed=9)
     data = f.to_json_dict()
-    assert data["builtin"] == "random_poly" and data["seed"] == 9
-    g = MapDescriptor.from_json_dict(data)
-    assert g.coords == f.coords
-    assert g.builtin == f.builtin
+    assert sorted(data) == ["codomain_dim", "coords", "domain_dim"]
+    flat = {"builtin": "random_poly", "m": 1, "n": 2, "degree": 2, "seed": 9}
+    for g in (MapDescriptor.from_json_dict(data), MapDescriptor.from_json_dict(flat)):
+        assert g.coords == f.coords
+        assert g == f
+        assert map_digest(g) == map_digest(f)
+    assert not hasattr(f, "builtin")
 
 
 def test_json_builtin_form_with_nested_params():
@@ -256,7 +275,7 @@ def test_json_builtin_form_with_nested_params():
         {"builtin": "random_poly", "params": {"m": 1, "n": 2, "degree": 2}, "seed": 9}
     )
     assert g.coords == f.coords
-    # Output keeps the one flat form whichever form came in.
+    # Output is the explicit form whichever form came in.
     assert canonical_json(g.to_json_dict()) == canonical_json(f.to_json_dict())
 
 
@@ -289,11 +308,54 @@ def test_json_coords_form_checks_given_dimensions():
 
 
 def test_digest_same_for_both_json_forms():
-    f = builtin_map("parabola")
-    explicit = MapDescriptor.from_json_dict(f._coords_json_dict())
-    assert explicit.builtin is None
-    assert map_digest(explicit) == map_digest(f)
-    assert len(map_digest(f)) == 64
+    # Every builtin spelling, flat and nested under params, and the explicit
+    # form a builtin is written in all read as the map builtin_map builds.
+    for name, params, seed in [
+        ("affine_graph", {"m": 2}, None),
+        ("parabola", {}, None),
+        ("moment", {"m": 1, "n": 5}, None),
+        ("random_poly", {"m": 1, "n": 4, "degree": 3}, 42),
+    ]:
+        f = builtin_map(name, params, seed=seed)
+        for data in (
+            {"builtin": name, **params, "seed": seed},
+            {"builtin": name, "params": params, "seed": seed},
+            f.to_json_dict(),
+        ):
+            g = MapDescriptor.from_json_dict(data)
+            assert g.coords == f.coords
+            assert g == f
+            assert map_digest(g) == map_digest(f)
+        assert len(map_digest(f)) == 64
+
+
+# map_digest of the builtins as hex literals: a stored record names its map
+# by this hash, so how a builtin is built must not move it.
+_FROZEN_DIGESTS = [
+    ("affine_graph", {"m": 0}, None,
+     "9b75f426210df1ba7b969b9ca88694e36ad346784dcf9b0cf26b5d71e2dc6076"),
+    ("affine_graph", {"m": 1}, None,
+     "4fb478ce6eee2ef3a34123b9d480d0d1e725431751926cdc6c17ff7c6706dc3e"),
+    ("affine_graph", {"m": 2}, None,
+     "a2c5226dcdcb72607837b04a59edda1afd4f97fb2c0e0686cf295aedcecbdd01"),
+    ("affine_graph", {"m": 3}, None,
+     "a9a09b2d358aac8276e3ef32f72c11128068d03b21107979e5378414dff1bbb3"),
+    ("parabola", {}, None,
+     "d7637beb9fa9ede8244f0cee7126a829bc897aae83325bee9c8ae4aafd144174"),
+    ("moment", {"m": 0, "n": 2}, None,
+     "2710bf39f14a0129acabe0dd87b1fe555b82c7217a43e454aa61d9a3dc2ba6b8"),
+    ("moment", {"m": 1, "n": 5}, None,
+     "704ba7999eb50b69c048ce24651e37c88566aa265a5817fd71ee097cc49f74b0"),
+    ("moment", {"m": 2, "n": 9}, None,
+     "7ecef3c5ce105a898f014e6209752dda0231d8af3f284dac487fe3a5385e46b6"),
+    ("random_poly", {"m": 1, "n": 4, "degree": 3}, 42,
+     "ff0c89797fbe1dd168619fb1bb0d1b70466d3ce3b57267af63921e926d2283b1"),
+]
+
+
+@pytest.mark.parametrize("name, params, seed, digest", _FROZEN_DIGESTS)
+def test_builtin_digests_frozen(name, params, seed, digest):
+    assert map_digest(builtin_map(name, params, seed=seed)) == digest
 
 
 def test_digest_distinguishes_maps():

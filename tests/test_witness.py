@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import reference_eval_map
+from conftest import exact_collinear_record_dict, linear_r2_r3, reference_eval_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,36 +42,6 @@ from parlines.witness import (
     _residual_from_points,
     _unit,
 )
-
-
-def _linear_map_r2_r3() -> MapDescriptor:
-    # (x, y) -> (x, y, x + y): injective linear, so it maps lines to lines.
-    return MapDescriptor(
-        2, 3,
-        (((1.0, (1, 0)),), ((1.0, (0, 1)),), ((1.0, (1, 0)), (1.0, (0, 1)))),
-    )
-
-
-def _exact_collinear_record(f: MapDescriptor) -> WitnessRecord:
-    # x, u, v all along e1 put the four sampled points on one domain line,
-    # and a linear map keeps their images on a line.
-    e1 = np.array([1.0, 0.0])
-    config = Configuration(x=e1, u=e1, v=e1, delta=0.25)
-    pts = record_points("collinear", config)
-    imgs = eval_map(f, np.stack(pts))
-    residual = collinear_residual(*imgs)
-    return WitnessRecord(
-        case="collinear",
-        found=True,
-        points=pts,
-        residual=residual,
-        min_pairwise_distance=0.5,
-        pair_sets_distinct=True,
-        config=config,
-        map_digest=map_digest(f),
-        seed=0,
-        restarts_used=0,
-    )
 
 
 # -- residuals ----------------------------------------------------------------
@@ -841,8 +811,8 @@ def test_twisted_cubic_lindep_witness_in_the_first_restart():
 
 
 def test_verify_witness_happy_path():
-    f = _linear_map_r2_r3()
-    rec = _exact_collinear_record(f)
+    f = linear_r2_r3()
+    rec = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     ver = verify_witness(rec, f, tol=1e-10)
     assert ver.passed
     assert ver.checks["digest_matches"]
@@ -853,17 +823,17 @@ def test_verify_witness_happy_path():
 
 
 def test_verify_witness_detects_tampering():
-    f = _linear_map_r2_r3()
-    rec = _exact_collinear_record(f)
+    f = linear_r2_r3()
+    rec = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
 
-    moved = _exact_collinear_record(f)
+    moved = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     moved.points = [p.copy() for p in moved.points]
     moved.points[0][1] += 0.3
     ver = verify_witness(moved, f, tol=1e-10)
     assert not ver.passed
     assert not ver.checks["points_match_config"]
 
-    lied = _exact_collinear_record(f)
+    lied = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     lied.residual = 0.25
     ver = verify_witness(lied, f, tol=1e-10)
     assert not ver.passed
@@ -876,21 +846,26 @@ def test_verify_witness_detects_tampering():
 
 
 def test_verify_witness_rejects_bad_shape():
-    f = _linear_map_r2_r3()
-    rec = _exact_collinear_record(f)
+    f = linear_r2_r3()
+    rec = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     rec.points = rec.points[:3]
     with pytest.raises(ValueError):
         verify_witness(rec, f)
 
 
 def test_record_json_round_trip_byte_identical():
-    f = _linear_map_r2_r3()
-    rec = _exact_collinear_record(f)
+    f = linear_r2_r3()
+    rec = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     text = rec.canonical()
     back = WitnessRecord.from_json_dict(json.loads(text))
     assert back.canonical() == text
     with pytest.raises(ValueError, match="malformed"):
         WitnessRecord.from_json_dict({"case": "collinear"})
+    with pytest.raises(ValueError, match="^malformed witness record: expected a JSON object$"):
+        WitnessRecord.from_json_dict([1, 2])
+    with pytest.raises(ValueError, match="^malformed witness record: config must be a JSON "
+                                         "object or null$"):
+        WitnessRecord.from_json_dict({**json.loads(text), "config": "abc"})
 
 
 @pytest.mark.parametrize(
@@ -915,7 +890,7 @@ def test_record_json_round_trip_byte_identical():
 def test_record_json_rejects_instead_of_coercing(key, value):
     # A record field takes only its own JSON type, never a value coerced to
     # it, and a bool is not an integer here.
-    data = _exact_collinear_record(_linear_map_r2_r3()).to_json_dict()
+    data = exact_collinear_record_dict(linear_r2_r3())
     data[key] = value
     with pytest.raises(ValueError, match=rf"malformed witness record: {key}(\[\d+\])* must be"):
         WitnessRecord.from_json_dict(data)
@@ -1034,7 +1009,7 @@ def test_find_1d_huge_images_scale_exactly(power):
 
 def test_find_1d_validation():
     with pytest.raises(ValueError):
-        find_1d(_linear_map_r2_r3(), (0.0, 1.0))
+        find_1d(linear_r2_r3(), (0.0, 1.0))
     f = builtin_map("parabola")
     with pytest.raises(ValueError):
         find_1d(f, (1.0, 1.0))
@@ -1077,8 +1052,8 @@ def test_find_1d_found_records_verify(f, a, ulps):
 
 
 def test_estimate_singularity_smoke():
-    f = _linear_map_r2_r3()
-    rec = _exact_collinear_record(f)
+    f = linear_r2_r3()
+    rec = WitnessRecord.from_json_dict(exact_collinear_record_dict(f))
     cfg = SearchConfig(restarts=1, max_iters=200, seed=0)
     est = estimate_singularity_dim(f, rec, n_samples=6, cfg=cfg)
     assert est.base is rec
@@ -1101,8 +1076,8 @@ def test_estimate_singularity_rejects_wrong_base():
     with pytest.raises(ValueError, match="collinear"):
         estimate_singularity_dim(f, rec, n_samples=2)
 
-    lin = _linear_map_r2_r3()
-    bad = _exact_collinear_record(lin)
+    lin = linear_r2_r3()
+    bad = WitnessRecord.from_json_dict(exact_collinear_record_dict(lin))
     bad.residual = 0.5
     with pytest.raises(ValueError, match="verification"):
         estimate_singularity_dim(lin, bad, n_samples=2)
@@ -1114,7 +1089,7 @@ def test_estimate_singularity_rejects_wrong_base():
 def test_theorem_guarantee_classification():
     line_ok, msg = theorem_guarantee(builtin_map("parabola"), "line_1d")
     assert line_ok and msg.startswith("guaranteed")
-    line_no, _ = theorem_guarantee(_linear_map_r2_r3(), "line_1d")
+    line_no, _ = theorem_guarantee(linear_r2_r3(), "line_1d")
     assert not line_no
 
     f_b = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
