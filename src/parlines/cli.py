@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -94,18 +95,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_map_source(p)
     p.add_argument("--case", required=True,
                    choices=[c for c in _ALIASES if c != "line_1d"])
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    for fld in dataclasses.fields(SearchConfig):
+        p.add_argument("--" + fld.name.replace("_", "-"), type=type(fld.default),
+                       default=fld.default)
     p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
     subs["find-witness"] = p
 
     p = sub.add_parser("verify-witness", help="re-check a stored witness record")
     add_map_source(p)
     p.add_argument("--record", metavar="FILE", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
     subs["verify-witness"] = p
 
     p = sub.add_parser("find-1d", help="guaranteed parallel chords for a map R -> R^2")
@@ -125,8 +124,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--noise-scale", type=float, default=0.05)
     p.add_argument("--ratio-threshold", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
     subs["singularity"] = p
 
     return parser, subs
@@ -324,13 +323,8 @@ def _run_oracles(args) -> int:
 
 def _run_find_witness(args) -> int:
     f = _resolve_map(args)
-    cfg = SearchConfig(
-        delta=args.delta,
-        tol=args.tol,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+    cfg = SearchConfig(**{fld.name: getattr(args, fld.name)
+                          for fld in dataclasses.fields(SearchConfig)})
     guaranteed, note = theorem_guarantee(f, args.case)
     _emit(
         {

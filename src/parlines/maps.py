@@ -66,10 +66,12 @@ class MapDescriptor:
         self._coeffs = np.array(coeffs, dtype=float)
         self._starts = np.array(starts, dtype=np.intp)
         # Power table: eval_map raises every coordinate to each distinct
-        # exponent in use, and term t reads variable k's power from the flat
-        # column k*len(powers) + (index of exps[t, k] in powers).  A lone
-        # term in one variable gets a one-wide table: numpy then sees one
-        # exponent for the whole loop, as in the broadcast p ** exps, and
+        # exponent in use, and variable k's power e is the flat column
+        # k*len(powers) + (index of e in powers).  Slot s of a term reads its
+        # s-th variable with a nonzero exponent; a term with fewer factors
+        # reads column 0, x_0^0 = 1.0, and multiplying by 1.0 changes no bit.
+        # A lone term in one variable gets a one-wide table: numpy then sees
+        # one exponent for the whole loop, as in the broadcast p ** exps, and
         # squares by x*x instead of pow, a different last bit.
         if exps.shape == (1, 1):
             self._powers = exps[0]
@@ -77,10 +79,11 @@ class MapDescriptor:
         else:
             # np.union1d would import numpy.ma on the first map built.
             self._powers = np.array(sorted({0}.union(*exp_rows)), dtype=np.int64)
-            self._columns = tuple(
-                k * self._powers.size + np.searchsorted(self._powers, exps[:, k])
-                for k in range(self.domain_dim)
-            )
+            terms, ks = np.nonzero(exps)
+            slot = np.arange(terms.size) - np.searchsorted(terms, terms)
+            columns = ks * self._powers.size + np.searchsorted(self._powers, exps[terms, ks])
+            self._columns = np.zeros((slot.max(initial=0) + 1, len(exps)), dtype=np.intp)
+            self._columns[slot, terms] = columns
 
     def to_json_dict(self) -> dict:
         return {

@@ -282,6 +282,24 @@ def test_witness_case_a():
     )
 
 
+def test_witness_case_b_at_m_15():
+    # R^16 -> R^47, guaranteed for case b: each term of the random quadric
+    # has at most two factors, so eval_map gathers two columns, not 16.
+    # Map seed 1, search seed 1 and the CLI's defaults; the 2 s budget was
+    # fixed before this test first ran.
+    start = time.perf_counter()
+    f = builtin_map("random_poly", {"m": 15, "n": 46, "degree": 2}, seed=1)
+    rec = search(f, "b", SearchConfig(seed=1))
+    elapsed = time.perf_counter() - start
+    ver = verify_witness(rec, f)
+    ok = rec.found and ver.passed and elapsed < 2.0
+    criterion(
+        "case b witness on random_poly(m=15, n=46, degree=2, map seed 1) in under 2 s",
+        ok,
+        f"residual {rec.residual:.3g}, {rec.restarts_used} restarts, {elapsed:.2f}s",
+    )
+
+
 def test_constructive_1d():
     f = builtin_map("parabola")
     start = time.perf_counter()

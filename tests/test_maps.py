@@ -80,11 +80,29 @@ def _maps_and_points(draw):
     return MapDescriptor(d, c, coords), points
 
 
+@st.composite
+def _wide_sparse_maps_and_points(draw):
+    # Up to 40 variables, terms of 0-3 factors (constants included) and
+    # empty coordinates: most slots of a term read x_0^0 = 1.0.
+    d = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 4))
+    coefficient = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    factors = st.dictionaries(st.integers(0, d - 1), st.integers(1, 5), max_size=3)
+    term = st.tuples(coefficient, factors.map(
+        lambda fs: tuple(fs.get(k, 0) for k in range(d))))
+    coords = tuple(tuple(draw(st.lists(term, max_size=5))) for _ in range(c))
+    shape = draw(st.sampled_from([(d,), (0, d), (1, d), (7, d), (33, d)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = np.random.default_rng(seed).uniform(-2.0, 2.0, shape)
+    return MapDescriptor(d, c, coords), points
+
+
 @settings(max_examples=300, deadline=None)
-@given(_maps_and_points())
+@given(st.one_of(_maps_and_points(), _wide_sparse_maps_and_points()))
 def test_eval_map_bitwise_equals_broadcast_formula(case):
-    # Single points, batches (empty ones too), empty coordinates and lone
-    # terms: the power table must give the broadcast formula's bits.
+    # Single points, batches (empty ones too), empty coordinates, lone
+    # terms and wide sparse maps: the power table must give the broadcast
+    # formula's bits.
     f, points = case
     out = eval_map(f, points)
     ref = reference_eval_map(f, points)
@@ -158,6 +176,27 @@ def test_eval_map_bitwise_on_builtins(name, params, seed):
         pts = rng.standard_normal((n, f.domain_dim))
         assert np.array_equal(_bits(eval_map(f, pts)), _bits(reference_eval_map(f, pts)))
         assert np.array_equal(_bits(eval_map(f, pts[0])), _bits(reference_eval_map(f, pts[0])))
+
+
+@pytest.mark.parametrize(
+    "name, params, seed, slots",
+    [
+        ("moment", {"m": 199999, "n": 0}, None, 1),
+        ("random_poly", {"m": 15, "n": 46, "degree": 2}, 1, 2),
+        ("random_poly", {"m": 2, "n": 5, "degree": 3}, 7, 3),
+        ("affine_graph", {"m": 3}, None, 1),
+        ("parabola", {}, None, 1),
+    ],
+)
+def test_eval_map_gathers_only_each_terms_factors(name, params, seed, slots):
+    # One column per slot: the largest number of nonzero exponents in a
+    # term, and at least 1, not one per domain variable.
+    f = builtin_map(name, params, seed=seed)
+    factors = [sum(e > 0 for e in exps) for coord in f.coords for _, exps in coord]
+    assert len(f._columns) == max(1, *factors) == slots
+    const = MapDescriptor(3, 2, (((2.0, (0, 0, 0)),), ()))
+    assert len(const._columns) == 1
+    assert np.array_equal(eval_map(const, [np.nan, 1.0, 2.0]), [2.0, 0.0])
 
 
 def test_eval_rejects_wrong_dimension():

@@ -932,10 +932,9 @@ def _old_widest_chord(imgs):
 @given(
     st.integers(2, 120),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 7, 64, 1 << 18]),
     st.sampled_from(["ties", "float", "zero"]),
 )
-def test_widest_chord_matches_whole_table(n, seed, block, kind):
+def test_widest_chord_matches_whole_table(n, seed, kind):
     rng = np.random.default_rng(seed)
     if kind == "ties":  # few distinct points: many chords of equal length
         imgs = rng.integers(-2, 3, (n, 2)).astype(float)
@@ -943,8 +942,7 @@ def test_widest_chord_matches_whole_table(n, seed, block, kind):
         imgs = rng.standard_normal((n, 2)) * rng.choice([1e-150, 1.0, 1e150])
     else:  # every chord 0
         imgs = np.ones((n, 2))
-    with mock.patch.object(witness, "_CHORD_BLOCK", block):
-        assert witness._widest_chord(imgs) == _old_widest_chord(imgs)
+    assert witness._widest_chord(imgs) == _old_widest_chord(imgs)
 
 
 def test_find_1d_records_match_whole_table():
