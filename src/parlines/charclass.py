@@ -109,8 +109,10 @@ def euler_line_tensor_quotient(
     ``e_line``, the Euler class of the line bundle, is an element of that
     base, homogeneous of degree 1 (``RingError`` otherwise).  The Euler
     class of the rank-n tensor is sum_j e^j x^(n-j).  The powers e^j are
-    taken in the base, up to the first zero one, and set at x^(n-j) by
-    ``from_base_coefficients``: the ring with x does no multiply.
+    taken in the base, each once per line class: its list in
+    ``_line_powers`` is extended up to e^n or the first zero power, never
+    further.  ``from_base_coefficients`` sets them at x^(n-j), so the ring
+    with x does no multiply.
     """
     if ring_x.base is None or ring_x.gen_names[-1] != "x":
         raise RingError("ring_x must extend its base by the generator x")
@@ -122,12 +124,22 @@ def euler_line_tensor_quotient(
         raise ValueError("n must be >= 0")
     if e_line != e_line.homogeneous_part(1):
         raise RingError("e_line must be homogeneous of degree 1")
-    powers = [e_line.ring.one(), e_line]
+    powers = _line_powers(e_line)
     while len(powers) <= n and powers[-1]:
         powers.append(powers[-1] * e_line)
     return ring_x.from_base_coefficients(
         {n - j: power for j, power in enumerate(powers[: n + 1])}
     )
+
+
+# A grid column asks for its four line classes at n = 1, 2, ..., so 16
+# entries serve the columns ``_product_base`` keeps.  A key holds its ring,
+# so no other ring can take that ring's id while the entry lives.
+@lru_cache(maxsize=16)
+def _line_powers(e_line: RingElement) -> list[RingElement]:
+    """[1, e, e^2, ...]: the list ``euler_line_tensor_quotient`` grows in
+    place as its n grows, so that each power is taken once."""
+    return [e_line.ring.one(), e_line]
 
 
 @dataclass(frozen=True)
@@ -368,14 +380,15 @@ def _line_class(ring: RingPresentation, bits: tuple[int, int]) -> RingElement:
 @lru_cache(maxsize=4)
 def _product_base(m1: int, m2: int) -> tuple[RingPresentation, dict[_Spec, RingElement]]:
     """The base P^m1 x P^m2 and, for each line spec, the inverse class of
-    the rank-2 sum of its two lines, (1+l1)^-1 (1+l2)^-1, over that base."""
+    the rank-2 sum of its two lines over that base, built as
+    (1+l1)^-1 (1+l2)^-1 from the four line classes' inverses."""
     base = ring_truncated(
         f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
     )
     one = base.one()
+    line_inverses = {bits: invert(one + _line_class(base, bits)) for bits in _LINE_BITS}
     inverses = {
-        spec: invert((one + _line_class(base, spec[0])) * (one + _line_class(base, spec[1])))
-        for spec in LINE_SPECS
+        spec: line_inverses[spec[0]] * line_inverses[spec[1]] for spec in LINE_SPECS
     }
     return base, inverses
 
@@ -389,9 +402,10 @@ def _product_rings(m1: int, m2: int, n: int) -> tuple[
 
     The inverse classes come in the same entry as the Euler classes, so
     the two sides of a comparison always live over one base object, even
-    after the column's own entry was evicted and rebuilt.  Both caches are
-    bounded, so a sweep over any grid holds at most a few grid points'
-    rings.
+    after the column's own entry was evicted and rebuilt.  The line
+    classes are elements of that base, so their powers, taken once per
+    column and extended as n grows, are too.  Every cache is bounded, so
+    a sweep over any grid holds at most a few grid points' rings.
     """
     base, inverses = _product_base(m1, m2)
     ring_x = ring_adjoin_x(base, n)
@@ -409,16 +423,18 @@ def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     P^n fibre, the direct image of the product of the two rank-n Euler
     classes must equal the degree-n part of the inverse class of the rank-2
     sum of the two lines.  Returns True iff both routes agree exactly.
-    The base ring and the 16 inverse classes are shared per column
-    (m1, m2), and the ring with x and the four line Euler classes per grid
-    point (m1, m2, n); each call still forms its own product e1*e2, takes
+    The base ring, the four line inverses and the 16 inverse classes made
+    from them, and the line classes' powers are shared per column
+    (m1, m2); the ring with x and the four line Euler classes per grid
+    point (m1, m2, n).  Each call still forms its own product e1*e2, takes
     its direct image, the coefficient of x^n read by ``base_coefficient``,
-    and compares it with the degree-n part of its spec's inverse class.  ``line_spec`` is two 0/1 pairs, as tuples or lists.
+    and compares it with the degree-n part of its spec's inverse class.
+    ``line_spec`` is two 0/1 pairs, as tuples or lists.
     """
     if m1 < 0 or m2 < 0 or n < 1:
         raise ValueError("need m1, m2 >= 0 and n >= 1")
     try:
-        spec = tuple(tuple(bits) for bits in line_spec)
+        spec = tuple(map(tuple, line_spec))
         valid = spec in _SPECS
     except TypeError:
         valid = False

@@ -51,18 +51,35 @@ def _fail(message: str) -> int:
     return 2
 
 
+class _LoadConfig(argparse.Action):
+    """``--config FILE``: the file's values become the subcommands'
+    defaults when argparse binds the option, which is before it reaches
+    the subcommand, so an abbreviation such as ``--conf`` reads the file
+    as well."""
+
+    def __init__(self, option_strings, dest, subs: dict, **kwargs) -> None:
+        super().__init__(option_strings, dest, **kwargs)
+        self.subs = subs
+
+    def __call__(self, parser, namespace, path, option_string=None) -> None:
+        setattr(namespace, self.dest, path)
+        _load_config_defaults(path, self.subs)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="parlines",
         description="mod-2 class checks and witness searches for parallel-line configurations",
     )
+    subs = {}
     parser.add_argument(
         "--config",
         metavar="FILE",
         help="JSON file of default option values (command line wins)",
+        action=_LoadConfig,
+        subs=subs,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {}
 
     p = sub.add_parser("verify-classes", help="run the symbolic non-vanishing checks")
     g = p.add_mutually_exclusive_group(required=True)
@@ -131,15 +148,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs
 
 
-def _load_config_defaults(argv: list, subs: dict) -> None:
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if path is None:
-        return
+def _load_config_defaults(path: str, subs: dict) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
@@ -268,8 +277,8 @@ def _run_table(args) -> int:
 
 # The oracle grids' caps.  The dual's rings grow as dual-k squared; at the
 # caps the slowest shapes, all product instances in the columns (m1-max
-# 623) or all instances in dual-n-max at dual-k 64, took 0.5-0.8 s and
-# 4.4-6.0 s on a shared 2-vCPU machine.
+# 623) or all instances in dual-n-max at dual-k 64, took 0.24-0.31 s and
+# 1.3-2.3 s on a shared 2-vCPU machine.
 _ORACLE_INSTANCE_CAP = 10_000
 _ORACLE_DUAL_K_CAP = 64
 
@@ -391,12 +400,13 @@ _RUNNERS = {
 
 def main(argv: list | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = build_parser()
+    parser, _ = build_parser()
     try:
-        _load_config_defaults(argv, subs)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        args = parser.parse_args(argv)
+    except (OSError, ValueError) as exc:
+        # Only --config's action raises these: argparse reports its own
+        # errors and exits.
         return _fail(f"bad config file: {exc}")
-    args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
         code = _RUNNERS[args.command](args)

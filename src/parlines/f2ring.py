@@ -216,9 +216,12 @@ class RingPresentation:
         """The packed product of two packed normal elements."""
         if a.bit_count() > b.bit_count():
             a, b = b, a
+        # One shifted copy of b per set bit of the sparser a, highest first.
         raw = 0
-        for pos in _positions(a):
+        while a:
+            pos = a.bit_length() - 1
             raw ^= b << pos
+            a ^= 1 << pos
         bits = raw & self._live
         if self.square is not None:
             # The top digit has radix 3, so the bits from 2*place up are
@@ -323,8 +326,10 @@ class RingElement:
     def __mul__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._check_ring(other)
-        return RingElement(self.ring, self.ring._mul(self.bits, other.bits))
+        ring = self.ring
+        if other.ring is not ring:
+            self._check_ring(other)
+        return RingElement(ring, ring._mul(self.bits, other.bits))
 
     def __pow__(self, k: int) -> "RingElement":
         if not isinstance(k, int) or k < 0:

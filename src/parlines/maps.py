@@ -13,6 +13,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ class MapDescriptor:
     """A polynomial map, stored per coordinate as (coefficient, exponents).
 
     Instances are treated as immutable; the compiled numpy arrays used by
-    :func:`eval_map` are built once on construction.
+    :func:`eval_map` are built once on construction, and the digest of
+    :func:`map_digest` on its first use.
     """
 
     domain_dim: int
@@ -94,6 +96,10 @@ class MapDescriptor:
                 for coord in self.coords
             ],
         }
+
+    @cached_property
+    def _digest(self) -> str:
+        return sha256_of(canonical_json(self.to_json_dict()))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MapDescriptor":
@@ -173,8 +179,9 @@ def eval_map(f: MapDescriptor, points) -> np.ndarray:
 
 
 def map_digest(f: MapDescriptor) -> str:
-    """SHA-256 of the canonical explicit-form JSON of the map."""
-    return sha256_of(canonical_json(f.to_json_dict()))
+    """SHA-256 of the canonical explicit-form JSON of the map, taken once
+    per descriptor: a search's note line and its record share one."""
+    return f._digest
 
 
 def _monomial_exponents(d: int, degrees) -> Iterator[tuple[int, ...]]:

@@ -217,9 +217,10 @@ def test_product_direct_image_oracle():
 
 
 def test_oracle_grid_budget():
-    # The benchmark's oracle grid: the base ring and inverse classes are
-    # shared per column (m1, m2) and the line Euler classes per grid point,
-    # so the 7,840 product instances stay cheap.
+    # The benchmark's oracle grid: the base ring, the line inverses, the
+    # inverse classes made from them and the line powers are shared per
+    # column (m1, m2), and the line Euler classes per grid point, so the
+    # 7,840 product instances stay cheap.
     argv = ["oracles", "--m1-max", "6", "--m2-max", "6", "--n-max", "10",
             "--dual-k", "24", "--dual-n-max", "20"]
     start = time.perf_counter()

@@ -419,6 +419,71 @@ def test_euler_recurrence_matches_defining_sum():
     check()
 
 
+def test_oracle_euler_classes_with_shared_powers():
+    # The grid's Euler classes read each column's line powers from one
+    # list, extended as n grows: visit n out of order, so that lists
+    # already longer than n are sliced, and again after clearing only the
+    # grid-point cache, so that the column's lists are reused as they are.
+    # In P^12 x P^m2, t1 and t1 + t2 live past n = 9, so their lists are
+    # extended at n = 12.
+    def check():
+        for m1 in (0, 3, 12):
+            for m2 in (0, 1, 6):
+                for n in (9, 2, 12, *range(1, 13)):
+                    base, eulers, _ = _product_rings(m1, m2, n)
+                    for bits, got in eulers.items():
+                        want = _euler_by_defining_sum(_line_class(base, bits), n, got.ring)
+                        assert got == want, (m1, m2, n, bits)
+
+    _product_base.cache_clear()
+    _product_rings.cache_clear()
+    check()
+    _product_rings.cache_clear()
+    check()
+
+
+@pytest.mark.parametrize("m1_max, n_max", [(40, 1), (6, 3), (2, 12)])
+def test_oracles_take_no_line_power_past_n_max(capsys, monkeypatch, m1_max, n_max):
+    # Counts, not times: outside invert, a product in a base ring by a
+    # nonzero class of degree 1 takes a power of a line class, l^(j-1) * l.
+    # The powers are taken on demand, so none goes past l^n-max, however
+    # far the line class lives before it vanishes (t1^40 != 0 in P^40).
+    exponents, inverting = [], []
+    real_mul, real_invert = RingElement.__mul__, charclass.invert
+
+    def counting_invert(u):
+        inverting.append(u)
+        try:
+            return real_invert(u)
+        finally:
+            inverting.pop()
+
+    def counting_mul(self, other):
+        base = self.ring.gen_names == ("t1", "t2")
+        if base and not inverting and other and other == other.homogeneous_part(1):
+            exponents.append(1 + max(map(sum, self.terms)))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(charclass, "invert", counting_invert)
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    caches = (_product_base, _product_rings, _dual_rings)
+    for cache in caches:
+        cache.cache_clear()
+    argv = ["oracles", "--m1-max", str(m1_max), "--m2-max", "0", "--n-max", str(n_max),
+            "--dual-k", "4", "--dual-n-max", "1"]
+    try:
+        assert main(argv) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()
+    assert max(exponents, default=1) <= n_max
+    # Each power is taken once per column: t1^j for 2 <= j <= n-max, up to
+    # the first zero one, t1^(m1+1).  t2 = 0 in P^0, and t1 + t2 = t1 is
+    # the same element, so it shares t1's powers.
+    assert len(exponents) == sum(min(m1, n_max - 1) for m1 in range(m1_max + 1))
+
+
 def test_euler_class_with_x_truncated_below_the_rank():
     # x^k = 0 for k past x's bound drops the low powers of e from the sum.
     base = _product_base(3, 2)[0]
@@ -492,10 +557,11 @@ def test_product_oracle_bad_spec_leaves_no_cache_entry(spec):
     assert _product_rings.cache_info().currsize == 0
 
 
-def test_oracles_invert_once_per_column_spec(capsys, monkeypatch):
-    # Counts, not times: the product grid inverts one class per
-    # (m1, m2, line spec) and builds one base ring per (m1, m2), the dual
-    # one of each per k, however many n each serves.
+def test_oracles_invert_once_per_column_line(capsys, monkeypatch):
+    # Counts, not times: the product grid inverts 1 + l once per
+    # (m1, m2, line class l), multiplies those inverses into the 16 specs'
+    # classes, and builds one base ring per (m1, m2), the dual one of each
+    # per k, however many n each serves.
     inverted, built = [], []
     real_invert, real_truncated = charclass.invert, charclass.ring_truncated
 
@@ -520,7 +586,7 @@ def test_oracles_invert_once_per_column_spec(capsys, monkeypatch):
             cache.cache_clear()
     capsys.readouterr()
     columns = [f"P{m1}xP{m2}" for m1 in range(3) for m2 in range(3)]
-    assert sorted(inverted) == sorted(columns * len(LINE_SPECS) + ["W4"])
+    assert sorted(inverted) == sorted(columns * len(_LINE_BITS) + ["W4"])
     assert sorted(built) == sorted(columns + ["W4"])
 
 

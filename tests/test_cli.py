@@ -19,7 +19,7 @@ import pytest
 from conftest import exact_collinear_record_dict, linear_r2_r3
 
 import parlines
-from parlines import charclass, cli, witness
+from parlines import charclass, cli, maps, witness
 from parlines.charclass import DimensionParams, all_checks
 from parlines.cli import main
 from parlines.jsonio import canonical_json
@@ -270,6 +270,28 @@ def test_find_witness_instant_collinear(tmp_path, capsys):
     assert rec["found"] and rec["residual"] == 0.0
     assert rec["restarts_used"] == 1  # a residual within tol, here 0, stops the search
     assert manifest["manifest"]["seed"] == 4
+
+
+def test_find_witness_hashes_the_map_once(tmp_path, capsys, monkeypatch):
+    # Counts, not times: the note line and the record share one digest of
+    # the map, and verify-witness takes one as well.
+    hashed = []
+    real_sha = maps.sha256_of
+
+    def counting_sha(text):
+        hashed.append(text)
+        return real_sha(text)
+
+    monkeypatch.setattr(maps, "sha256_of", counting_sha)
+    margs = ["--builtin", "random_poly", "--m", "1", "--n", "4", "--degree", "3",
+             "--map-seed", "42"]
+    rec_file = tmp_path / "rec.json"
+    code, lines, _ = run_cli(capsys, "find-witness", *margs, "--case", "b", "--seed", "7",
+                             "--out", str(rec_file))
+    assert code == 0 and len(hashed) == 1
+    assert lines[0]["map_digest"] == lines[1]["map_digest"] == real_sha(hashed[0])
+    code, lines, _ = run_cli(capsys, "verify-witness", *margs, "--record", str(rec_file))
+    assert code == 0 and lines[0]["passed"] is True and len(hashed) == 2
 
 
 def test_find_witness_out_file_matches_stdout(tmp_path, capsys):
@@ -1144,6 +1166,39 @@ def test_config_file_supplies_required_options(tmp_path, capsys):
     assert code == 0 and lines[1]["case"] == "collinear"
     code, lines, _ = run_cli(capsys, "--config", cfg, "verify-witness")
     assert code == 0 and lines[0]["passed"] is True
+
+
+@pytest.mark.parametrize("spelling", [("--conf", "{}"), ("--conf={}",), ("--c", "{}")])
+def test_config_file_given_by_an_abbreviation(tmp_path, capsys, spelling):
+    # argparse binds an abbreviation of --config to it, so the file it names
+    # is read as well, not ignored: its format applies, and it supplies a
+    # required option.
+    cfg = write_json(tmp_path / "fmt.json", {"format": "jsonl"})
+    code, lines, _ = run_cli(capsys, *[a.format(cfg) for a in spelling], "table", "--m-max", "2")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2]
+    cfg = write_json(tmp_path / "req.json", {"m_max": 3, "format": "jsonl"})
+    code, lines, _ = run_cli(capsys, *[a.format(cfg) for a in spelling], "table")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2, 3]
+
+
+def test_config_files_given_twice_both_apply(tmp_path, capsys):
+    fmt = write_json(tmp_path / "fmt.json", {"format": "jsonl", "m_max": 1})
+    req = write_json(tmp_path / "req.json", {"m_max": 2})
+    code, lines, _ = run_cli(capsys, "--conf", fmt, "--config", req, "table")
+    assert code == 0
+    assert [row["m"] for row in lines[:-1]] == [1, 2]  # the later file wins
+
+
+def test_config_option_without_a_file_is_a_usage_error(capsys):
+    # argparse reports the missing file with its usage line; the config
+    # action never runs.
+    for argv in (["--conf"], ["--config"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage: parlines" in capsys.readouterr().err
 
 
 def test_config_file_rejects_keys_of_no_option(tmp_path, capsys):

@@ -101,8 +101,8 @@ def test_verify_classes_multiplies_on_the_ring_engine(capsys, monkeypatch):
     assert len(calls) > 0
 
 
-def test_tracer_counts_one_invert_per_column_spec(capsys):
-    # f2ring.invert_calls reads one call per (m1, m2, line spec) of the
+def test_tracer_counts_one_invert_per_column_line(capsys):
+    # f2ring.invert_calls reads one call per (m1, m2, line class) of the
     # product grid and one per k of the dual, as the untraced count test
     # in test_charclass finds.
     caches = (charclass._product_base, charclass._product_rings, charclass._dual_rings)
@@ -118,5 +118,5 @@ def test_tracer_counts_one_invert_per_column_spec(capsys):
         for cache in caches:
             cache.cache_clear()
     capsys.readouterr()
-    assert tr.calls["f2ring.invert"] == 3 * 3 * 16 + 1
+    assert tr.calls["f2ring.invert"] == 3 * 3 * 4 + 1
     assert tr.calls["f2ring.ring_build"] == 3 * 3 + 3 * 3 * 4 + 2
