@@ -360,7 +360,8 @@ def _alpha(q: int) -> int:
 
 # The four line classes in the span of t1, t2 over a product of two
 # projective spaces, and all 16 ways of assigning two of them.
-_LINE_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
+_ZERO_LINE = (0, 0)
+_LINE_BITS = (_ZERO_LINE, (1, 0), (0, 1), (1, 1))
 _Spec = tuple[tuple[int, int], tuple[int, int]]
 LINE_SPECS: tuple[_Spec, ...] = tuple((a, b) for a in _LINE_BITS for b in _LINE_BITS)
 _SPECS = frozenset(LINE_SPECS)
@@ -381,15 +382,24 @@ def _line_class(ring: RingPresentation, bits: tuple[int, int]) -> RingElement:
 def _product_base(m1: int, m2: int) -> tuple[RingPresentation, dict[_Spec, RingElement]]:
     """The base P^m1 x P^m2 and, for each line spec, the inverse class of
     the rank-2 sum of its two lines over that base, built as
-    (1+l1)^-1 (1+l2)^-1 from the four line classes' inverses."""
+    (1+l1)^-1 (1+l2)^-1 from the four line classes' inverses.  Of the 16
+    specs, 7 have the zero class, whose inverse is 1, and 3 are another
+    spec the other way round, so the column forms 6 products."""
     base = ring_truncated(
         f"P{m1}xP{m2}", [("t1", 1, m1 + 1), ("t2", 1, m2 + 1)]
     )
     one = base.one()
     line_inverses = {bits: invert(one + _line_class(base, bits)) for bits in _LINE_BITS}
-    inverses = {
-        spec: line_inverses[spec[0]] * line_inverses[spec[1]] for spec in LINE_SPECS
-    }
+    inverses = {}
+    for a, b in LINE_SPECS:
+        if a == _ZERO_LINE:
+            inverses[a, b] = line_inverses[b]
+        elif b == _ZERO_LINE:
+            inverses[a, b] = line_inverses[a]
+        elif (b, a) in inverses:
+            inverses[a, b] = inverses[b, a]
+        else:
+            inverses[a, b] = line_inverses[a] * line_inverses[b]
     return base, inverses
 
 
@@ -424,9 +434,9 @@ def oracle_umkehr_product(m1: int, m2: int, n: int, line_spec: _Spec) -> bool:
     classes must equal the degree-n part of the inverse class of the rank-2
     sum of the two lines.  Returns True iff both routes agree exactly.
     The base ring, the four line inverses and the 16 inverse classes made
-    from them, and the line classes' powers are shared per column
-    (m1, m2); the ring with x and the four line Euler classes per grid
-    point (m1, m2, n).  Each call still forms its own product e1*e2, takes
+    from them with 6 products, and the line classes' powers are shared per
+    column (m1, m2); the ring with x and the four line Euler classes per
+    grid point (m1, m2, n).  Each call still forms its own product e1*e2, takes
     its direct image, the coefficient of x^n read by ``base_coefficient``,
     and compares it with the degree-n part of its spec's inverse class.
     ``line_spec`` is two 0/1 pairs, as tuples or lists.

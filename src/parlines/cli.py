@@ -66,7 +66,119 @@ class _LoadConfig(argparse.Action):
         _load_config_defaults(path, self.subs)
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, registered with its name and help line;
+    ``fill`` adds its options, once."""
+
+    def __init__(self, add_options, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._add_options = add_options
+
+    def fill(self) -> _Subcommand:
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return self
+
+
+class _Dispatch(argparse._SubParsersAction):
+    """The subcommands' positional: argparse calls it with the subcommand's
+    name and arguments, and that one parser is filled before it parses
+    them."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        # argparse has checked the name against the choices already.
+        self.choices[values[0]].fill()
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _verify_classes_options(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--m", type=int, help="single domain parameter m")
+    g.add_argument("--m-max", type=int, help="sweep m = 1..m_max")
+
+
+def _table_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+
+
+def _oracles_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m1-max", type=int, default=5)
+    p.add_argument("--m2-max", type=int, default=5)
+    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--dual-n-max", type=int, default=16)
+    p.add_argument("--dual-k", type=int, default=20)
+
+
+def _map_source_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--map", metavar="FILE", help="map descriptor JSON file")
+    p.add_argument("--builtin", choices=BUILTIN_NAMES, help="named example map")
+    p.add_argument("--m", type=int, help="builtin parameter m")
+    p.add_argument("--n", type=int, help="builtin parameter n")
+    p.add_argument("--degree", type=int, help="builtin parameter degree")
+    p.add_argument("--map-seed", type=int, help="builtin parameter seed")
+
+
+def _find_witness_options(p: argparse.ArgumentParser) -> None:
+    _map_source_options(p)
+    p.add_argument("--case", required=True,
+                   choices=[c for c in _ALIASES if c != "line_1d"])
+    for fld in dataclasses.fields(SearchConfig):
+        p.add_argument("--" + fld.name.replace("_", "-"), type=type(fld.default),
+                       default=fld.default)
+    p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
+
+
+def _verify_witness_options(p: argparse.ArgumentParser) -> None:
+    _map_source_options(p)
+    p.add_argument("--record", metavar="FILE", required=True)
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
+
+
+def _find_1d_options(p: argparse.ArgumentParser) -> None:
+    _map_source_options(p)
+    p.add_argument("--interval", type=float, nargs=2, default=(-2.0, 2.0),
+                   metavar=("A", "B"))
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--samples", type=int, default=257)
+    # argparse on Python 3.10-3.13 reads -1e1 or -inf as an unknown option;
+    # every spelling float() parses that starts with "-" starts like this.
+    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+
+def _singularity_options(p: argparse.ArgumentParser) -> None:
+    _map_source_options(p)
+    p.add_argument("--record", metavar="FILE", required=True)
+    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--noise-scale", type=float, default=0.05)
+    p.add_argument("--ratio-threshold", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
+
+
+# Each subcommand's help line and the function that adds its options.
+_SUBCOMMANDS = {
+    "verify-classes": ("run the symbolic non-vanishing checks", _verify_classes_options),
+    "table": ("tabulate check outcomes over a range of m", _table_options),
+    "oracles": ("brute-force direct-image consistency grids", _oracles_options),
+    "find-witness": ("multi-start witness search", _find_witness_options),
+    "verify-witness": ("re-check a stored witness record", _verify_witness_options),
+    "find-1d": ("guaranteed parallel chords for a map R -> R^2", _find_1d_options),
+    "singularity": ("local dimension estimate around a collinear witness",
+                    _singularity_options),
+}
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommands' parsers by name.
+
+    Every subcommand is registered with its name and help line, so the
+    top-level help, the choices and the usage errors are complete; a
+    subcommand's options are added only when argparse dispatches to it, or
+    to every subcommand when ``--config`` checks a file's keys.  A caller
+    that reads a subcommand's options itself calls its ``fill()`` first.
+    """
     parser = argparse.ArgumentParser(
         prog="parlines",
         description="mod-2 class checks and witness searches for parallel-line configurations",
@@ -79,72 +191,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         action=_LoadConfig,
         subs=subs,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-classes", help="run the symbolic non-vanishing checks")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--m", type=int, help="single domain parameter m")
-    g.add_argument("--m-max", type=int, help="sweep m = 1..m_max")
-    subs["verify-classes"] = p
-
-    p = sub.add_parser("table", help="tabulate check outcomes over a range of m")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    subs["table"] = p
-
-    p = sub.add_parser("oracles", help="brute-force direct-image consistency grids")
-    p.add_argument("--m1-max", type=int, default=5)
-    p.add_argument("--m2-max", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--dual-n-max", type=int, default=16)
-    p.add_argument("--dual-k", type=int, default=20)
-    subs["oracles"] = p
-
-    def add_map_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--map", metavar="FILE", help="map descriptor JSON file")
-        p.add_argument("--builtin", choices=BUILTIN_NAMES, help="named example map")
-        p.add_argument("--m", type=int, help="builtin parameter m")
-        p.add_argument("--n", type=int, help="builtin parameter n")
-        p.add_argument("--degree", type=int, help="builtin parameter degree")
-        p.add_argument("--map-seed", type=int, help="builtin parameter seed")
-
-    p = sub.add_parser("find-witness", help="multi-start witness search")
-    add_map_source(p)
-    p.add_argument("--case", required=True,
-                   choices=[c for c in _ALIASES if c != "line_1d"])
-    for fld in dataclasses.fields(SearchConfig):
-        p.add_argument("--" + fld.name.replace("_", "-"), type=type(fld.default),
-                       default=fld.default)
-    p.add_argument("--out", metavar="FILE", help="also write the record JSON here")
-    subs["find-witness"] = p
-
-    p = sub.add_parser("verify-witness", help="re-check a stored witness record")
-    add_map_source(p)
-    p.add_argument("--record", metavar="FILE", required=True)
-    p.add_argument("--tol", type=float, default=SearchConfig.tol)
-    subs["verify-witness"] = p
-
-    p = sub.add_parser("find-1d", help="guaranteed parallel chords for a map R -> R^2")
-    add_map_source(p)
-    p.add_argument("--interval", type=float, nargs=2, default=(-2.0, 2.0),
-                   metavar=("A", "B"))
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--samples", type=int, default=257)
-    # argparse on Python 3.10-3.13 reads -1e1 or -inf as an unknown option;
-    # every spelling float() parses that starts with "-" starts like this.
-    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
-    subs["find-1d"] = p
-
-    p = sub.add_parser("singularity", help="local dimension estimate around a collinear witness")
-    add_map_source(p)
-    p.add_argument("--record", metavar="FILE", required=True)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--noise-scale", type=float, default=0.05)
-    p.add_argument("--ratio-threshold", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=SearchConfig.tol)
-    p.add_argument("--seed", type=int, default=SearchConfig.seed)
-    subs["singularity"] = p
-
+    sub = parser.add_subparsers(
+        dest="command", required=True, action=_Dispatch, parser_class=_Subcommand
+    )
+    for name, (help_line, add_options) in _SUBCOMMANDS.items():
+        subs[name] = sub.add_parser(name, help=help_line, add_options=add_options)
     return parser, subs
 
 
@@ -155,6 +206,9 @@ def _load_config_defaults(path: str, subs: dict) -> None:
         raise ValueError("config file must contain a JSON object")
     # A key of another subcommand's option is allowed, so that one file can
     # serve several subcommands; a key of no option at all is a mistake.
+    # So every subcommand gets its options before the keys are checked.
+    for p in subs.values():
+        p.fill()
     known = {a.dest for p in subs.values() for a in p._actions if a.dest != "help"}
     unknown = sorted(set(defaults) - known)
     if unknown:

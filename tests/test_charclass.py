@@ -557,11 +557,46 @@ def test_product_oracle_bad_spec_leaves_no_cache_entry(spec):
     assert _product_rings.cache_info().currsize == 0
 
 
+def test_product_base_forms_six_products_per_column(monkeypatch):
+    # Of the 16 specs' classes (1+l1)^-1 (1+l2)^-1, the 7 with the zero
+    # class read the other line's inverse and the 3 (l2, l1) share the
+    # product of (l1, l2): 6 multiplies per column besides those inside
+    # invert, each class the product.
+    products, inverting = [], []
+    real_mul = RingElement.__mul__
+
+    def counting_mul(self, other):
+        if not inverting:
+            products.append(self.ring.name)
+        return real_mul(self, other)
+
+    def quiet_invert(u):
+        inverting.append(u)
+        try:
+            return invert(u)
+        finally:
+            inverting.pop()
+
+    for m1, m2 in ((0, 0), (3, 2), (5, 5)):
+        base, inverses = _product_base.__wrapped__(m1, m2)
+        line_inverses = {bits: invert(base.one() + _line_class(base, bits))
+                         for bits in _LINE_BITS}
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(RingElement, "__mul__", counting_mul)
+            patch.setattr(charclass, "invert", quiet_invert)
+            _product_base.__wrapped__(m1, m2)
+        assert products == [base.name] * 6
+        assert set(inverses) == set(LINE_SPECS)
+        for a, b in LINE_SPECS:
+            assert inverses[a, b] == line_inverses[a] * line_inverses[b], (m1, m2, a, b)
+
+
 def test_oracles_invert_once_per_column_line(capsys, monkeypatch):
     # Counts, not times: the product grid inverts 1 + l once per
     # (m1, m2, line class l), multiplies those inverses into the 16 specs'
-    # classes, and builds one base ring per (m1, m2), the dual one of each
-    # per k, however many n each serves.
+    # classes with 6 products, and builds one base ring per (m1, m2), the
+    # dual one of each per k, however many n each serves.
     inverted, built = [], []
     real_invert, real_truncated = charclass.invert, charclass.ring_truncated
 

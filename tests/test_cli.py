@@ -912,7 +912,7 @@ def test_singularity_samples_are_capped(tmp_path, capsys, monkeypatch):
     # The sample counts in use lie inside the cap: the default, the
     # README's and the benchmark's.
     cap = witness._MAX_SINGULARITY_SAMPLES
-    default = cli.build_parser()[1]["singularity"].get_default("samples")
+    default = cli.build_parser()[1]["singularity"].fill().get_default("samples")
     [readme] = [argv for argv in _readme_cli_commands() if argv[0] == "singularity"]
     counts = [default, int(readme[readme.index("--samples") + 1])]
     counts.append(_bench_workloads(monkeypatch).SINGULARITY_SAMPLES)
@@ -944,7 +944,7 @@ def test_find_witness_restarts_and_iterations_are_capped(tmp_path, capsys, monke
 
     _bench_workloads(monkeypatch).witness_suite(0)(Ctx())
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    parser = cli.build_parser()[1]["find-witness"]
+    parser = cli.build_parser()[1]["find-witness"].fill()
     for name, flag, cap in (("restarts", "--restarts", witness._MAX_RESTARTS),
                             ("max_iters", "--max-iters", witness._MAX_ITERS)):
         counts = [parser.get_default(name)]
@@ -1213,6 +1213,59 @@ def test_config_file_rejects_keys_of_no_option(tmp_path, capsys):
     code, lines, _ = run_cli(capsys, "--config", cfg, "find-witness", "--builtin", "parabola",
                              "--case", "b")
     assert code == 0 and lines[1]["restarts_used"] <= 2
+
+
+def test_config_file_is_checked_against_every_subcommand(tmp_path, capsys):
+    # The chosen subcommand's parser is the only one a plain run fills, but
+    # a config file is checked against every subcommand's options: a key of
+    # another one is still allowed, and a key of none still refused.
+    cfg = write_json(tmp_path / "cfg.json", {"restarts": 2, "m_max": 2, "format": "jsonl"})
+    code, lines, _ = run_cli(capsys, "--conf", cfg, "table")
+    assert code == 0 and [row["m"] for row in lines[:-1]] == [1, 2]
+    cfg = write_json(tmp_path / "bad.json", {"m_max": 2, "restart": 2})
+    code, lines, _ = run_cli(capsys, "--config", cfg, "table")
+    assert code == 2
+    assert lines[0]["error"] == "bad config file: unknown keys ['restart']"
+
+
+def test_a_run_adds_options_only_for_its_subcommand():
+    parser, subs = cli.build_parser()
+    assert all(len(p._actions) == 1 for p in subs.values())  # -h alone
+    args = parser.parse_args(["table", "--m-max", "2"])
+    assert (args.command, args.m_max, args.format) == ("table", 2, "csv")
+    filled = {name for name, p in subs.items() if len(p._actions) > 1}
+    assert filled == {"table"}
+    # fill() adds the options once.
+    assert subs["table"].fill() is subs["table"] and len(subs["table"]._actions) == 3
+
+
+# Every help text and these usage errors, captured at 80 columns when every
+# subcommand's options were built up front; Python 3.10 heads the options
+# "optional arguments:".
+_SURFACE_ARGVS = (
+    ["-h"],
+    *([name, "-h"] for name in ("verify-classes", "table", "oracles", "find-witness",
+                                "verify-witness", "find-1d", "singularity")),
+    [],
+    ["nope"],
+    ["table"],
+    ["find-witness", "--case", "z"],
+    ["verify-classes", "--m", "1", "--m-max", "2"],
+)
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in _SURFACE_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        parts.append(f"$ {' '.join(['parlines', *argv])}\nexit {exc.value.code}\n"
+                     f"--- stdout\n{out}--- stderr\n{err}")
+    surface = "".join(parts).replace("optional arguments:", "options:")
+    pinned = Path(__file__).with_name("cli_surface.txt").read_text(encoding="utf-8")
+    assert surface == pinned
 
 
 def test_config_file_leaves_verify_classes_group_to_the_command_line(tmp_path, capsys):
