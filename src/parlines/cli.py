@@ -46,11 +46,6 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(canonical_json(obj) + "\n")
 
 
-def _fail(message: str) -> int:
-    _emit({"error": message})
-    return 2
-
-
 class _LoadConfig(argparse.Action):
     """``--config FILE``: the file's values become the subcommands'
     defaults when argparse binds the option, which is before it reaches
@@ -68,7 +63,9 @@ class _LoadConfig(argparse.Action):
 
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser, registered with its name and help line;
-    ``fill`` adds its options, once."""
+    ``fill`` adds its options, once.  argparse hands the subcommand its
+    arguments through ``parse_known_args``, so that fills it first: a run
+    adds the options of the subcommand it dispatches to, and no other."""
 
     def __init__(self, add_options, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -80,16 +77,9 @@ class _Subcommand(argparse.ArgumentParser):
             add_options(self)
         return self
 
-
-class _Dispatch(argparse._SubParsersAction):
-    """The subcommands' positional: argparse calls it with the subcommand's
-    name and arguments, and that one parser is filled before it parses
-    them."""
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        # argparse has checked the name against the choices already.
-        self.choices[values[0]].fill()
-        super().__call__(parser, namespace, values, option_string)
+    def parse_known_args(self, args=None, namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
 
 
 def _verify_classes_options(p: argparse.ArgumentParser) -> None:
@@ -157,27 +147,15 @@ def _singularity_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=SearchConfig.seed)
 
 
-# Each subcommand's help line and the function that adds its options.
-_SUBCOMMANDS = {
-    "verify-classes": ("run the symbolic non-vanishing checks", _verify_classes_options),
-    "table": ("tabulate check outcomes over a range of m", _table_options),
-    "oracles": ("brute-force direct-image consistency grids", _oracles_options),
-    "find-witness": ("multi-start witness search", _find_witness_options),
-    "verify-witness": ("re-check a stored witness record", _verify_witness_options),
-    "find-1d": ("guaranteed parallel chords for a map R -> R^2", _find_1d_options),
-    "singularity": ("local dimension estimate around a collinear witness",
-                    _singularity_options),
-}
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommands' parsers by name.
 
-    Every subcommand is registered with its name and help line, so the
-    top-level help, the choices and the usage errors are complete; a
-    subcommand's options are added only when argparse dispatches to it, or
-    to every subcommand when ``--config`` checks a file's keys.  A caller
-    that reads a subcommand's options itself calls its ``fill()`` first.
+    Every subcommand of ``_SUBCOMMANDS`` is registered with its name and
+    help line, so the top-level help, the choices and the usage errors are
+    complete; a subcommand's options are added when argparse hands it its
+    arguments, in its parser's ``parse_known_args``, or to every subcommand
+    when ``--config`` checks a file's keys.  A caller that reads a
+    subcommand's options without parsing calls its ``fill()`` first.
     """
     parser = argparse.ArgumentParser(
         prog="parlines",
@@ -191,10 +169,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         action=_LoadConfig,
         subs=subs,
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, action=_Dispatch, parser_class=_Subcommand
-    )
-    for name, (help_line, add_options) in _SUBCOMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (help_line, add_options, _) in _SUBCOMMANDS.items():
         subs[name] = sub.add_parser(name, help=help_line, add_options=add_options)
     return parser, subs
 
@@ -281,15 +257,18 @@ def _load_record(path: str) -> WitnessRecord:
         return WitnessRecord.from_json_dict(json.load(fh))
 
 
+def _checked_m(name: str, value: int) -> int:
+    """``--m`` or ``--m-max`` of verify-classes or table, which lie in 1..4096."""
+    if not 1 <= value <= 4096:
+        raise ValueError(f"{name} must lie in 1..4096")
+    return value
+
+
 def _run_verify_classes(args) -> int:
     if args.m is not None:
-        if not 1 <= args.m <= 4096:
-            raise ValueError("m must lie in 1..4096")
-        ms = [args.m]
+        ms = [_checked_m("m", args.m)]
     else:
-        if not 1 <= args.m_max <= 4096:
-            raise ValueError("m-max must lie in 1..4096")
-        ms = range(1, args.m_max + 1)
+        ms = range(1, _checked_m("m-max", args.m_max) + 1)
     ok = True
     for m in ms:
         for rep in all_checks(m):
@@ -300,12 +279,10 @@ def _run_verify_classes(args) -> int:
 
 
 def _run_table(args) -> int:
-    if not 1 <= args.m_max <= 4096:
-        raise ValueError("m-max must lie in 1..4096")
     # The checks are looked up on their module, so that wrappers installed
     # there (a profiler's, or clibench's tracer) see these calls.
     rows = []
-    for m in range(1, args.m_max + 1):
+    for m in range(1, _checked_m("m-max", args.m_max) + 1):
         p = DimensionParams(m)
         rows.append(
             {
@@ -441,14 +418,22 @@ def _run_singularity(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "verify-classes": _run_verify_classes,
-    "table": _run_table,
-    "oracles": _run_oracles,
-    "find-witness": _run_find_witness,
-    "verify-witness": _run_verify_witness,
-    "find-1d": _run_find_1d,
-    "singularity": _run_singularity,
+# Each subcommand's help line, the function that adds its options, and its
+# runner.
+_SUBCOMMANDS = {
+    "verify-classes": ("run the symbolic non-vanishing checks", _verify_classes_options,
+                       _run_verify_classes),
+    "table": ("tabulate check outcomes over a range of m", _table_options, _run_table),
+    "oracles": ("brute-force direct-image consistency grids", _oracles_options,
+                _run_oracles),
+    "find-witness": ("multi-start witness search", _find_witness_options,
+                     _run_find_witness),
+    "verify-witness": ("re-check a stored witness record", _verify_witness_options,
+                       _run_verify_witness),
+    "find-1d": ("guaranteed parallel chords for a map R -> R^2", _find_1d_options,
+                _run_find_1d),
+    "singularity": ("local dimension estimate around a collinear witness",
+                    _singularity_options, _run_singularity),
 }
 
 
@@ -460,10 +445,11 @@ def main(argv: list | None = None) -> int:
     except (OSError, ValueError) as exc:
         # Only --config's action raises these: argparse reports its own
         # errors and exits.
-        return _fail(f"bad config file: {exc}")
+        _emit({"error": f"bad config file: {exc}"})
+        return 2
     start = time.perf_counter()
     try:
-        code = _RUNNERS[args.command](args)
+        code = _SUBCOMMANDS[args.command][2](args)
         outcome = {0: "ok", 1: "failed"}[code]
     except BrokenPipeError:
         # The reader is gone: there is no one to tell, console_main ends it.

@@ -328,7 +328,8 @@ def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     """
     if case in ("parallel_b", "parallel_a", "line_1d"):
         chords = imgs[:, 1::2] - imgs[:, 0::2]
-        a2, b2, ab = _chord_products(chords)
+        a2, b2 = _dots(chords, chords).T
+        ab = _dots(chords[:, 0], chords[:, 1])
         zero = np.minimum(a2, b2) <= _ZERO_EPS * _ZERO_EPS
         prod = a2 * b2
         finite = prod < np.inf
@@ -338,7 +339,9 @@ def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
             # which leaves the residual as it is.
             big = ~finite & np.isfinite(chords).all(axis=(1, 2))
             scale = np.abs(chords[big]).max(axis=2, keepdims=True)
-            a2[big], b2[big], ab[big] = _chord_products(chords[big] / np.where(scale > 0, scale, 1.0))
+            small = chords[big] / np.where(scale > 0, scale, 1.0)
+            a2[big], b2[big] = _dots(small, small).T
+            ab[big] = _dots(small[:, 0], small[:, 1])
             prod[big] = a2[big] * b2[big]
             finite |= big
         val = (prod - ab * ab) / prod
@@ -369,12 +372,13 @@ def _residual_rows(case: str, imgs: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown case {case!r}")
 
 
-def _chord_products(chords: np.ndarray):
-    """|a|^2, |b|^2 and <a, b> of each (2, c) pair of chords a, b."""
-    # Stacked (1, c) @ (c, 1) matmuls are BLAS ddot per row, as a @ b.
-    a2, b2 = (chords[:, :, None, :] @ chords[:, :, :, None])[:, :, 0, 0].T
-    ab = (chords[:, 0, None, :] @ chords[:, 1, :, None])[:, 0, 0]
-    return a2, b2, ab
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> along the last axis of two stacks of vectors.
+
+    A stacked (1, k) @ (k, 1) matmul is BLAS ddot per vector, as a @ b, so
+    sqrt(_dots(a, a)) is np.linalg.norm's value to the bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @np.errstate(all="ignore")
@@ -461,9 +465,7 @@ def _distances(pts) -> np.ndarray:
     """The 4x4 table of distances between the points of a 4-tuple."""
     pts = np.asarray(pts, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
-    # A stacked (1, d) @ (d, 1) matmul is BLAS ddot per pair, as in _unit,
-    # so each entry is np.linalg.norm of its difference to the bit.
-    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    return np.sqrt(_dots(diff, diff))
 
 
 # -- Gauss-Newton ---------------------------------------------------------------
@@ -486,12 +488,10 @@ _MAX_STEP = 0.5
 def _unit(vecs: np.ndarray):
     """Each vector along the last axis scaled to norm 1, and the mask of the
     vectors whose norm is below 1e-12 (those are left unscaled)."""
-    # A stacked (1, k) @ (k, 1) matmul is BLAS ddot per vector, as
-    # vec @ vec, and sqrt(vec @ vec) is np.linalg.norm's value.
-    norms = np.sqrt(vecs[..., None, :] @ vecs[..., :, None])[..., 0]
-    tiny = norms[..., 0] < 1e-12
+    norms = np.sqrt(_dots(vecs, vecs))
+    tiny = norms < 1e-12
     norms[tiny] = 1.0
-    return vecs / norms, tiny
+    return vecs / norms[..., None], tiny
 
 
 def _system(case: str, imgs: np.ndarray) -> np.ndarray:
@@ -594,7 +594,7 @@ def minimize(evaluate, system, residual, start, count: int, steps: int, tol: flo
             if not at.size:
                 break
             step = (np.linalg.pinv(jac, rcond=_RCOND) @ vecs[:, 0, :, None])[..., 0]
-            length = np.sqrt(step[:, None, :] @ step[:, :, None])[:, 0, 0]
+            length = np.sqrt(_dots(step, step))
             z = z - step * (_MAX_STEP / np.maximum(length, _MAX_STEP))[:, None]
             if project is not None:
                 z = project(z)

@@ -1228,15 +1228,55 @@ def test_config_file_is_checked_against_every_subcommand(tmp_path, capsys):
     assert lines[0]["error"] == "bad config file: unknown keys ['restart']"
 
 
-def test_a_run_adds_options_only_for_its_subcommand():
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, expected, id=argv[0])
+        for argv, expected in (
+            (["verify-classes", "--m", "2"], {"m": 2, "m_max": None}),
+            (["table", "--m-max", "2"], {"m_max": 2, "format": "csv"}),
+            (["oracles"], {"m1_max": 5, "dual_k": 20}),
+            (["find-witness", "--case", "b"],
+             {"case": "b", "restarts": witness.SearchConfig.restarts}),
+            (["verify-witness", "--record", "r.json"], {"record": "r.json", "map": None}),
+            (["find-1d"], {"interval": (-2.0, 2.0), "samples": 257}),
+            (["singularity", "--record", "r.json"], {"record": "r.json", "samples": 32}),
+        )
+    ],
+)
+def test_a_run_adds_options_only_for_its_subcommand(argv, expected):
     parser, subs = cli.build_parser()
     assert all(len(p._actions) == 1 for p in subs.values())  # -h alone
-    args = parser.parse_args(["table", "--m-max", "2"])
-    assert (args.command, args.m_max, args.format) == ("table", 2, "csv")
+    args = parser.parse_args(argv)
+    assert args.command == argv[0]
+    assert {key: getattr(args, key) for key in expected} == expected
     filled = {name for name, p in subs.items() if len(p._actions) > 1}
-    assert filled == {"table"}
+    assert filled == {argv[0]}
     # fill() adds the options once.
-    assert subs["table"].fill() is subs["table"] and len(subs["table"]._actions) == 3
+    sub = subs[argv[0]]
+    count = len(sub._actions)
+    assert sub.fill() is sub and len(sub._actions) == count
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, expected, id=argv[0])
+        for argv, expected in (
+            (["table", "--m-m", "2"], {"m_max": 2}),
+            (["verify-classes", "--m-m", "3"], {"m": None, "m_max": 3}),
+            (["find-witness", "--builtin", "parabola", "--case", "b", "--rest", "2"],
+             {"builtin": "parabola", "restarts": 2}),
+            (["singularity", "--rec", "r.json", "--noise", "0.1"],
+             {"record": "r.json", "noise_scale": 0.1}),
+        )
+    ],
+)
+def test_abbreviations_of_the_subcommands_options_parse_to_the_full_option(argv, expected):
+    # argparse matches a prefix against the options the parser has when it
+    # parses, so the subcommand's options must be there by then.
+    args = cli.build_parser()[0].parse_args(argv)
+    assert {key: getattr(args, key) for key in expected} == expected
 
 
 # Every help text and these usage errors, captured at 80 columns when every
