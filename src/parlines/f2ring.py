@@ -21,7 +21,8 @@ g's place, replace them.  Addition is XOR and equality of elements is int
 equality.  An extension is its base plus one generator on top, so the
 base's layout is a prefix: a base element keeps its bits in the extension,
 and the coefficient of a power of the new generator is a shift and a mask.
-Masks are built on first use, so a ring costs little until it multiplies.
+Masks are built by shifts on first use, so a ring costs little until it
+multiplies.
 
 All values are immutable and every operation is pure; two elements may only
 be combined when they belong to the *same* presentation object (there is no
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "RingError",
@@ -93,15 +94,15 @@ def _tile(block: int, stride: int, count: int) -> int:
 class RingPresentation:
     """Generators, degrees and relations of one presented ring.
 
-    ``truncations`` maps a generator name to its bound b (``g**b = 0``,
-    b >= 1).  Without ``base`` every generator takes a truncation.  With
-    ``base``, the ring this one extends, ``generators`` is exactly one
-    generator g, put on top of the base's generators, which keep the
-    base's degrees and truncations; g takes a truncation, or ``square``, a
-    pair (w1, w2) of elements of ``base``, homogeneous of degrees d and 2d
-    where d is g's degree, that binds it by ``g**2 = w1*g + w2``.  A base
-    with a square relation cannot be extended.  ``base`` and ``square``
-    stay attributes, None when not given.
+    ``generators`` lists (name, degree, bound) triples, as
+    ``ring_truncated`` takes them: the bound b >= 1 truncates the
+    generator, ``g**b = 0``.  With ``base``, the ring this one extends,
+    ``generators`` is exactly one generator g, put on top of the base's
+    generators, which keep the base's degrees and bounds; g takes a bound,
+    or bound None and ``square``, a pair (w1, w2) of elements of ``base``,
+    homogeneous of degrees d and 2d where d is g's degree, that binds it by
+    ``g**2 = w1*g + w2``.  A base with a square relation cannot be
+    extended.  ``base`` and ``square`` stay attributes, None when not given.
 
     Instances are built by the module-level constructors and treated as
     immutable afterwards.  Elements keep a reference to their presentation
@@ -111,9 +112,8 @@ class RingPresentation:
     def __init__(
         self,
         name: str,
-        generators: Iterable[tuple[str, int]],
+        generators: Iterable[tuple[str, int, int | None]],
         *,
-        truncations: dict[str, int] | None = None,
         square: "tuple[RingElement, RingElement] | None" = None,
         base: "RingPresentation | None" = None,
     ) -> None:
@@ -121,37 +121,36 @@ class RingPresentation:
         self.name = str(name)
         self.base = base
         self.square = square
-        bounds: tuple[int | None, ...] = ()
         if base is not None:
             if len(own) != 1:
                 raise RingError(f"{self.name} must add exactly one generator to its base")
             if base.square is not None:
                 raise RingError(f"{base.name} has a square relation and cannot be extended")
-            own = list(zip(base.gen_names, base.gen_degrees)) + own
-            bounds = base._bounds
+            own = list(zip(base.gen_names, base.gen_degrees, base._bounds)) + own
         elif square is not None:
             raise RingError("a square relation needs a base")
-        self.gen_names: tuple[str, ...] = tuple(n for n, _ in own)
-        self.gen_degrees: tuple[int, ...] = tuple(int(d) for _, d in own)
+        if not own:
+            raise RingError("a presentation needs at least one generator")
+        names, degrees, bounds = zip(*own)
+        self.gen_names: tuple[str, ...] = names
+        self.gen_degrees: tuple[int, ...] = tuple(map(int, degrees))
         if len(set(self.gen_names)) != len(self.gen_names):
             raise RingError(f"duplicate generator names in {self.name}")
-        if not self.gen_names:
-            raise RingError("a presentation needs at least one generator")
         if any(d < 1 for d in self.gen_degrees):
             raise RingError("generator degrees must be positive")
         self._index = {n: i for i, n in enumerate(self.gen_names)}
-        # Every added generator takes a truncation, but a top one bound by
-        # the square relation.
-        added = self.gen_names[len(bounds):]
-        trunc = dict(truncations or {})
-        want = sorted(added[:-1] if square is not None else added)
-        if sorted(trunc) != want:
-            raise RingError(f"{self.name} needs truncations for {want}, got {sorted(trunc)}")
-        if any(b < 1 for b in trunc.values()):
-            raise RingError("truncation bounds must be >= 1")
-        # The square generator has no bound: a raw product's exponent there
+        # Every generator takes a bound but a top one bound by the square
+        # relation, whose bound is None: a raw product's exponent there
         # reaches 2 before the relation lowers it.
-        self._bounds = bounds + tuple(trunc.get(n) for n in added)
+        self._bounds: tuple[int | None, ...] = bounds
+        *lower, top = bounds
+        if None in lower or (top is None) != (square is not None):
+            raise RingError(
+                f"{self.name} needs a bound for each generator but a square one, "
+                f"got {self._bounds}"
+            )
+        if any(b < 1 for b in self._bounds if b is not None):
+            raise RingError("truncation bounds must be >= 1")
         self._caps = tuple(1 if b is None else b - 1 for b in self._bounds)
         radices = [2 * c + 1 for c in self._caps]
         self._radices = tuple(radices)
@@ -189,9 +188,6 @@ class RingPresentation:
 
     # -- the packed layout ----------------------------------------------------
 
-    def _position(self, exps: tuple[int, ...]) -> int:
-        return sum(map(mul, exps, self._places))
-
     def _exps_at(self, pos: int) -> tuple[int, ...]:
         """The exponents at a position (digits of the mixed radix)."""
         out = []
@@ -200,17 +196,14 @@ class RingPresentation:
             out.append(e)
         return tuple(out)
 
-    def _tiled(self, tops: Iterable[int]) -> int:
-        """The mask of positions whose digit i is at most ``tops[i]``."""
-        mask = 1
-        for top, place in zip(tops, self._places):
-            mask = _tile(mask, place, top + 1)
-        return mask
-
     @cached_property
     def _live(self) -> int:
-        """The positions of normal-form monomials."""
-        return self._tiled(self._caps)
+        """The positions of normal-form monomials: from the lowest digit up,
+        the mask so far tiled once per value of the next digit, 0..cap."""
+        mask = 1
+        for cap, place in zip(self._caps, self._places):
+            mask = _tile(mask, place, cap + 1)
+        return mask
 
     def _mul(self, a: int, b: int) -> int:
         """The packed product of two packed normal elements."""
@@ -233,24 +226,28 @@ class RingPresentation:
                 bits ^= base._mul(h, w2.bits) ^ base._mul(h, w1.bits) << place
         return bits
 
-    def _exps_of_degree(self, d: int, i: int = 0) -> Iterator[tuple[int, ...]]:
-        """The normal exponent tuples of degree d over generators i, i+1, ..."""
-        deg, cap = self.gen_degrees[i], self._caps[i]
-        if i == len(self._caps) - 1:
-            e, rest = divmod(d, deg)
-            if not rest and 0 <= e <= cap:
-                yield (e,)
-            return
-        for e in range(min(cap, d // deg) + 1):
-            for tail in self._exps_of_degree(d - e * deg, i + 1):
-                yield (e,) + tail
-
     def _degree_mask(self, d: int) -> int:
+        """The positions of the normal monomials of degree d, memoized per
+        degree.  Over generators i, i+1, ... the mask of degree r is, for
+        each digit e of generator i, the mask of degree r - e*deg_i over
+        the generators above shifted to e times i's place; the top
+        generator has at most one digit of each degree, so its mask is one
+        bit or none."""
         mask = self._degree_masks.get(d)
         if mask is None:
-            mask = self._degree_masks[d] = sum(
-                1 << self._position(exps) for exps in self._exps_of_degree(d)
-            )
+            top = len(self._caps) - 1
+
+            def above(i: int, r: int) -> int:
+                deg, cap, place = self.gen_degrees[i], self._caps[i], self._places[i]
+                if i == top:
+                    e, rest = divmod(r, deg)
+                    return 1 << e * place if not rest and 0 <= e <= cap else 0
+                out = 0
+                for e in range(min(cap, r // deg) + 1):
+                    out |= above(i + 1, r - e * deg) << e * place
+                return out
+
+            mask = self._degree_masks[d] = above(0, d)
         return mask
 
     def top_degree(self) -> int:
@@ -405,15 +402,10 @@ def ring_truncated(
 ) -> RingPresentation:
     """GF(2)[g1, ..., gk] / (g1**b1, ..., gk**bk).
 
-    ``gens`` lists (name, degree, bound) triples; each bound must be >= 1
-    (bound 1 makes the generator zero).
+    ``gens`` lists (name, degree, bound) triples, as ``RingPresentation``
+    takes them; each bound must be >= 1 (bound 1 makes the generator zero).
     """
-    triples = list(gens)
-    return RingPresentation(
-        name,
-        [(n, d) for n, d, _ in triples],
-        truncations={n: b for n, _, b in triples},
-    )
+    return RingPresentation(name, gens)
 
 
 def ring_projective(m: int) -> RingPresentation:
@@ -431,7 +423,7 @@ def ring_yhat(m: int) -> RingPresentation:
     if m < 1:
         raise ValueError("m must be >= 1")
     base = ring_truncated(f"TY{m}", [("t", 1, m + 1), ("y", 2, m + 1)])
-    return RingPresentation(f"Yhat{m}", [("x", 1)], square=base.gens(), base=base)
+    return RingPresentation(f"Yhat{m}", [("x", 1, None)], square=base.gens(), base=base)
 
 
 def ring_y0(q: int, m: int) -> RingPresentation:
@@ -452,9 +444,7 @@ def ring_adjoin_x(base: RingPresentation, n: int) -> RingPresentation:
     """base ⊗ GF(2)[x]/(x**(n+1)) with a fresh degree-1 generator x."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RingPresentation(
-        f"{base.name}[x;{n}]", [("x", 1)], truncations={"x": n + 1}, base=base
-    )
+    return RingPresentation(f"{base.name}[x;{n}]", [("x", 1, n + 1)], base=base)
 
 
 def ring_proj_bundle(
@@ -466,5 +456,5 @@ def ring_proj_bundle(
     1 and 2 (either may be zero); basis monomials carry t-exponent <= 1.
     """
     return RingPresentation(
-        f"{base.name}[t|{w1},{w2}]", [("t", 1)], square=(w1, w2), base=base
+        f"{base.name}[t|{w1},{w2}]", [("t", 1, None)], square=(w1, w2), base=base
     )

@@ -503,15 +503,15 @@ def _system(case: str, imgs: np.ndarray) -> np.ndarray:
     The vector is the chord f(p1) - f(p0) against f(p3) - f(p2) in the
     parallel cases, q3 - q0 against q1 - q0 and q2 - q0 (q_i the images)
     for collinear, and the last image against the other three for lindep.
-    NaN where an image is not finite.
+    NaN where an image is not finite, or where a difference overflows.
     """
-    if case in ("parallel_b", "parallel_a"):
-        vecs = (imgs[:, 1::2] - imgs[:, 0::2])[:, ::-1]
-    elif case == "collinear":
-        vecs = imgs[:, 1:] - imgs[:, :1]
-    else:
-        vecs = imgs
     with np.errstate(all="ignore"):
+        if case in ("parallel_b", "parallel_a"):
+            vecs = (imgs[:, 1::2] - imgs[:, 0::2])[:, ::-1]
+        elif case == "collinear":
+            vecs = imgs[:, 1:] - imgs[:, :1]
+        else:
+            vecs = imgs
         # Each vector scaled by its largest |entry|, which moves no span, so
         # that no square overflows above about 1e154.
         scale = np.abs(vecs).max(axis=2, keepdims=True)
@@ -699,8 +699,9 @@ def _record(case: str, f: MapDescriptor, pts, tol: float, config: Configuration 
 # -- verification ---------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def verify_witness(
-    rec: WitnessRecord, f: MapDescriptor, tol: float = 1e-10
+    rec: WitnessRecord, f: MapDescriptor, tol: float = SearchConfig.tol
 ) -> WitnessVerification:
     """Re-derive everything checkable about a record from the map itself.
 
@@ -708,7 +709,9 @@ def verify_witness(
     this order: the map digest, the config (on the case's manifold, and
     giving the points), the stored distances, the stored residual, the
     residual within tol, the stored ``found`` flag against tol, and the
-    per-case distinctness requirements.
+    per-case distinctness requirements.  Floating-point warnings are off
+    inside: a record whose numbers reach the float limit overflows to inf
+    or NaN, and the checks fail on those values.
     """
     _require_positive("tol", tol)
     case = canonical_case(rec.case)
@@ -832,7 +835,8 @@ def find_1d(
     witness the statement; a gray zone in between raises
     :class:`CollinearityAmbiguity` rather than guessing.  An interval too
     narrow for its samples to be strictly increasing floats raises
-    ValueError: the points it would give are not distinct.
+    ValueError: the points it would give are not distinct.  So does one so
+    wide that its width b - a overflows, before any sampling.
     """
     if f.domain_dim != 1 or f.codomain_dim != 2:
         raise ValueError("find_1d needs a map R -> R^2")
@@ -841,6 +845,10 @@ def find_1d(
         raise ValueError(f"interval must be finite, got {(a, b)!r}")
     if not (a < b):
         raise ValueError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ValueError(
+            f"interval {(a, b)!r} is too wide: its width b - a overflows the float range"
+        )
     _require_positive("tol", tol)
     if not 8 <= samples <= _MAX_1D_SAMPLES:
         raise ValueError(f"samples must lie in 8..{_MAX_1D_SAMPLES}, got {samples}")
@@ -963,7 +971,9 @@ def estimate_singularity_dim(
     p0 = np.concatenate([np.asarray(p, dtype=float) for p in base.points])
 
     def start(i):
-        return p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d)
+        # A huge noise_scale overflows to inf, and that sample fails.
+        with np.errstate(over="ignore"):
+            return p0 + noise_scale * np.random.default_rng([cfg.seed, i, 1]).standard_normal(4 * d)
 
     res = minimize(lambda zs: _images(f, zs.reshape(len(zs), 4, d)),
                    lambda imgs: _system("collinear", imgs),

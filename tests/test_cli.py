@@ -748,6 +748,47 @@ def test_overflowing_chords_give_no_false_witness(tmp_path, capsys):
     assert any("not finite" in msg for msg in report["messages"])
 
 
+@pytest.mark.parametrize(
+    "field, failed, messages",
+    [
+        ("points",
+         ["points_match_config", "distances_agree_with_record", "residual_agrees_with_record",
+          "residual_within_tol", "found_agrees_with_record"],
+         ["points deviate from configuration by 1e+308",
+          "recomputed (min_pairwise_distance, pair_sets_distinct) (inf, True) "
+          "vs recorded (0.5, True)",
+          "recomputed residual nan vs recorded 0.0",
+          "residual is not finite: the map's values overflow the float range",
+          "recorded found True vs False at --tol 1e-10"]),
+        ("x", ["config_norms", "points_match_config"],
+         ["x lies inf off the collinear manifold",
+          "points deviate from configuration by 1e+200"]),
+    ],
+)
+def test_verify_witness_at_the_float_limit_fails_without_warnings(
+    tmp_path, capsys, field, failed, messages
+):
+    # Points at +-1e308 overflow their differences, and a config x of
+    # [1e200, 1e200] its squared norm: the checks fail on the inf and NaN
+    # that come out, and numpy prints nothing.
+    f = linear_r2_r3()
+    data = exact_collinear_record_dict(f)
+    if field == "points":
+        data["points"] = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, -1e308]]
+    else:
+        data["config"]["x"] = [1e200, 1e200]
+    code = main([
+        "verify-witness", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
+        "--record", write_json(tmp_path / "rec.json", data),
+    ])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out.splitlines()[0])
+    assert code == 1 and captured.err == ""
+    assert report["passed"] is False
+    assert [name for name, ok in report["checks"].items() if not ok] == failed
+    assert report["messages"] == messages
+
+
 def test_case_b_on_a_map_beyond_1e154(tmp_path, capsys):
     # random_poly(1, 4, 3) with every coefficient times 1e160: the squared
     # chord norms overflow, yet the search finds and verifies a witness.
@@ -849,6 +890,12 @@ def test_find_1d_interval_too_narrow_for_its_samples(capsys, interval):
                  "not strictly increasing")
 
 
+def test_find_1d_interval_too_wide_for_a_float_width(capsys):
+    # b - a overflows: np.linspace would warn and give no samples at all.
+    _exit_2_with(capsys, ["find-1d", "--builtin", "parabola", "--interval", "-1e308", "1e308"],
+                 "interval (-1e+308, 1e+308) is too wide: its width b - a overflows")
+
+
 def test_negative_map_seed_exits_2(tmp_path, capsys):
     flags = ["--builtin", "random_poly", "--m", "1", "--n", "4", "--degree", "2"]
     _exit_2_with(capsys, ["find-witness", *flags, "--map-seed", "-1", "--case", "b"],
@@ -882,6 +929,21 @@ def test_singularity_cli(tmp_path, capsys):
     assert est["expected_lower_bound"] == 4 * 2 - (3 - 2)
     assert 0 <= est["samples"] <= 4
     assert est["singular_values"] == sorted(est["singular_values"], reverse=True)
+
+
+def test_singularity_at_a_huge_noise_scale_fails_its_samples_quietly(tmp_path, capsys):
+    # Perturbations of scale 1e308 overflow: those samples fail, and numpy
+    # prints nothing.
+    f = linear_r2_r3()
+    code = main([
+        "singularity", "--map", write_json(tmp_path / "lin.json", f.to_json_dict()),
+        "--record", write_json(tmp_path / "base.json", exact_collinear_record_dict(f)),
+        "--samples", "4", "--noise-scale", "1e308",
+    ])
+    captured = capsys.readouterr()
+    est = json.loads(captured.out.splitlines()[0])
+    assert code == 0 and captured.err == ""
+    assert (est["samples"], est["singular_values"], est["estimated_dim"]) == (0, [], 0)
 
 
 def test_singularity_rejects_wrong_case(tmp_path, capsys):

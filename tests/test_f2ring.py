@@ -420,13 +420,13 @@ def extensions(draw):
     base = draw(truncated_bases())
     d = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        return RingPresentation("R", [("g", d)], truncations={"g": draw(st.integers(1, 3))}, base=base)
+        return RingPresentation("R", [("g", d, draw(st.integers(1, 3)))], base=base)
 
     def homogeneous(degree):
         monos = [e for e in basis(base) if _mono_degree(base, e) == degree]
         return element(base, *draw(st.lists(st.sampled_from(monos), max_size=4))) if monos else base.zero()
 
-    return RingPresentation("R", [("g", d)], square=(homogeneous(d), homogeneous(2 * d)), base=base)
+    return RingPresentation("R", [("g", d, None)], square=(homogeneous(d), homogeneous(2 * d)), base=base)
 
 
 def small_rings():
@@ -488,42 +488,38 @@ def test_lifting_from_the_base_keeps_bits_and_is_multiplicative(data):
 
 def test_an_extension_adds_one_generator_on_top():
     base = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
-    ring = RingPresentation("E", [("g", 1)], truncations={"g": 3}, base=base)
+    ring = RingPresentation("E", [("g", 1, 3)], base=base)
     assert (ring.base, ring.gen_names, ring.gen_degrees) == (base, ("a", "b", "g"), (1, 2, 1))
     a, b, g = ring.gens()
     assert b * b == ring.zero() and bool(a * a * g * g)  # the base's bounds are kept
     with pytest.raises(RingError, match="exactly one generator"):
         RingPresentation("E", [], base=base)
     with pytest.raises(RingError, match="exactly one generator"):
-        RingPresentation("E", [("g", 1), ("h", 1)], truncations={"g": 3, "h": 3}, base=base)
+        RingPresentation("E", [("g", 1, 3), ("h", 1, 3)], base=base)
     with pytest.raises(RingError, match="duplicate generator names"):
-        RingPresentation("E", [("a", 1)], truncations={"a": 3}, base=base)
-    with pytest.raises(RingError, match="needs truncations"):  # a's bound is the base's
-        RingPresentation("E", [("g", 1)], truncations={"g": 3, "a": 2}, base=base)
+        RingPresentation("E", [("a", 1, 3)], base=base)
     with pytest.raises(RingError, match="square relation and cannot be extended"):
-        RingPresentation("E", [("g", 1)], truncations={"g": 3}, base=_bundle())
+        RingPresentation("E", [("g", 1, 3)], base=_bundle())
 
 
 def test_every_generator_needs_exactly_one_relation():
     base = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
     a, b = base.gens()
-    ring = RingPresentation("U", [("g", 1)], square=(a, a * a + b), base=base)
+    ring = RingPresentation("U", [("g", 1, None)], square=(a, a * a + b), base=base)
     g = ring.gen("g")
     assert g * g == ring.from_base_coefficients({0: a * a + b, 1: a})
-    with pytest.raises(RingError, match="needs truncations"):  # b left untruncated
-        RingPresentation("U", [("a", 1), ("b", 1)], truncations={"a": 3})
-    with pytest.raises(RingError, match="needs truncations"):
-        RingPresentation("U", [("a", 1)], truncations={"a": 3, "z": 2})
-    with pytest.raises(RingError, match="needs truncations"):  # g takes neither
-        RingPresentation("U", [("g", 1)], base=base)
-    with pytest.raises(RingError, match="needs truncations"):  # g takes both
-        RingPresentation("U", [("g", 1)], truncations={"g": 2}, square=(a, b), base=base)
+    with pytest.raises(RingError, match="needs a bound"):  # b left untruncated
+        RingPresentation("U", [("a", 1, 3), ("b", 1, None)])
+    with pytest.raises(RingError, match="needs a bound"):  # g takes neither
+        RingPresentation("U", [("g", 1, None)], base=base)
+    with pytest.raises(RingError, match="needs a bound"):  # g takes both
+        RingPresentation("U", [("g", 1, 2)], square=(a, b), base=base)
     with pytest.raises(RingError, match="needs a base"):
-        RingPresentation("U", [("a", 1), ("g", 1)], truncations={"a": 3}, square=(a, b))
+        RingPresentation("U", [("a", 1, 3), ("g", 1, None)], square=(a, b))
     other = ring_truncated("B", [("a", 1, 3), ("b", 2, 2)])
     with pytest.raises(RingError, match="live in the base"):
-        RingPresentation("U", [("g", 1)], square=(other.gen("a"), b), base=base)
+        RingPresentation("U", [("g", 1, None)], square=(other.gen("a"), b), base=base)
     with pytest.raises(RingError, match="live in the base"):
-        RingPresentation("U", [("g", 1)], square=(a, other.gen("b")), base=base)
+        RingPresentation("U", [("g", 1, None)], square=(a, other.gen("b")), base=base)
     with pytest.raises(RingError, match="homogeneous element of degree 2"):
-        RingPresentation("U", [("g", 1)], square=(a, a + b), base=base)
+        RingPresentation("U", [("g", 1, None)], square=(a, a + b), base=base)
