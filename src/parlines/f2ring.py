@@ -232,7 +232,8 @@ class RingPresentation:
         each digit e of generator i, the mask of degree r - e*deg_i over
         the generators above shifted to e times i's place; the top
         generator has at most one digit of each degree, so its mask is one
-        bit or none."""
+        bit or none.  A degree outside 0..top_degree() has no monomial: its
+        mask is 0 with no search."""
         mask = self._degree_masks.get(d)
         if mask is None:
             top = len(self._caps) - 1
@@ -247,7 +248,7 @@ class RingPresentation:
                     out |= above(i + 1, r - e * deg) << e * place
                 return out
 
-            mask = self._degree_masks[d] = above(0, d)
+            mask = self._degree_masks[d] = above(0, d) if 0 <= d <= self.top_degree() else 0
         return mask
 
     def top_degree(self) -> int:

@@ -207,6 +207,51 @@ def _monomial_map(d: int, exps) -> MapDescriptor:
 _MAX_EXPONENTS = 10**6
 
 
+def _uniform_stream(seed: int, count: int) -> list[float]:
+    """The first ``count`` values of ``numpy.random.default_rng(seed)
+    .uniform(-1.0, 1.0)``, bit for bit, without importing numpy.random.
+
+    numpy's SeedSequence hashes the seed's 32-bit words, lowest first, into
+    a pool of four words and draws from it the 128-bit state and stream of a
+    PCG64 generator (O'Neill 2014): a 128-bit LCG read out by XSL-RR, whose
+    top 53 bits make a double in [0, 1)."""
+    m32, m64, m128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+    def hasher(const: int, mult: int):
+        def hashmix(v: int) -> int:
+            nonlocal const
+            v ^= const
+            const = const * mult & m32
+            v = v * const & m32
+            return v ^ v >> 16
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(len(words)):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src] if src < 4 else words[src]))
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((s2 << 64 | s3) << 1 | 1) & m128
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        out.append(-1.0 + 2.0 * ((((x >> rot | x << 64 - rot) & m64) >> 11) * 2**-53))
+    return out
+
+
 def builtin_map(name: str, params: dict | None = None, seed: int | None = None) -> MapDescriptor:
     """Construct one of the named example maps.
 
@@ -217,7 +262,10 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
     * ``moment`` (m, n): the first n+1 monomials of degree >= 1 over m+1
       variables, ordered by total degree.
     * ``random_poly`` (m, n, degree, seed): dense polynomial coordinates with
-      coefficients drawn uniformly from [-1, 1); deterministic in the seed.
+      coefficients drawn uniformly from [-1, 1), coordinate by coordinate,
+      from the PCG64 stream of :func:`_uniform_stream`: the values of
+      ``numpy.random.default_rng(seed).uniform(-1, 1)``, computed here so
+      that the map depends on the seed alone, not on the numpy installed.
 
     Parameters are JSON integers, never coerced, and a map may hold at most
     ``_MAX_EXPONENTS`` exponents.
@@ -274,11 +322,9 @@ def builtin_map(name: str, params: dict | None = None, seed: int | None = None) 
         fits((n + 1) * (degree + 1), d)
         fits((n + 1) * math.comb(d + degree, degree), d)
         exps = list(_monomial_exponents(d, range(0, degree + 1)))
-        rng = np.random.default_rng(seed)
-        coords = tuple(
-            tuple((float(c), e) for c, e in zip(rng.uniform(-1.0, 1.0, len(exps)), exps))
-            for _ in range(n + 1)
-        )
+        k = len(exps)
+        values = _uniform_stream(seed, (n + 1) * k)
+        coords = tuple(tuple(zip(values[i * k:(i + 1) * k], exps)) for i in range(n + 1))
         return MapDescriptor(d, n + 1, coords)
 
     raise ValueError(f"unknown builtin map {name!r}")

@@ -238,6 +238,27 @@ def test_oracle_grid_budget():
     )
 
 
+def test_dual_cap_shape_budget():
+    # The dual oracle at the CLI's caps: 9,984 instances in P^64, nearly
+    # all of whose homogeneous parts ask for a degree past the ring's top,
+    # whose mask is 0 without a search.
+    argv = ["oracles", "--m1-max", "0", "--m2-max", "0", "--n-max", "1",
+            "--dual-k", "64", "--dual-n-max", "9984"]
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    summary = json.loads(out.getvalue().splitlines()[-2])
+    ok = code == 0 and summary["failures"] == 0 and elapsed < 6.0
+    criterion(
+        "oracles --m1-max 0 --m2-max 0 --n-max 1 --dual-k 64 --dual-n-max 9984 in under 6 s",
+        ok,
+        f"{summary['product_instances']} + {summary['dual_instances']} instances, "
+        f"{summary['failures']} failures, {elapsed:.2f}s",
+    )
+
+
 def test_dual_power_identity():
     ok = all(oracle_umkehr_dual(20, n) for n in range(1, 17))
     criterion("umkehr dual identity t^(n+1) split, n = 1..16", ok)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -17,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parlines
+from parlines.cli import main
 from parlines.jsonio import canonical_json
 from parlines.maps import (
     BUILTIN_NAMES,
     MapDescriptor,
+    _uniform_stream,
     builtin_map,
     eval_map,
     map_digest,
@@ -389,12 +393,42 @@ _FROZEN_DIGESTS = [
      "7ecef3c5ce105a898f014e6209752dda0231d8af3f284dac487fe3a5385e46b6"),
     ("random_poly", {"m": 1, "n": 4, "degree": 3}, 42,
      "ff0c89797fbe1dd168619fb1bb0d1b70466d3ce3b57267af63921e926d2283b1"),
+    ("random_poly", {"m": 1, "n": 4, "degree": 3}, 0,
+     "b10d135ca4bad1cd36b2c747b3cb964c7f655096735dcf0916b45f5bc85d771f"),
+    ("random_poly", {"m": 2, "n": 5, "degree": 2}, 7,
+     "c1ccfc8417383e3a3ca95aee463b5813d6d8ac09873ed11e461a6b600a01f004"),
+    ("random_poly", {"m": 1, "n": 4, "degree": 3}, 2**32,
+     "ff7747ecff729300866f32b252f24628aaa7b6af74a72986c9e913809247135e"),
+    ("random_poly", {"m": 1, "n": 4, "degree": 3}, 2**64 + 1,
+     "d573fea9e4f9f16e44ca8f4aa77bb2eb15a2023b720e7fb413f0009bddfe52bf"),
+    ("random_poly", {"m": 3, "n": 10, "degree": 2}, 10**30,
+     "312517e55dcd051d532253ed6b9e25636220b64f2cd7cbc9da8a3634bbd662ec"),
 ]
 
 
 @pytest.mark.parametrize("name, params, seed, digest", _FROZEN_DIGESTS)
 def test_builtin_digests_frozen(name, params, seed, digest):
     assert map_digest(builtin_map(name, params, seed=seed)) == digest
+
+
+_STREAM_SEEDS = [*range(256), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 7, 10**30]
+
+
+def test_uniform_stream_matches_numpy():
+    # 37 values run past three coordinates of random_poly(1, 4, 3), which
+    # has 10 terms each.  Seeds past 2^32 take SeedSequence's longer word
+    # lists, past 2^128 its mixing of words beyond the pool of four.
+    for seed in _STREAM_SEEDS:
+        expected = np.random.default_rng(seed).uniform(-1.0, 1.0, 37)
+        assert _uniform_stream(seed, 37) == expected.tolist(), seed
+    # The witness benchmark's two map shapes at every map seed it uses, each
+    # coordinate checked against its own numpy draw, in coordinate order.
+    for m, n, degree, base in [(1, 4, 3, 42), (2, 5, 2, 7)]:
+        for seed in range(base, base + 65):
+            f = builtin_map("random_poly", {"m": m, "n": n, "degree": degree}, seed=seed)
+            rng = np.random.default_rng(seed)
+            for coord in f.coords:
+                assert [c for c, _ in coord] == rng.uniform(-1.0, 1.0, len(coord)).tolist()
 
 
 def test_digest_distinguishes_maps():
@@ -411,24 +445,38 @@ def test_from_json_rejects_malformed():
         MapDescriptor.from_json_dict({"builtin": "nonesuch"})
 
 
+_README_MAP = ["--builtin", "random_poly", "--m", "1", "--n", "4", "--degree", "3",
+               "--map-seed", "42"]
+
 _NO_MASKED_ARRAYS_SCRIPT = """
-import sys
+import contextlib, io, sys
 import numpy as np
+from parlines import cli
 from parlines.maps import builtin_map, eval_map
 f = builtin_map("random_poly", {"m": 1, "n": 4, "degree": 3}, seed=42)
 g = builtin_map("parabola")
 eval_map(f, np.zeros((3, 2)))
 eval_map(g, np.zeros((3, 1)))
 print("numpy.ma" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify-witness", *sys.argv[1:]])
+print(code, "numpy.random" in sys.modules)
 """
 
 
-def test_building_maps_imports_no_masked_arrays():
+def test_building_maps_imports_no_masked_arrays(tmp_path):
     # np.union1d goes through np.unique, which imports numpy.ma: about 15 ms
-    # per witness command.  A fresh interpreter, as the tests load numpy.ma.
+    # per witness command.  verify-witness on a random_poly map draws its
+    # coefficients in parlines.maps, so it imports no numpy.random either
+    # (6-9 ms).  A fresh interpreter, as the tests load both modules.
+    record = tmp_path / "witness.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["find-witness", *_README_MAP, "--case", "b", "--seed", "7",
+                     "--out", str(record)]) == 0
     src = str(Path(parlines.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT,
+                           *_README_MAP, "--record", str(record)],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "0", "False"]
